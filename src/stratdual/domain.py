@@ -329,6 +329,20 @@ def summarize_stratum(units: UnitFrame, n: int) -> StratumSummary:
     )
 
 
+def _weighted_sum(w: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``sum_h w[h] * values[..., h]``, added in stratum order.
+
+    Combines per-stratum values (last axis) into population-level ones,
+    for one draw or a block of draws.  The sum is elementwise, so each
+    row of a block gets the same bits as when it is combined alone; a
+    BLAS matrix-vector product does not promise that.
+    """
+    total = w[0] * values[..., 0]
+    for h in range(1, len(w)):
+        total = total + w[h] * values[..., h]
+    return total
+
+
 def combine(strata: Sequence[StratumSummary]) -> PopulationSummary:
     """Combine stratum summaries into a :class:`PopulationSummary`.
 
@@ -358,9 +372,9 @@ def combine(strata: Sequence[StratumSummary]) -> PopulationSummary:
     g = np.full(len(strata), np.nan)
     noncensus = n_h < N_h
     g[noncensus] = n_h[noncensus] / (N_h[noncensus] - n_h[noncensus])
-    mean_y = float(w @ np.array([s.mean_y for s in strata]))
-    mean_x = float(w @ np.array([s.mean_x for s in strata]))
-    mean_z = float(w @ np.array([s.mean_z for s in strata]))
+    mean_y = float(_weighted_sum(w, np.array([s.mean_y for s in strata])))
+    mean_x = float(_weighted_sum(w, np.array([s.mean_x for s in strata])))
+    mean_z = float(_weighted_sum(w, np.array([s.mean_z for s in strata])))
     return PopulationSummary(
         strata=strata,
         w=w,

@@ -7,7 +7,9 @@ exponents interpolate between ratio-like and product-like behaviour.
 
 All estimators consume combined (population-weighted) sample means, so
 one :class:`SampleMeans` value drawn by the simulation harness can be
-evaluated under every estimator.
+evaluated under every estimator.  Each kind is computed by one array
+kernel over a block of draws, which marks degenerate draws with a
+rejection code instead of raising; :func:`estimate` is its one-row call.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import PopulationSummary
+from .domain import PopulationSummary, _weighted_sum
 
 __all__ = [
     "KINDS",
@@ -99,9 +101,9 @@ class SampleMeans:
             ybar=ybar,
             xbar=xbar,
             zbar=zbar,
-            ybar_st=float(w @ ybar),
-            xbar_st=float(w @ xbar),
-            zbar_st=float(w @ zbar),
+            ybar_st=float(_weighted_sum(w, ybar)),
+            xbar_st=float(_weighted_sum(w, xbar)),
+            zbar_st=float(_weighted_sum(w, zbar)),
         )
 
 
@@ -192,6 +194,18 @@ def _check_alignment(sample: SampleMeans, pop: PopulationSummary) -> None:
         )
 
 
+def _dual_means(pop: PopulationSummary, xbar: np.ndarray, zbar: np.ndarray):
+    """Combined dual-transformed means of per-stratum sample means.
+
+    ``xbar`` and ``zbar`` hold one draw (shape ``(L,)``) or a block of
+    draws (shape ``(c, L)``); the results have the leading shape.
+    """
+    g = pop.g
+    xstar = _weighted_sum(pop.w, (1.0 + g) * pop.stratum_array("mean_x") - g * xbar)
+    zstar = _weighted_sum(pop.w, (1.0 + g) * pop.stratum_array("mean_z") - g * zbar)
+    return xstar, zstar
+
+
 def dual_transform_means(
     sample: SampleMeans, pop: PopulationSummary
 ) -> tuple[float, float]:
@@ -204,23 +218,109 @@ def dual_transform_means(
     """
     _check_alignment(sample, pop)
     pop.require_no_census("the dual transform")
-    g, w = pop.g, pop.w
-    xbar_pop = pop.stratum_array("mean_x")
-    zbar_pop = pop.stratum_array("mean_z")
-    xstar = float(w @ ((1.0 + g) * xbar_pop - g * sample.xbar))
-    zstar = float(w @ ((1.0 + g) * zbar_pop - g * sample.zbar))
-    return xstar, zstar
+    xstar, zstar = _dual_means(pop, sample.xbar, sample.zbar)
+    return float(xstar), float(zstar)
 
 
-def _power(base: float, exponent: float, what: str) -> float:
-    """``base ** exponent`` restricted to real-valued results."""
-    if base == 0.0 and exponent < 0:
-        raise DegenerateSampleError(f"{what} is zero with negative exponent")
-    if base < 0.0 and not float(exponent).is_integer():
-        raise DegenerateSampleError(
-            f"{what} = {base} is negative under fractional exponent {exponent}"
-        )
-    return float(base**exponent)
+def _check_estimator(spec: EstimatorSpec, pop: PopulationSummary) -> None:
+    """Raise ``ValueError`` if ``spec`` is undefined on ``pop`` for every sample.
+
+    These are configuration errors: census strata for dual kinds, ``A``
+    equal to the population x-mean, zero population means where they
+    divide.
+    """
+    kind = spec.kind
+    if kind in TRANSFORM_KINDS and spec.A - pop.mean_x == 0:
+        raise ValueError("A equals the population x-mean; theta undefined")
+    if kind in DUAL_KINDS:
+        pop.require_no_census("the dual transform")
+        if pop.mean_x == 0 or pop.mean_z == 0:
+            raise ValueError("population auxiliary means must be nonzero")
+    elif kind in ("combined_product", "ratio_cum_product", "tracy_product"):
+        if pop.mean_z == 0:
+            raise ValueError("population z-mean is zero")
+
+
+#: Why the kernel rejects a draw, by rejection code; code 0 accepts it.
+_REJECTIONS = (
+    "",
+    "combined sample x-mean is zero",
+    "dual-transformed z-mean is zero",
+    "dual-transformed x ratio is zero with negative exponent",
+    "dual-transformed x ratio = {base} is negative under fractional exponent {exponent}",
+    "dual-transformed z ratio is zero with negative exponent",
+    "dual-transformed z ratio = {base} is negative under fractional exponent {exponent}",
+)
+_ZERO_XBAR, _ZERO_ZSTAR, _ZERO_X_RATIO, _ZERO_Z_RATIO = 1, 2, 3, 5
+
+
+def _power_checks(base: np.ndarray, exponent: float, zero_code: int) -> list:
+    """Where ``base ** exponent`` has no real value, with rejection codes.
+
+    A zero base under a negative exponent gets ``zero_code`` and a
+    negative base under a fractional exponent ``zero_code + 1``; integer
+    exponents of negative bases are real and accepted.
+    """
+    checks = []
+    if exponent < 0:
+        checks.append((base == 0.0, zero_code))
+    if not float(exponent).is_integer():
+        checks.append((base < 0.0, zero_code + 1))
+    return checks
+
+
+def _estimate_block(
+    spec: EstimatorSpec,
+    pop: PopulationSummary,
+    ybar_st: np.ndarray,
+    xbar_st: np.ndarray,
+    zbar_st: np.ndarray,
+    xstar_st: np.ndarray | None = None,
+    zstar_st: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate one estimator on a block of draws.
+
+    Takes the combined sample means of the draws, one entry each, and
+    for dual kinds their combined dual-transformed means.  Returns
+    ``(values, codes)``: ``codes`` is the index into :data:`_REJECTIONS`
+    of the first degeneracy of each draw, 0 where there is none, and
+    ``values`` is ``NaN`` where ``codes`` is nonzero.  Configuration is
+    not checked here; see :func:`_check_estimator`.
+    """
+    kind = spec.kind
+    checks = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "classical":
+            value = ybar_st
+        elif kind == "combined_ratio":
+            checks.append((xbar_st == 0, _ZERO_XBAR))
+            value = ybar_st * pop.mean_x / xbar_st
+        elif kind == "combined_product":
+            value = ybar_st * zbar_st / pop.mean_z
+        elif kind == "ratio_cum_product":
+            checks.append((xbar_st == 0, _ZERO_XBAR))
+            value = ybar_st * (pop.mean_x / xbar_st) * (zbar_st / pop.mean_z)
+        elif kind in TRANSFORM_KINDS:
+            value = ybar_st * (spec.A - xbar_st) / (spec.A - pop.mean_x)
+            if kind == "tracy_product":
+                value = value * (zbar_st / pop.mean_z)
+        else:
+            if spec.alpha2 != 0:
+                checks.append((zstar_st == 0, _ZERO_ZSTAR))
+            # At zstar = 0 with alpha2 = 0 the z ratio is infinite and
+            # its zeroth power is 1.
+            base_x = xstar_st / pop.mean_x
+            base_z = pop.mean_z / zstar_st
+            if kind == "plikusas_dual":
+                value = ybar_st * base_x * base_z
+            else:
+                checks += _power_checks(base_x, spec.alpha1, _ZERO_X_RATIO)
+                checks += _power_checks(base_z, spec.alpha2, _ZERO_Z_RATIO)
+                value = ybar_st * base_x**spec.alpha1 * base_z**spec.alpha2
+    if not checks:
+        return value, np.zeros(np.shape(value), dtype=int)
+    codes = np.select([bad for bad, _ in checks], [code for _, code in checks], 0)
+    return np.where(codes == 0, value, np.nan), codes
 
 
 def estimate(
@@ -240,53 +340,19 @@ def estimate(
         zero population means where they divide).
     """
     _check_alignment(sample, pop)
-    ybar_st = sample.ybar_st
-    kind = spec.kind
-
-    if kind == "classical":
-        return ybar_st
-
-    if kind == "combined_ratio":
-        if sample.xbar_st == 0:
-            raise DegenerateSampleError("combined sample x-mean is zero")
-        return ybar_st * pop.mean_x / sample.xbar_st
-
-    if kind == "combined_product":
-        if pop.mean_z == 0:
-            raise ValueError("population z-mean is zero")
-        return ybar_st * sample.zbar_st / pop.mean_z
-
-    if kind == "ratio_cum_product":
-        if sample.xbar_st == 0:
-            raise DegenerateSampleError("combined sample x-mean is zero")
-        if pop.mean_z == 0:
-            raise ValueError("population z-mean is zero")
-        return ybar_st * (pop.mean_x / sample.xbar_st) * (sample.zbar_st / pop.mean_z)
-
-    if kind in TRANSFORM_KINDS:
-        u_pop = spec.A - pop.mean_x
-        if u_pop == 0:
-            raise ValueError("A equals the population x-mean; theta undefined")
-        u_st = spec.A - sample.xbar_st
-        value = ybar_st * u_st / u_pop
-        if kind == "tracy_product":
-            if pop.mean_z == 0:
-                raise ValueError("population z-mean is zero")
-            value *= sample.zbar_st / pop.mean_z
-        return value
-
-    # Dual kinds.
-    xstar_st, zstar_st = dual_transform_means(sample, pop)
-    if pop.mean_x == 0 or pop.mean_z == 0:
-        raise ValueError("population auxiliary means must be nonzero")
-    if zstar_st == 0 and spec.alpha2 != 0:
-        raise DegenerateSampleError("dual-transformed z-mean is zero")
-    base_x = xstar_st / pop.mean_x
-    base_z = pop.mean_z / zstar_st if zstar_st != 0 else math.inf
-    if kind == "plikusas_dual":
-        return ybar_st * base_x * base_z
-    return (
-        ybar_st
-        * _power(base_x, spec.alpha1, "dual-transformed x ratio")
-        * _power(base_z, spec.alpha2, "dual-transformed z ratio")
-    )
+    _check_estimator(spec, pop)
+    means = [sample.ybar_st, sample.xbar_st, sample.zbar_st]
+    if spec.kind in DUAL_KINDS:
+        means += dual_transform_means(sample, pop)
+    value, codes = _estimate_block(spec, pop, *(np.array([m]) for m in means))
+    code = int(codes[0])
+    if code:
+        base, exponent = None, None
+        if code >= _ZERO_Z_RATIO:
+            base, exponent = pop.mean_z / means[4], spec.alpha2
+        elif code >= _ZERO_X_RATIO:
+            base, exponent = means[3] / pop.mean_x, spec.alpha1
+        raise DegenerateSampleError(
+            _REJECTIONS[code].format(base=base, exponent=exponent)
+        )
+    return float(value[0])

@@ -8,11 +8,15 @@ formulas computed from the *realized* population (the generated finite
 population is the ground truth; the generator targets are not).
 
 Reproducibility contract: results are a pure function of
-``(population spec, design, estimator list, R, seed)``.  Each
-replication consumes its own child of a root seed sequence, so
-replications can be evaluated in any order — or concurrently — with
-identical output; every sample is shared across estimators (common
-random numbers), which sharpens efficiency comparisons at equal cost.
+``(population, design, estimators, R, seed)``.  Replications run in
+blocks of :data:`BLOCK`: block ``b`` covers replications ``b * BLOCK``
+onwards and draws them from child ``b`` of ``SeedSequence(seed)``,
+which is spawned once more into one stream per stratum.  Blocks can
+therefore be evaluated in any order, or concurrently, with identical
+output, and the study is prefix-stable: its first ``R`` draws are those
+of any larger study with the same seed.  Every sample is shared across
+estimators (common random numbers), which sharpens efficiency
+comparisons at equal cost.
 """
 
 from __future__ import annotations
@@ -24,14 +28,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import PopulationSummary, UnitFrame, combine, summarize_stratum
+from .domain import (
+    PopulationSummary,
+    UnitFrame,
+    _weighted_sum,
+    combine,
+    summarize_stratum,
+)
 from .estimators import (
     DUAL_KINDS,
-    DegenerateSampleError,
     EstimatorSpec,
     SampleMeans,
-    dual_transform_means,
-    estimate,
+    _check_estimator,
+    _dual_means,
+    _estimate_block,
 )
 from .moments import compute_dual_moments, compute_moments
 from .mse_theory import mse_first_order
@@ -46,6 +56,11 @@ __all__ = [
     "draw_sample",
     "monte_carlo",
 ]
+
+
+#: Replications per block of a Monte Carlo study; part of the
+#: reproducibility contract (see the module docstring).
+BLOCK = 192
 
 
 class AllDrawsRejectedError(RuntimeError):
@@ -204,6 +219,56 @@ def generate_population(spec: PopulationSpec) -> list[UnitFrame]:
     return frames
 
 
+def _check_design(frames: Sequence[UnitFrame], design: Sequence[int]) -> None:
+    """Raise ``ValueError`` unless ``design`` has one valid size per frame."""
+    if len(frames) != len(design):
+        raise ValueError("design must provide one sample size per stratum")
+    for frame, n in zip(frames, design):
+        if not 1 <= n <= frame.size:
+            raise ValueError(
+                f"sample size {n} out of range 1..{frame.size} "
+                f"in stratum {frame.stratum_id}"
+            )
+
+
+def _draw_block(
+    frames: Sequence[UnitFrame],
+    design: Sequence[int],
+    rngs: Sequence[np.random.Generator],
+    count: int,
+) -> np.ndarray:
+    """Per-stratum sample means of ``count`` stratified samples.
+
+    Stratum ``h`` draws ``count`` rows of ``n_h`` distinct unit indices
+    from ``rngs[h]``, one row after the other.  Returns an array of shape
+    ``(3, count, L)``: the y, x and z means of each draw and stratum.
+    """
+    means = np.empty((3, count, len(frames)))
+    for h, (frame, n, rng) in enumerate(zip(frames, design, rngs)):
+        idx = np.empty((count, n), dtype=np.intp)
+        N, choice = frame.size, rng.choice
+        for r in range(count):
+            idx[r] = choice(N, n, replace=False, shuffle=False)
+        for v, column in enumerate((frame.y, frame.x, frame.z)):
+            means[v, :, h] = column[idx].mean(axis=1)
+    return means
+
+
+def _sample_blocks(
+    frames: Sequence[UnitFrame], design: Sequence[int], R: int, seed: int
+):
+    """Yield ``(start, means)`` for each block of an ``R``-draw study.
+
+    ``means`` is :func:`_draw_block`'s output for replications
+    ``start`` to ``start + BLOCK - 1`` (fewer in the last block).
+    """
+    blocks = np.random.SeedSequence(seed).spawn(-(-R // BLOCK))
+    for b, child in enumerate(blocks):
+        start = b * BLOCK
+        rngs = [np.random.default_rng(s) for s in child.spawn(len(frames))]
+        yield start, _draw_block(frames, design, rngs, min(BLOCK, R - start))
+
+
 def draw_sample(
     frames: Sequence[UnitFrame],
     design: Sequence[int],
@@ -212,29 +277,16 @@ def draw_sample(
     """Draw one stratified sample without replacement and summarize it.
 
     Within each stratum ``n_h`` distinct units are selected uniformly
-    over subsets; strata are independent.  Combined means use weights
-    proportional to the frame sizes.
+    over subsets; strata are independent and draw from ``rng`` in
+    order.  Combined means use weights proportional to the frame sizes.
     """
-    if len(frames) != len(design):
-        raise ValueError("design must provide one sample size per stratum")
+    design = tuple(int(n) for n in design)
+    _check_design(frames, design)
     sizes = np.array([f.size for f in frames], dtype=float)
-    w = sizes / sizes.sum()
-    ybar = np.empty(len(frames))
-    xbar = np.empty(len(frames))
-    zbar = np.empty(len(frames))
-    for i, (frame, n) in enumerate(zip(frames, design)):
-        if not 1 <= n <= frame.size:
-            raise ValueError(
-                f"sample size {n} out of range 1..{frame.size} "
-                f"in stratum {frame.stratum_id}"
-            )
-        idx = rng.choice(frame.size, size=int(n), replace=False)
-        idx.sort()
-        ybar[i] = frame.y[idx].mean()
-        xbar[i] = frame.x[idx].mean()
-        zbar[i] = frame.z[idx].mean()
+    ybar, xbar, zbar = _draw_block(frames, design, [rng] * len(frames), 1)
     return SampleMeans.from_stratum_means(
-        [f.stratum_id for f in frames], ybar, xbar, zbar, w
+        [f.stratum_id for f in frames], ybar[0], xbar[0], zbar[0],
+        sizes / sizes.sum()
     )
 
 
@@ -303,12 +355,15 @@ def monte_carlo(
 ) -> SimResult:
     """Run ``R`` replications of sample-then-estimate over ``frames``.
 
-    For each replication a fresh child generator is spawned from
-    ``seed`` and a single stratified sample is drawn, then evaluated
-    under every estimator in ``specs``.  Draws that are degenerate for
-    an estimator are rejected-and-counted for that estimator only.
-    Theoretical first-order MSEs are computed from the realized
-    population summary under the same design.
+    Replications run in blocks of :data:`BLOCK`, each drawn from its own
+    child of ``SeedSequence(seed)`` with one stream per stratum, so the
+    result is a pure function of ``(frames, design, specs, R, seed)``
+    and its first draws are those of any larger ``R``.  Every estimator
+    in ``specs`` is evaluated on the same draws, one array operation per
+    block.  Draws that are degenerate for an estimator are
+    rejected-and-counted for that estimator only.  Theoretical
+    first-order MSEs are computed from the realized population summary
+    under the same design.
 
     Raises
     ------
@@ -316,13 +371,16 @@ def monte_carlo(
         If some estimator rejects all ``R`` draws.
     ValueError
         If a dual-transform estimator is requested under a census
-        design (the transform is undefined there).
+        design (the transform is undefined there), or an estimator is
+        undefined on the population whatever the draw; raised before
+        any sampling.
     """
     if R < 1:
         raise ValueError("R must be at least 1")
     design = tuple(int(n) for n in design)
     specs = tuple(specs)
-    strata = [summarize_stratum(f, n) for f, n in zip(frames, design, strict=True)]
+    _check_design(frames, design)
+    strata = [summarize_stratum(f, n) for f, n in zip(frames, design)]
     pop = combine(strata)
     m = compute_moments(pop)
     md = compute_dual_moments(pop) if not pop.has_census_stratum else None
@@ -332,23 +390,23 @@ def monte_carlo(
             raise ValueError(
                 f"census design: dual-transform estimators are undefined ({bad})"
             )
+    for spec in specs:
+        _check_estimator(spec, pop)
 
     estimates = np.full((len(specs), R), np.nan)
     track_duals = md is not None
     xstar = np.empty(R) if track_duals else None
     zstar = np.empty(R) if track_duals else None
 
-    children = np.random.SeedSequence(seed).spawn(R)
-    for r in range(R):
-        rng = np.random.default_rng(children[r])
-        sample = draw_sample(frames, design, rng)
+    for start, (ybar, xbar, zbar) in _sample_blocks(frames, design, R, seed):
+        rows = slice(start, start + len(ybar))
+        combined = [_weighted_sum(pop.w, v) for v in (ybar, xbar, zbar)]
         if track_duals:
-            xstar[r], zstar[r] = dual_transform_means(sample, pop)
+            duals = _dual_means(pop, xbar, zbar)
+            xstar[rows], zstar[rows] = duals
+            combined += duals
         for j, spec in enumerate(specs):
-            try:
-                estimates[j, r] = estimate(spec, sample, pop)
-            except DegenerateSampleError:
-                pass  # left as NaN and counted below
+            estimates[j, rows] = _estimate_block(spec, pop, *combined)[0]
 
     results = []
     for j, spec in enumerate(specs):

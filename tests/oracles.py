@@ -290,7 +290,9 @@ def naive_estimate(kind, pop, ybar, xbar, zbar, A=None, alpha1=None, alpha2=None
                   - st.n / (st.N - st.n) * zb)
             for wi, st, zb in zip(w, pop.strata, zbar)
         )
-        return yst * (xstar / X) ** alpha1 * (Z / zstar) ** alpha2
+        # A zeroth power is 1 even where zstar = 0 makes the base infinite.
+        z_factor = (Z / zstar) ** alpha2 if alpha2 != 0 else 1.0
+        return yst * (xstar / X) ** alpha1 * z_factor
     raise ValueError(f"unknown kind {kind!r}")
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import naive_estimate
 from stratdual import (
+    DUAL_KINDS,
     KINDS,
     DegenerateSampleError,
     EstimatorSpec,
@@ -16,6 +17,8 @@ from stratdual import (
     parse_estimator,
     summarize_stratum,
 )
+from stratdual.domain import _weighted_sum
+from stratdual.estimators import _dual_means, _estimate_block
 from test_domain import make_summary
 
 
@@ -256,3 +259,146 @@ def test_kind_registry_is_complete():
         "transformed_product", "ratio_cum_product", "tracy_product",
         "plikusas_dual", "dual_family",
     )
+
+
+def block_estimates(spec, pop, ybar, xbar, zbar):
+    """The array kernel on a block of per-stratum sample means (c x L)."""
+    combined = [_weighted_sum(pop.w, v) for v in (ybar, xbar, zbar)]
+    if spec.kind in DUAL_KINDS:
+        combined += _dual_means(pop, xbar, zbar)
+    return _estimate_block(spec, pop, *combined)
+
+
+@pytest.fixture
+def half_pop():
+    """One stratum with n = N/2, so g = 1 and the transform is 2X - xbar.
+
+    With a single stratum the weight is 1 and the means X = 5, Z = 2 are
+    exact, so sample means of 2X or 2Z give dual-transformed means of
+    exactly zero, and 3X or 3Z give exactly minus the population mean
+    (a ratio of -1).
+    """
+    frame = UnitFrame(stratum_id="h", y=(10.0, 14.0, 12.0, 16.0, 13.0, 11.0),
+                      x=(4.0, 6.0, 5.0, 7.0, 4.5, 3.5),
+                      z=(3.0, 2.0, 2.5, 1.5, 2.25, 0.75))
+    return combine([summarize_stratum(frame, 3)])
+
+
+KERNEL_SPECS = (
+    EstimatorSpec(kind="classical"),
+    EstimatorSpec(kind="combined_ratio"),
+    EstimatorSpec(kind="combined_product"),
+    EstimatorSpec(kind="ratio_cum_product"),
+    EstimatorSpec(kind="plikusas_dual"),
+    EstimatorSpec(kind="dual_family", alpha1=0.5, alpha2=-0.5),
+    EstimatorSpec(kind="dual_family", alpha1=2.0, alpha2=-1.0),
+    EstimatorSpec(kind="dual_family", alpha1=-1.0, alpha2=3.0),
+    EstimatorSpec(kind="dual_family", alpha1=0.7, alpha2=0.0),
+    EstimatorSpec(kind="dual_family", alpha1=-0.5, alpha2=1.5),
+)
+
+
+class TestArrayKernel:
+    """The block kernel against the loop oracle and the scalar path."""
+
+    def rows(self, pop, rng, count=200):
+        """Random per-stratum means near the population's, plus edge rows."""
+        scale = rng.uniform(0.5, 1.5, size=(3, count, pop.L))
+        means = [pop.stratum_array(f"mean_{v}") for v in "yxz"]
+        ybar, xbar, zbar = (scale[i] * means[i] for i in range(3))
+        if pop.L == 1:
+            X, Z = means[1][0], means[2][0]
+            edges = [(0.0, Z), (2 * X, Z), (X, 2 * Z), (3 * X, Z),
+                     (X, 3 * Z), (2 * X, 2 * Z), (3 * X, 3 * Z)]
+            for i, (x, z) in enumerate(edges):
+                xbar[i], zbar[i] = x, z
+        return ybar, xbar, zbar
+
+    def specs(self, pop):
+        A = 2 * pop.mean_x
+        return KERNEL_SPECS + (
+            EstimatorSpec(kind="transformed_product", A=A),
+            EstimatorSpec(kind="tracy_product", A=A),
+        )
+
+    @pytest.mark.parametrize("which", ["tiny_pop", "half_pop"])
+    def test_rows_match_oracle_and_scalar_path(self, which, request, rng):
+        pop = request.getfixturevalue(which)
+        ybar, xbar, zbar = self.rows(pop, rng)
+        kinds_seen, rejected = set(), 0
+        for spec in self.specs(pop):
+            values, codes = block_estimates(spec, pop, ybar, xbar, zbar)
+            assert values.shape == codes.shape == (len(ybar),)
+            for i in range(len(ybar)):
+                sample = sample_for(pop, ybar[i], xbar[i], zbar[i])
+                try:
+                    scalar = estimate(spec, sample, pop)
+                except DegenerateSampleError:
+                    assert codes[i] != 0, (spec.label, i)
+                    assert np.isnan(values[i])
+                    rejected += 1
+                    continue
+                assert codes[i] == 0, (spec.label, i)
+                assert values[i] == scalar, (spec.label, i)
+                want = naive_estimate(
+                    spec.kind, pop, ybar[i], xbar[i], zbar[i], A=spec.A,
+                    alpha1=spec.alpha1, alpha2=spec.alpha2)
+                assert values[i] == pytest.approx(want, rel=1e-12), (
+                    spec.label, i)
+            kinds_seen.add(spec.kind)
+        assert kinds_seen == set(KINDS)
+        if which == "half_pop":
+            assert rejected > 0
+
+    def test_edge_rows_get_the_documented_verdicts(self, half_pop, rng):
+        # Rows 0-6 of half_pop: xbar_st = 0; xstar = 0; zstar = 0;
+        # x ratio -1; z ratio -1; both transforms zero; both ratios -1.
+        ybar, xbar, zbar = self.rows(half_pop, rng)
+
+        def codes_of(spec):
+            return block_estimates(spec, half_pop, ybar, xbar, zbar)[1][:7]
+
+        ratio = codes_of(EstimatorSpec(kind="combined_ratio"))
+        assert list(ratio != 0) == [True] + [False] * 6
+        frac = codes_of(EstimatorSpec(kind="dual_family", alpha1=0.5,
+                                      alpha2=-0.5))
+        # zero zstar (alpha2 != 0) and negative bases under fractional
+        # exponents are rejected; a zero x ratio under 0.5 is fine.
+        assert list(frac != 0) == [False, False, True, True, True, True, True]
+        whole = codes_of(EstimatorSpec(kind="dual_family", alpha1=2.0,
+                                       alpha2=-1.0))
+        # integer exponents accept negative bases
+        assert list(whole != 0) == [False, False, True, False, False, True,
+                                    False]
+        zero_neg = codes_of(EstimatorSpec(kind="dual_family", alpha1=-1.0,
+                                          alpha2=3.0))
+        assert list(zero_neg != 0) == [False, True, True, False, False, True,
+                                       False]
+        # alpha2 = 0 accepts zstar = 0: the infinite ratio's zeroth power
+        # is 1; a zero x ratio under a positive exponent is fine too.
+        free_z = codes_of(EstimatorSpec(kind="dual_family", alpha1=0.7,
+                                        alpha2=0.0))
+        assert list(free_z != 0) == [False, False, False, True, False, False,
+                                     True]
+
+    def test_scalar_messages_name_the_degeneracy(self, half_pop):
+        X, Z = half_pop.mean_x, half_pop.mean_z
+        y = (half_pop.mean_y,)
+        cases = [
+            ("combined_ratio", {}, (0.0,), (Z,), "combined sample x-mean is zero"),
+            ("dual_family", dict(alpha1=0.5, alpha2=1.0), (X,), (2 * Z,),
+             "dual-transformed z-mean is zero"),
+            ("dual_family", dict(alpha1=-1.0, alpha2=1.0), (2 * X,), (Z,),
+             "dual-transformed x ratio is zero with negative exponent"),
+            ("dual_family", dict(alpha1=0.5, alpha2=1.0), (3 * X,), (Z,),
+             "dual-transformed x ratio = -1.0 is negative under fractional "
+             "exponent 0.5"),
+            ("dual_family", dict(alpha1=1.0, alpha2=0.25), (X,), (3 * Z,),
+             "dual-transformed z ratio = -1.0 is negative under fractional "
+             "exponent 0.25"),
+        ]
+        for kind, params, xbar, zbar, message in cases:
+            sample = sample_for(half_pop, y, xbar, zbar)
+            with pytest.raises(DegenerateSampleError) as info:
+                estimate(EstimatorSpec(kind=kind, **params), sample, half_pop)
+            assert str(info.value) == message

@@ -21,6 +21,7 @@ from stratdual import (
     mse_first_order,
     summarize_stratum,
 )
+from stratdual.simulate import BLOCK, _sample_blocks
 
 RHO = (0.7, 0.4, 0.3)
 
@@ -400,25 +401,41 @@ class TestMonteCarlo:
 
     def test_degenerate_draws_are_rejected_and_counted(self):
         # g = 1 here, so the transformed x-mean is 2*mean_x - xbar =
-        # 2 - xbar: drawing the unit with x = 3 sends it negative and a
-        # fractional exponent must reject the draw.
+        # 2 - xbar: drawing the unit with x = 3 (y = 12) sends it
+        # negative and a fractional exponent must reject the draw.  The
+        # other unit has y = 10, so the classical mean counts the
+        # rejected draws: it is 10 + 2 * rejected / R.
         frames = [negative_base_frame()]
         specs = [EstimatorSpec(kind="classical"),
                  EstimatorSpec(kind="dual_family", alpha1=0.5, alpha2=0.5)]
-        result = monte_carlo(frames, (1,), specs, R=8, seed=0)
+        R = 8
+        result = monte_carlo(frames, (1,), specs, R=R, seed=0)
         classical, dual = result.results
         assert classical.rejected == 0
-        assert classical.accepted == 8
-        assert dual.rejected == 5
-        assert dual.accepted == 3
+        assert classical.accepted == R
+        assert dual.rejected == round(R * (classical.empirical_mean - 10) / 2)
+        assert 0 < dual.rejected < R
         assert dual.rejected + dual.accepted == dual.replications
 
     def test_all_draws_rejected_raises(self):
+        # A study raises exactly when every draw picked the x = 3 unit,
+        # which the classical mean of the same draws shows (it is 12).
         frames = [negative_base_frame()]
-        specs = [EstimatorSpec(kind="dual_family", alpha1=0.5, alpha2=0.5)]
-        for R in (1, 3):
-            with pytest.raises(AllDrawsRejectedError, match="dual_family"):
-                monte_carlo(frames, (1,), specs, R=R, seed=0)
+        classical = [EstimatorSpec(kind="classical")]
+        dual = [EstimatorSpec(kind="dual_family", alpha1=0.5, alpha2=0.5)]
+        raised = 0
+        for seed in range(20):
+            for R in (1, 3):
+                draws = monte_carlo(frames, (1,), classical, R=R, seed=seed)
+                if draws.results[0].empirical_mean == 12.0:
+                    with pytest.raises(AllDrawsRejectedError,
+                                       match="dual_family"):
+                        monte_carlo(frames, (1,), dual, R=R, seed=seed)
+                    raised += 1
+                else:
+                    result = monte_carlo(frames, (1,), dual, R=R, seed=seed)
+                    assert result.results[0].accepted > 0
+        assert raised > 0
 
     def test_rejects_nonpositive_replication_count(self, tiny_frames):
         with pytest.raises(ValueError, match="R"):
@@ -436,8 +453,8 @@ class TestMonteCarlo:
     def test_classical_mse_ratio_converges_with_more_replications(self):
         # The empirical/theoretical MSE ratio for the classical
         # estimator (whose first-order formula is exact) should drift
-        # toward 1 as R grows.  Replications are seeded per-child, so
-        # the R = 5,000 run is a prefix of the R = 50,000 run; per seed
+        # toward 1 as R grows.  Studies are prefix-stable, so the
+        # R = 5,000 run is a prefix of the R = 50,000 run; per seed
         # the comparison is still noisy, hence the 18-of-20 vote across
         # a fixed window of seeds.
         spec = two_strata_spec(seed=7)
@@ -454,3 +471,54 @@ class TestMonteCarlo:
             big_gap = abs(big.results[0].ratio - 1.0)
             wins += big_gap < small_gap
         assert wins >= 18
+
+
+def study_means(frames, design, R, seed):
+    """Per-stratum (y, x, z) means of every draw of a study, (3, R, L)."""
+    return np.concatenate(
+        [means for _, means in _sample_blocks(frames, design, R, seed)],
+        axis=1)
+
+
+class TestBlockSampler:
+    def test_study_is_a_prefix_of_any_larger_study(self, tiny_frames):
+        # The short study ends inside a block, the long one runs on.
+        short, long = BLOCK + 37, 3 * BLOCK + 5
+        first = study_means(tiny_frames, (2, 3), short, seed=8)
+        second = study_means(tiny_frames, (2, 3), long, seed=8)
+        assert first.shape == (3, short, 2)
+        np.testing.assert_array_equal(first, second[:, :short])
+        other_seed = study_means(tiny_frames, (2, 3), short, seed=9)
+        assert not np.array_equal(first, other_seed)
+
+    def test_prefix_property_holds_for_monte_carlo(self, tiny_frames):
+        # The first R draws of a long study are those of the short one,
+        # so the classical estimates of the short study are recomputed
+        # exactly from the long study's leading draws.
+        R = BLOCK + 11
+        result = monte_carlo(tiny_frames, (2, 3),
+                             [EstimatorSpec(kind="classical")], R=R, seed=4)
+        pop = result.population
+        ybar = study_means(tiny_frames, (2, 3), 2 * BLOCK, seed=4)[0, :R]
+        values = sum(pop.w[h] * ybar[:, h] for h in range(pop.L))
+        assert result.results[0].empirical_mean == float(values.mean())
+
+    def test_rows_are_uniform_sets_of_distinct_units(self):
+        # y = 2^j decodes each drawn subset from its mean.  Every row
+        # must decode to n distinct units, and under SRSWOR each unit
+        # is included with probability n/N: over 10,000 draws each
+        # frequency sits within 4 binomial standard errors.
+        frames = [powers_of_two_frame(10, "a"), powers_of_two_frame(16, "b")]
+        design = (3, 5)
+        draws = 10_000
+        ybar = study_means(frames, design, draws, seed=2024)[0]
+        for h, (frame, n) in enumerate(zip(frames, design)):
+            counts = np.zeros(frame.size)
+            for value in ybar[:, h]:
+                subset = decode_subset(value, n)
+                assert len(subset) == n
+                assert subset <= set(range(frame.size))
+                counts[list(subset)] += 1
+            p = n / frame.size
+            band = 4 * np.sqrt(p * (1 - p) / draws)
+            assert np.all(np.abs(counts / draws - p) < band)
