@@ -8,15 +8,15 @@ formulas computed from the *realized* population (the generated finite
 population is the ground truth; the generator targets are not).
 
 Reproducibility contract: results are a pure function of
-``(population, design, estimators, R, seed)``.  Replications run in
-blocks of :data:`BLOCK`: block ``b`` covers replications ``b * BLOCK``
-onwards and draws them from child ``b`` of ``SeedSequence(seed)``,
-which is spawned once more into one stream per stratum.  Blocks can
-therefore be evaluated in any order, or concurrently, with identical
-output, and the study is prefix-stable: its first ``R`` draws are those
-of any larger study with the same seed.  Every sample is shared across
-estimators (common random numbers), which sharpens efficiency
-comparisons at equal cost.
+``(population, design, estimators, R, seed)``.  Replication ``r`` draws
+its sample from its own stream, child ``r`` of ``SeedSequence(seed)``,
+so replications can be evaluated in any order, or concurrently, with
+identical output, and a study is prefix-stable: its first ``R`` draws
+are those of any larger study with the same seed.  Replications are
+evaluated together in blocks of :data:`BLOCK`, which bounds memory and
+does not change any result.  Every sample is shared across estimators
+(common random numbers), which sharpens efficiency comparisons at equal
+cost.
 """
 
 from __future__ import annotations
@@ -58,9 +58,9 @@ __all__ = [
 ]
 
 
-#: Replications per block of a Monte Carlo study; part of the
-#: reproducibility contract (see the module docstring).
-BLOCK = 192
+#: Replications a Monte Carlo study evaluates together.  It bounds the
+#: study's index and mean arrays; results do not depend on it.
+BLOCK = 256
 
 
 class AllDrawsRejectedError(RuntimeError):
@@ -235,22 +235,24 @@ def _draw_block(
     frames: Sequence[UnitFrame],
     design: Sequence[int],
     rngs: Sequence[np.random.Generator],
-    count: int,
 ) -> np.ndarray:
-    """Per-stratum sample means of ``count`` stratified samples.
+    """Per-stratum sample means of one stratified sample per generator.
 
-    Stratum ``h`` draws ``count`` rows of ``n_h`` distinct unit indices
-    from ``rngs[h]``, one row after the other.  Returns an array of shape
-    ``(3, count, L)``: the y, x and z means of each draw and stratum.
+    Each generator draws ``n_h`` distinct unit indices for every stratum
+    in turn.  Returns an array of shape ``(3, len(rngs), L)``: the y, x
+    and z means of each draw and stratum, with the units of a sample
+    added in index order.
     """
+    count = len(rngs)
+    idx = [np.empty((count, n), dtype=np.intp) for n in design]
+    for r, rng in enumerate(rngs):
+        for block, frame, n in zip(idx, frames, design):
+            block[r] = rng.choice(frame.size, n, replace=False)
     means = np.empty((3, count, len(frames)))
-    for h, (frame, n, rng) in enumerate(zip(frames, design, rngs)):
-        idx = np.empty((count, n), dtype=np.intp)
-        N, choice = frame.size, rng.choice
-        for r in range(count):
-            idx[r] = choice(N, n, replace=False, shuffle=False)
+    for h, (block, frame) in enumerate(zip(idx, frames)):
+        block.sort(axis=1)
         for v, column in enumerate((frame.y, frame.x, frame.z)):
-            means[v, :, h] = column[idx].mean(axis=1)
+            means[v, :, h] = column[block].mean(axis=1)
     return means
 
 
@@ -260,13 +262,14 @@ def _sample_blocks(
     """Yield ``(start, means)`` for each block of an ``R``-draw study.
 
     ``means`` is :func:`_draw_block`'s output for replications
-    ``start`` to ``start + BLOCK - 1`` (fewer in the last block).
+    ``start`` to ``start + BLOCK - 1`` (fewer in the last block), drawn
+    from children ``start`` onwards of ``SeedSequence(seed)``.
     """
-    blocks = np.random.SeedSequence(seed).spawn(-(-R // BLOCK))
-    for b, child in enumerate(blocks):
-        start = b * BLOCK
-        rngs = [np.random.default_rng(s) for s in child.spawn(len(frames))]
-        yield start, _draw_block(frames, design, rngs, min(BLOCK, R - start))
+    root = np.random.SeedSequence(seed)
+    for start in range(0, R, BLOCK):
+        children = root.spawn(min(BLOCK, R - start))
+        rngs = [np.random.default_rng(child) for child in children]
+        yield start, _draw_block(frames, design, rngs)
 
 
 def draw_sample(
@@ -277,13 +280,13 @@ def draw_sample(
     """Draw one stratified sample without replacement and summarize it.
 
     Within each stratum ``n_h`` distinct units are selected uniformly
-    over subsets; strata are independent and draw from ``rng`` in
-    order.  Combined means use weights proportional to the frame sizes.
+    over subsets; strata are independent.  Combined means use weights
+    proportional to the frame sizes.
     """
     design = tuple(int(n) for n in design)
     _check_design(frames, design)
     sizes = np.array([f.size for f in frames], dtype=float)
-    ybar, xbar, zbar = _draw_block(frames, design, [rng] * len(frames), 1)
+    ybar, xbar, zbar = _draw_block(frames, design, [rng])
     return SampleMeans.from_stratum_means(
         [f.stratum_id for f in frames], ybar[0], xbar[0], zbar[0],
         sizes / sizes.sum()
@@ -355,12 +358,12 @@ def monte_carlo(
 ) -> SimResult:
     """Run ``R`` replications of sample-then-estimate over ``frames``.
 
-    Replications run in blocks of :data:`BLOCK`, each drawn from its own
-    child of ``SeedSequence(seed)`` with one stream per stratum, so the
-    result is a pure function of ``(frames, design, specs, R, seed)``
-    and its first draws are those of any larger ``R``.  Every estimator
-    in ``specs`` is evaluated on the same draws, one array operation per
-    block.  Draws that are degenerate for an estimator are
+    Replication ``r`` draws one stratified sample from child ``r`` of
+    ``SeedSequence(seed)``, so the result is a pure function of
+    ``(frames, design, specs, R, seed)`` and its first draws are those
+    of any larger ``R``.  Every estimator in ``specs`` is evaluated on
+    the same draws, one array operation per block of :data:`BLOCK`
+    replications.  Draws that are degenerate for an estimator are
     rejected-and-counted for that estimator only.  Theoretical
     first-order MSEs are computed from the realized population summary
     under the same design.
