@@ -23,10 +23,13 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +60,7 @@ from .moments import (
 )
 from .mse_theory import (
     A_of_theta,
+    _tracy_mse,
     bias_first_order_dual,
     mse_first_order,
     optimize_alphas,
@@ -140,15 +144,66 @@ def _fmt(value, full: bool) -> str:
     return format(float(value), ".17g" if full else ".6g")
 
 
-def render_table(headers, rows, fmt: str, full: bool = False) -> str:
-    """Render rows (sequences aligned with ``headers``) as csv/markdown/json."""
-    if fmt == "json":
+def _json_column(values) -> list[str] | None:
+    """The JSON text of each value of one column, or ``None`` if not scalar.
+
+    Numpy scalars are taken as their Python values.  The text is what
+    ``json.dumps`` writes for the value inside any document.
+    """
+    kinds = set(map(type, values))
+    if any(issubclass(k, np.generic) for k in kinds):
+        values = [v.item() if isinstance(v, np.generic) else v for v in values]
+        kinds = set(map(type, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return list(map(repr, values))  # float.__repr__, called faster
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    if kinds <= {str, int, float, bool, type(None)}:
+        return list(map(json.dumps, values))
+    return None
+
+
+def _render_json(headers, rows) -> str:
+    """``json.dumps(indent=2)`` of the rows as objects, encoded by column.
+
+    With ``indent`` set, ``json`` falls back to its pure-Python encoder,
+    which is slow on long tables.  Here each column is encoded once and
+    one row template is filled per row; the text is byte-identical.
+    Tables the template cannot express (non-string or repeated headers,
+    ragged rows, non-scalar cells) go through ``json.dumps`` itself.
+    """
+    rows = list(rows)
+    headers = tuple(headers)
+    columns = None
+    if (rows and headers and all(type(h) is str for h in headers)
+            and len(set(headers)) == len(headers)
+            and all(len(row) == len(headers) for row in rows)):
+        columns = [_json_column(column) for column in zip(*rows)]
+    if columns is None or None in columns:
         payload = [
             {h: (v.item() if isinstance(v, np.generic) else v)
              for h, v in zip(headers, row)}
             for row in rows
         ]
         return json.dumps(payload, indent=2)
+    keys = [encode_basestring_ascii(h).replace("%", "%%") for h in headers]
+    template = "  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }"
+    objects = [template % cells for cells in zip(*columns)]
+    # Brackets go on the first and last object, not around the joined
+    # text, which would copy the whole table twice more.
+    objects[0] = "[\n" + objects[0]
+    objects[-1] += "\n]"
+    return ",\n".join(objects)
+
+
+def render_table(headers, rows, fmt: str, full: bool = False) -> str:
+    """Render rows (sequences aligned with ``headers``) as csv/markdown/json.
+
+    JSON output equals ``json.dumps(indent=2)`` of one object per row,
+    with numpy scalars taken as their Python values.
+    """
+    if fmt == "json":
+        return _render_json(headers, rows)
     cells = [[_fmt(v, full) for v in row] for row in rows]
     if fmt == "csv":
         buf = io.StringIO()
@@ -387,39 +442,58 @@ def cmd_pre(config: RunConfig) -> int:
     return 0
 
 
-def _sweep_grid(config: RunConfig) -> list[float]:
+def _sweep_grid(config: RunConfig) -> np.ndarray:
+    """The theta grid of the ``sweep`` command: finite and nonzero."""
     sweep = config.sweep or dict(DEFAULT_SWEEP)
     if "values" in sweep:
-        values = [float(v) for v in sweep["values"]]
+        values = np.array([float(v) for v in sweep["values"]], dtype=float)
     else:
+        for key in ("start", "stop", "step"):
+            if not math.isfinite(sweep[key]):
+                raise ValueError(f"sweep {key} {sweep[key]!r} is not finite")
         start, stop, step = sweep["start"], sweep["stop"], sweep["step"]
         count = int(round((stop - start) / step)) + 1
-        values = [start + k * step for k in range(count)]
-        values = [v for v in values if v <= stop + step * 1e-9]
-    if not values:
+        values = start + step * np.arange(count)
+        values = values[values <= stop + step * 1e-9]
+    if values.size == 0:
         raise ValueError("empty sweep grid")
-    if any(v == 0 for v in values):
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"sweep grid entry {float(bad[0])!r} is not finite")
+    if np.any(values == 0):
         raise ValueError("sweep grid must not contain theta = 0")
     return values
 
 
 def cmd_sweep(config: RunConfig) -> int:
-    pop, m, md = _load_for_command(config)
+    """Tracy-product MSE over the theta grid, evaluated as one array expression.
+
+    Each row's ``A`` and ``mse`` are bit for bit those of ``A_of_theta``
+    and ``mse_first_order`` called on that row alone.
+    """
+    pop, m, _ = _load_for_command(config)
     baseline = var_yst(pop, m)
-    grid = _sweep_grid(config)
-    rows = []
-    for theta in grid:
+    theta = _sweep_grid(config)
+    with np.errstate(over="ignore"):
         A = A_of_theta(pop, theta)
-        report = mse_first_order(EstimatorSpec(kind="tracy_product", A=A), pop, m, md)
-        rows.append([theta, A, report.mse,
-                     "better" if report.mse < baseline else "worse", ""])
+    bad = np.flatnonzero(~np.isfinite(A))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"theta = {float(theta[i])!r} gives a non-finite "
+                         f"transform constant A = {float(A[i])!r}")
+    mse = _tracy_mse(pop, m, A)
+    order = np.argsort(theta, kind="stable")
+    theta, A, mse = theta[order], A[order], mse[order]
+    labels = np.where(mse < baseline, "better", "worse").tolist()
+    rows = list(zip(theta.tolist(), A.tolist(), mse.tolist(), labels,
+                    [""] * theta.size))
     try:
         theta_opt, A_opt, mse_min = optimize_theta(pop, m)
-        rows.append([theta_opt, A_opt, mse_min,
-                     "better" if mse_min < baseline else "worse", "*"])
+        at = int(np.searchsorted(theta, theta_opt, side="right"))
+        rows.insert(at, (theta_opt, A_opt, mse_min,
+                         "better" if mse_min < baseline else "worse", "*"))
     except ValueError as exc:
         print(f"no optimum row: {exc}", file=sys.stderr)
-    rows.sort(key=lambda r: r[0])
     headers = ("theta", "A", "mse", "vs_classical", "note")
     _emit(config, "sweep", headers, rows)
     return 0
@@ -636,9 +710,19 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process.
+
+    Parsing leaves a parser unchanged (every ``append`` option defaults
+    to ``None`` and collects into a fresh list), so one parser serves
+    every call.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = merge_config(args)
         return _COMMANDS[config.command](config)

@@ -648,18 +648,23 @@ def read_units_csv(path: str | Path) -> list[UnitFrame]:
     path = Path(path)
     groups: dict[str, list[tuple[float, float, float]]] = {}
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty file or missing header")
-        missing = [c for c in UNITS_COLUMNS if c not in reader.fieldnames]
+        missing = [c for c in UNITS_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"{path}: missing required columns {missing}")
-        for lineno, row in enumerate(reader, start=2):
+        # A repeated column name refers to its last occurrence, and blank
+        # lines are skipped uncounted, as ``csv.DictReader`` does.
+        index = {name: i for i, name in enumerate(header)}
+        i_id, i_y, i_x, i_z = (index[c] for c in UNITS_COLUMNS)
+        for lineno, row in enumerate(filter(None, reader), start=2):
             try:
-                groups.setdefault(row["stratum_id"], []).append(
-                    (float(row["y"]), float(row["x"]), float(row["z"]))
+                groups.setdefault(row[i_id], []).append(
+                    (float(row[i_y]), float(row[i_x]), float(row[i_z]))
                 )
-            except (TypeError, ValueError) as exc:
+            except (IndexError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from exc
     if not groups:
         raise ValueError(f"{path}: no unit rows")

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .domain import PopulationSummary
 from .estimators import DUAL_KINDS, TRANSFORM_KINDS, EstimatorSpec
 from .moments import DualMomentSet, MomentSet
@@ -86,23 +88,41 @@ def var_yst(pop: PopulationSummary, m: MomentSet) -> float:
 
 
 def theta_of_A(pop: PopulationSummary, A: float) -> float:
-    """The working transform parameter ``theta = mean_x / (A - mean_x)``."""
+    """The working transform parameter ``theta = mean_x / (A - mean_x)``.
+
+    ``A`` may be a scalar or an array; an array is mapped elementwise.
+    """
     denom = A - pop.mean_x
-    if denom == 0:
+    if np.any(denom == 0):
         raise ValueError("A equals the population x-mean; theta undefined")
     return pop.mean_x / denom
 
 
 def A_of_theta(pop: PopulationSummary, theta: float) -> float:
-    """Inverse of :func:`theta_of_A`: ``A = mean_x * (1 + theta) / theta``."""
-    if theta == 0:
+    """Inverse of :func:`theta_of_A`: ``A = mean_x * (1 + theta) / theta``.
+
+    ``theta`` may be a scalar or an array; an array is mapped elementwise.
+    """
+    if np.any(theta == 0):
         raise ValueError("theta = 0 corresponds to A at infinity")
     return pop.mean_x * (1.0 + theta) / theta
 
 
-def _tracy_form(m: MomentSet, theta: float) -> float:
-    return (m.v200 + theta**2 * m.v020 + m.v002
+def _tracy_form(m: MomentSet, theta):
+    # ``theta * theta``, not ``theta**2``: Python's pow and numpy's square
+    # can differ in the last bit, and a scalar and an array theta must
+    # give the same bits.
+    return (m.v200 + theta * theta * m.v020 + m.v002
             - 2.0 * (theta * m.v110 - m.v101 + theta * m.v011))
+
+
+def _tracy_mse(pop: PopulationSummary, m: MomentSet, A):
+    """Tracy-product first-order MSE at transform constant ``A``.
+
+    The one expression behind :func:`mse_first_order` for that kind and
+    behind the CLI's whole-grid sweep, where ``A`` is an array.
+    """
+    return pop.mean_y**2 * _tracy_form(m, theta_of_A(pop, A))
 
 
 def _dual_form(md: DualMomentSet, a1: float, a2: float) -> float:
@@ -124,8 +144,6 @@ def _quadratic_form(spec: EstimatorSpec, pop: PopulationSummary,
         return m.v200 + theta**2 * m.v020 - 2.0 * theta * m.v110
     if kind == "ratio_cum_product":
         return m.v200 + m.v020 + m.v002 + 2.0 * (m.v101 - m.v110 - m.v011)
-    if kind == "tracy_product":
-        return _tracy_form(m, theta_of_A(pop, spec.A))
     # plikusas_dual and dual_family share the same quadratic form.
     if md is None:
         raise ValueError(f"{kind} requires the dual moment set")
@@ -145,7 +163,10 @@ def mse_first_order(
     ``pre=None`` plus a breakdown warning naming the moment set that
     produced it.
     """
-    mse = pop.mean_y**2 * _quadratic_form(spec, pop, m, md)
+    if spec.kind == "tracy_product":
+        mse = _tracy_mse(pop, m, spec.A)
+    else:
+        mse = pop.mean_y**2 * _quadratic_form(spec, pop, m, md)
     baseline = var_yst(pop, m)
     warnings: tuple[str, ...] = ()
     pre_value: float | None = None

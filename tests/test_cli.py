@@ -4,12 +4,22 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stratdual.cli import main
+from stratdual.cli import main, render_table
 from stratdual.datasets import demo_path
 from test_domain import make_summary
-from stratdual import write_summary_csv
+from stratdual import (
+    A_of_theta,
+    EstimatorSpec,
+    compute_moments,
+    mse_first_order,
+    optimize_theta,
+    var_yst,
+    write_summary_csv,
+)
 
 CORRECTED = str(demo_path(corrected=True))
 PRINTED = str(demo_path(corrected=False))
@@ -129,6 +139,18 @@ class TestMse:
         assert byname["tracy_product"]["params"].startswith("A=18981.8")
         assert byname["dual_family"]["mse"] == pytest.approx(
             267.4810870350276, rel=1e-12)
+
+    def test_repeated_flag_does_not_leak_into_the_next_call(self, capsys):
+        # main() reuses one parser per process; an --estimator list from
+        # one call must not survive into the next.
+        code, out, err = run(capsys, "mse", "--input", CORRECTED,
+                             "--estimator", "classical", "--format", "json")
+        assert code == 0
+        assert [r["estimator"] for r in json_rows(out)] == ["classical"]
+        code, out, err = run(capsys, "mse", "--input", CORRECTED,
+                             "--format", "json")
+        assert code == 0
+        assert len(json_rows(out)) == 7
 
     def test_explicit_estimator_flags(self, capsys):
         code, out, err = run(capsys, "mse", "--input", CORRECTED,
@@ -254,6 +276,51 @@ class TestSweep:
                              "--grid", "2.0:1.0:0.1")
         assert code == 1
         assert "start" in err
+
+    @pytest.mark.parametrize("grid, entry", [
+        ("1.0,nan", "nan"), ("1.0,inf", "inf"), ("1.0,-inf", "-inf"),
+        ("1.0:inf:0.1", "inf"), ("nan:2.0:0.1", "nan"),
+    ])
+    def test_rejects_non_finite_grid_entry(self, capsys, grid, entry):
+        code, out, err = run(capsys, "sweep", "--input", CORRECTED,
+                             "--grid", grid)
+        assert code == 1
+        assert out == ""
+        assert f" {entry} is not finite" in err
+
+    def test_rejects_theta_whose_A_overflows(self, capsys):
+        code, out, err = run(capsys, "sweep", "--input", CORRECTED,
+                             "--grid", "1.0,1e-320")
+        assert code == 1
+        assert out == ""
+        assert "theta = 1e-320 gives a non-finite transform constant" in err
+        assert "Warning" not in err
+
+    def test_fine_grid_rows_equal_the_scalar_path(self, capsys,
+                                                  corrected_pop, corrected_m):
+        # The array sweep gives each row the bits of A_of_theta and
+        # mse_first_order called on that row alone.
+        code, out, err = run(capsys, "sweep", "--input", CORRECTED,
+                             "--grid", "0.8:2.4:0.000625", "--format", "json")
+        assert code == 0
+        rows = json_rows(out)
+        grid = [r for r in rows if r["note"] != "*"]
+        starred = [r for r in rows if r["note"] == "*"]
+        assert len(grid) == 2561 and len(starred) == 1
+        pop, m = corrected_pop, corrected_m
+        baseline = var_yst(pop, m)
+        for k, row in enumerate(grid):
+            assert row["theta"] == 0.8 + k * 0.000625
+            assert row["A"] == A_of_theta(pop, row["theta"])
+            spec = EstimatorSpec(kind="tracy_product", A=row["A"])
+            assert row["mse"] == mse_first_order(spec, pop, m).mse
+            assert row["vs_classical"] == (
+                "better" if row["mse"] < baseline else "worse")
+        theta_opt, A_opt, mse_min = optimize_theta(pop, m)
+        assert starred[0] == {"theta": theta_opt, "A": A_opt, "mse": mse_min,
+                              "vs_classical": "better", "note": "*"}
+        at = rows.index(starred[0])
+        assert rows[at - 1]["theta"] <= theta_opt < rows[at + 1]["theta"]
 
 
 class TestOptimize:
@@ -417,3 +484,55 @@ class TestFormatsAndConfig:
     def test_bad_flag_value_exits_via_argparse(self):
         with pytest.raises(SystemExit):
             main(["pre", "--format", "bogus"])
+
+
+def _plain(value):
+    return value.item() if isinstance(value, np.generic) else value
+
+
+#: Cell strategies of the JSON renderer's property test, by column kind.
+_CELLS = {
+    "str": st.text(),
+    "int": st.integers(),
+    "bool": st.booleans(),
+    "none": st.none(),
+    "float": st.floats(),
+    "finite": st.floats(allow_nan=False, allow_infinity=False),
+    "np.float64": st.floats().map(np.float64),
+    "np.int64": st.integers(-2**63, 2**63 - 1).map(np.int64),
+}
+_CELLS["mixed"] = st.one_of(*_CELLS.values())
+
+
+@st.composite
+def _tables(draw):
+    headers = draw(st.lists(st.text(), max_size=5, unique=True))
+    kinds = [draw(st.sampled_from(sorted(_CELLS))) for _ in headers]
+    n_rows = draw(st.integers(0, 6))
+    rows = [tuple(draw(_CELLS[kind]) for kind in kinds)
+            for _ in range(n_rows)]
+    return headers, rows
+
+
+class TestJsonRendering:
+    @settings(deadline=None)
+    @given(_tables())
+    def test_equals_json_dumps_with_indent(self, table):
+        headers, rows = table
+        want = json.dumps(
+            [dict(zip(headers, map(_plain, row))) for row in rows], indent=2)
+        assert render_table(headers, rows, "json") == want
+
+    @pytest.mark.parametrize("headers, rows", [
+        (("a", "b"), []),
+        (("theta", "note"), [(-0.0, "é \"%s\" 100%"), (float("nan"), "")]),
+        (("x", "x"), [(1, 2)]),
+        (("a", "b"), [(1,), (1, 2)]),
+        ((), [(), ()]),
+        (("a",), [([1, 2],), ({"k": None},)]),
+        ((1, None), [(np.float64(0.5), np.int64(3))]),
+    ])
+    def test_edge_tables(self, headers, rows):
+        want = json.dumps(
+            [dict(zip(headers, map(_plain, row))) for row in rows], indent=2)
+        assert render_table(headers, rows, "json") == want

@@ -294,6 +294,41 @@ class TestCsvRoundTrip:
         assert tuple(frames[0].y) == (1.0, 3.0)
         assert tuple(frames[1].x) == (20.0, 40.0)
 
+    def test_units_csv_columns_by_name(self, tmp_path):
+        # Columns are found by header name, extra columns are ignored and
+        # blank lines are skipped.
+        path = tmp_path / "units.csv"
+        path.write_text(
+            "z,note,y,stratum_id,x\n"
+            "100.0,first,1.0,b,10.0\n"
+            "\n"
+            "300.0,,3.0,b,30.0\n"
+        )
+        frame, = read_units_csv(path)
+        assert frame.stratum_id == "b"
+        assert tuple(frame.y) == (1.0, 3.0)
+        assert tuple(frame.x) == (10.0, 30.0)
+        assert tuple(frame.z) == (100.0, 300.0)
+
+    @pytest.mark.parametrize("bad_row", ["a,2.0,20.0", "a,2.0,abc,200.0"])
+    def test_units_csv_malformed_row_names_its_line(self, tmp_path, bad_row):
+        path = tmp_path / "units.csv"
+        path.write_text("stratum_id,y,x,z\na,1.0,10.0,100.0\n"
+                        f"{bad_row}\n")
+        with pytest.raises(ValueError, match=r"units\.csv:3: malformed row"):
+            read_units_csv(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file or missing header"),
+        ("stratum_id,y,x\na,1,2\n", r"missing required columns \['z'\]"),
+        ("stratum_id,y,x,z\n", "no unit rows"),
+    ])
+    def test_units_csv_rejects_bad_files(self, tmp_path, text, message):
+        path = tmp_path / "units.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_units_csv(path)
+
 
 class TestDatasets:
     def test_both_variants_ship(self):

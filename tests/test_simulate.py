@@ -351,6 +351,22 @@ class TestMonteCarlo:
         assert abs(row.empirical_bias) < 4 * se
 
     def test_dual_transform_means_track_population(self):
+        """The dual-transformed x and z means are unbiased, as one score.
+
+        Per stratum ``xstar_h = (N_h X_h - n_h xbar_h) / (N_h - n_h)`` is
+        linear in the sample mean, so the design covariance of one draw's
+        ``(xstar_st, zstar_st)`` is exactly ``C = sum_h W_h^2 g_h^2
+        (1/n_h - 1/N_h) S_h`` with ``g_h = n_h / (N_h - n_h)`` and ``S_h``
+        the stratum's (x, z) covariance.  Over R draws the mean gap ``d``
+        from the population means is close to normal with covariance
+        ``C / R``, so ``Q = R d' C^-1 d`` is chi-square with 2 degrees of
+        freedom, and ``Q < 2 ln(2e4)`` fails with probability 5e-5.  The
+        reported standard errors must also agree with ``sqrt(diag(C) / R)``
+        to 10 %, about 9 standard errors of a standard deviation estimated
+        from R = 4,000 draws.
+
+        Nominal false-alarm rate of the test: 5e-5.
+        """
         spec = PopulationSpec(
             strata=(
                 StratumSpec(stratum_id="a", N=25, mu=(90.0, 45.0, 60.0),
@@ -366,15 +382,23 @@ class TestMonteCarlo:
             seed=3,
         )
         frames = generate_population(spec)
-        pop = combine([summarize_stratum(f, n)
-                       for f, n in zip(frames, spec.design)])
+        R = 4000
         result = monte_carlo(frames, spec.design,
                              [EstimatorSpec(kind="classical")],
-                             R=4000, seed=11)
-        # The per-stratum transform is exactly unbiased for the x and z
-        # means, so the Monte Carlo averages must sit within noise.
-        assert abs(result.xstar_mean - pop.mean_x) < 3 * result.xstar_se
-        assert abs(result.zstar_mean - pop.mean_z) < 3 * result.zstar_se
+                             R=R, seed=11)
+        N = np.array([f.size for f in frames], dtype=float)
+        n = np.array(spec.design, dtype=float)
+        W = N / N.sum()
+        factor = W**2 * (n / (N - n)) ** 2 * (1.0 / n - 1.0 / N)
+        C = sum(k * np.cov(f.x, f.z) for k, f in zip(factor, frames))
+        target = [W @ [f.x.mean() for f in frames],
+                  W @ [f.z.mean() for f in frames]]
+        d = np.array([result.xstar_mean, result.zstar_mean]) - target
+        Q = R * d @ np.linalg.solve(C, d)
+        assert Q < 2.0 * np.log(2e4)
+        se = np.sqrt(np.diag(C) / R)
+        np.testing.assert_allclose([result.xstar_se, result.zstar_se], se,
+                                   rtol=0.1)
 
     def test_census_design_has_zero_empirical_mse(self, tiny_frames):
         design = [f.size for f in tiny_frames]
@@ -439,26 +463,40 @@ class TestMonteCarlo:
         assert result.population.mean_y == pop.mean_y
 
     def test_classical_mse_ratio_converges_with_more_replications(self):
-        # The empirical/theoretical MSE ratio for the classical
-        # estimator (whose first-order formula is exact) should drift
-        # toward 1 as R grows.  Replications are seeded per-child, so
-        # the R = 5,000 run is a prefix of the R = 50,000 run; per seed
-        # the comparison is still noisy, hence the 18-of-20 vote across
-        # a fixed window of seeds.
+        """The classical empirical/theoretical MSE ratio converges to 1.
+
+        The classical first-order MSE is the exact design variance, so a
+        ratio over R draws has mean exactly 1 and a spread that shrinks
+        like 1/sqrt(R).  The seeds 33-52 give 20 independent studies at
+        R = 5,000 and at R = 50,000 (the smaller one a prefix of the
+        larger), with ratios close to normal at these R.  Two pooled
+        scores are checked:
+
+        * at each R, the t statistic of the 20 ratios against 1 lies
+          within 5.5; under t with 19 degrees of freedom each bound is
+          crossed with probability 2.6e-5;
+        * the summed squared gap ``(ratio - 1)**2`` is smaller at
+          R = 50,000 than at R = 5,000.  With the prefix correlation
+          the difference of the sums is ``0.908 chi2_20 - 9.908 chi2_20``
+          in units of the larger study's variance, which is nonnegative
+          with probability P(F(20, 20) > 10.9) = 7.9e-7.
+
+        Nominal false-alarm rate of the test: 5.4e-5.
+        """
         spec = two_strata_spec(seed=7)
         frames = generate_population(spec)
         design = spec.design
         classical = [EstimatorSpec(kind="classical")]
-        wins = 0
+        ratios = {5_000: [], 50_000: []}
         for seed in range(33, 53):
-            small = monte_carlo(frames, design, classical, R=5_000,
-                                seed=seed)
-            big = monte_carlo(frames, design, classical, R=50_000,
-                              seed=seed)
-            small_gap = abs(small.results[0].ratio - 1.0)
-            big_gap = abs(big.results[0].ratio - 1.0)
-            wins += big_gap < small_gap
-        assert wins >= 18
+            for R, found in ratios.items():
+                study = monte_carlo(frames, design, classical, R=R, seed=seed)
+                found.append(study.results[0].ratio)
+        gaps = {R: np.array(found) - 1.0 for R, found in ratios.items()}
+        for R, gap in gaps.items():
+            t = gap.mean() / (gap.std(ddof=1) / np.sqrt(gap.size))
+            assert abs(t) < 5.5, (R, t)
+        assert np.sum(gaps[50_000] ** 2) < np.sum(gaps[5_000] ** 2)
 
 
 def study_means(frames, design, R, seed):
