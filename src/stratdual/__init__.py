@@ -49,7 +49,6 @@ from .mse_theory import (
     mse_first_order,
     optimize_alphas,
     optimize_theta,
-    pre,
     theta_of_A,
     var_yst,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "optimize_theta",
     "optimize_alphas",
     "bias_first_order_dual",
-    "pre",
     "efficiency_conditions",
     # simulation
     "StratumSpec",

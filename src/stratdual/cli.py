@@ -47,11 +47,11 @@ from .domain import (
 )
 from .estimators import (
     DUAL_KINDS,
+    TRANSFORM_KINDS,
     EstimatorSpec,
     parse_estimator,
 )
 from .moments import (
-    DualMomentSet,
     MomentSet,
     compute_dual_moments,
     compute_moments,
@@ -60,11 +60,13 @@ from .moments import (
 )
 from .mse_theory import (
     A_of_theta,
-    _tracy_mse,
+    MseReport,
+    _form,
     bias_first_order_dual,
     mse_first_order,
     optimize_alphas,
     optimize_theta,
+    theta_of_A,
     var_yst,
 )
 from .simulate import (
@@ -92,6 +94,12 @@ DEFAULT_ESTIMATORS = (
 #: Default theta grid of the `sweep` command.
 DEFAULT_SWEEP = {"start": 0.8, "stop": 2.4, "step": 0.1}
 
+#: Largest number of points a `sweep` range grid may have.
+MAX_SWEEP_POINTS = 10**6
+
+#: Default number of Monte Carlo replications of the `simulate` command.
+DEFAULT_REPLICATIONS = 10000
+
 
 @dataclass
 class RunConfig:
@@ -106,7 +114,7 @@ class RunConfig:
     estimators: tuple[str, ...] | None = None
     sweep: dict | None = None
     population: Path | None = None
-    replications: int = 10000
+    replications: int = DEFAULT_REPLICATIONS
     seed: int | None = None
     output_dir: Path | None = None
     format: str = "markdown"
@@ -220,14 +228,18 @@ def render_table(headers, rows, fmt: str, full: bool = False) -> str:
     return "\n".join(lines)
 
 
-def _emit(config: RunConfig, name: str, headers, rows) -> None:
-    text = render_table(headers, rows, config.format, config.full_precision)
+def _publish(config: RunConfig, filename: str, text: str) -> None:
+    """Print ``text``, and write it to ``filename`` in the output dir if set."""
     print(text)
     if config.output_dir is not None:
         directory = Path(config.output_dir)
         directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"{name}.{_EXTENSIONS[config.format]}"
-        path.write_text(text + "\n")
+        (directory / filename).write_text(text + "\n")
+
+
+def _emit(config: RunConfig, name: str, headers, rows) -> None:
+    text = render_table(headers, rows, config.format, config.full_precision)
+    _publish(config, f"{name}.{_EXTENSIONS[config.format]}", text)
 
 
 def _print_findings(report: ValidationReport, stream) -> None:
@@ -311,15 +323,31 @@ def _load_for_command(config: RunConfig):
             f"validation found {len(blocking)} blocking error(s); "
             "rerun with --corrections auto or fix the input"
         )
-    m = compute_moments(pop)
-    md = compute_dual_moments(pop) if not pop.has_census_stratum else None
+    m, md = _moment_sets(pop)
     return pop, m, md
 
 
+def _moment_sets(pop: PopulationSummary) -> tuple[MomentSet, MomentSet | None]:
+    """The unprimed and dual moment sets; no dual set with a census stratum."""
+    m = compute_moments(pop)
+    return m, None if pop.has_census_stratum else compute_dual_moments(pop)
+
+
 def _resolve_estimators(
-    texts, pop: PopulationSummary, m: MomentSet, md: DualMomentSet | None
+    config: RunConfig, pop: PopulationSummary, m: MomentSet,
+    md: MomentSet | None,
 ) -> list[tuple[EstimatorSpec, tuple[float, float] | None]]:
-    """Parse estimator strings, resolving ``:opt`` via the optimizers."""
+    """Parse the command's estimator strings, resolving ``:opt`` via the optimizers.
+
+    Without a dual moment set the dual kinds are skipped, with a note.
+    """
+    texts = config.estimators or DEFAULT_ESTIMATORS
+    if md is None:
+        dropped = [t for t in texts if t.split(":")[0] in DUAL_KINDS]
+        if dropped:
+            print(f"skipping dual estimators (no dual moments): {dropped}",
+                  file=sys.stderr)
+        texts = [t for t in texts if t.split(":")[0] not in DUAL_KINDS]
     resolved = []
     for text in texts:
         text = text.strip()
@@ -380,16 +408,12 @@ def cmd_moments(config: RunConfig) -> int:
         md,
         {"mean_y": pop.mean_y, "mean_x": pop.mean_x, "mean_z": pop.mean_z},
     )
-    print(text)
-    if config.output_dir is not None:
-        directory = Path(config.output_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / "moments.json").write_text(text + "\n")
+    _publish(config, "moments.json", text)
     return 0
 
 
 def _params_cell(spec: EstimatorSpec, full: bool) -> str:
-    if spec.kind in ("transformed_product", "tracy_product"):
+    if spec.kind in TRANSFORM_KINDS:
         return f"A={_fmt(spec.A, full)}"
     if spec.kind in DUAL_KINDS:
         return f"a1={_fmt(spec.alpha1, full)},a2={_fmt(spec.alpha2, full)}"
@@ -398,17 +422,9 @@ def _params_cell(spec: EstimatorSpec, full: bool) -> str:
 
 def cmd_mse(config: RunConfig) -> int:
     pop, m, md = _load_for_command(config)
-    texts = config.estimators or DEFAULT_ESTIMATORS
-    if md is None:
-        dropped = [t for t in texts
-                   if t.split(":")[0] in DUAL_KINDS]
-        if dropped:
-            print(f"skipping dual estimators (no dual moments): {dropped}",
-                  file=sys.stderr)
-        texts = [t for t in texts if t.split(":")[0] not in DUAL_KINDS]
     headers = ("estimator", "params", "mse", "pre")
     rows = []
-    for spec, opt in _resolve_estimators(texts, pop, m, md):
+    for spec, opt in _resolve_estimators(config, pop, m, md):
         report = mse_first_order(spec, pop, m, md, optimal_params=opt)
         for warning in report.warnings:
             print(f"warning: {warning}", file=sys.stderr)
@@ -435,7 +451,9 @@ def cmd_pre(config: RunConfig) -> int:
         report = mse_first_order(EstimatorSpec(kind="plikusas_dual"), pop, m, md)
         rows.append(("plikusas_dual", 1, 1, report.pre))
         a1, a2, mse_min = optimize_alphas(md, pop)
-        rows.append(("dual_family:opt", a1, a2, 100.0 * baseline / mse_min))
+        spec = EstimatorSpec(kind="dual_family", alpha1=a1, alpha2=a2)
+        rows.append(("dual_family:opt", a1, a2,
+                     MseReport(spec, mse_min, baseline).pre))
     else:
         print("skipping dual rows (no dual moments available)", file=sys.stderr)
     _emit(config, "pre", headers, rows)
@@ -452,7 +470,11 @@ def _sweep_grid(config: RunConfig) -> np.ndarray:
             if not math.isfinite(sweep[key]):
                 raise ValueError(f"sweep {key} {sweep[key]!r} is not finite")
         start, stop, step = sweep["start"], sweep["stop"], sweep["step"]
-        count = int(round((stop - start) / step)) + 1
+        span = (stop - start) / step
+        count = round(span) + 1 if math.isfinite(span) else math.inf
+        if count > MAX_SWEEP_POINTS:
+            raise ValueError(f"sweep grid of {count} points exceeds the "
+                             f"limit of {MAX_SWEEP_POINTS}")
         values = start + step * np.arange(count)
         values = values[values <= stop + step * 1e-9]
     if values.size == 0:
@@ -481,7 +503,8 @@ def cmd_sweep(config: RunConfig) -> int:
         i = int(bad[0])
         raise ValueError(f"theta = {float(theta[i])!r} gives a non-finite "
                          f"transform constant A = {float(A[i])!r}")
-    mse = _tracy_mse(pop, m, A)
+    # The tracy-product form, (b_x, b_z) = (-theta, 1), over the whole grid.
+    mse = pop.mean_y**2 * _form(m, -theta_of_A(pop, A), 1.0)
     order = np.argsort(theta, kind="stable")
     theta, A, mse = theta[order], A[order], mse[order]
     labels = np.where(mse < baseline, "better", "worse").tolist()
@@ -504,19 +527,21 @@ def cmd_optimize(config: RunConfig) -> int:
     baseline = var_yst(pop, m)
     rows = [("var_classical", baseline)]
     theta_opt, A_opt, mse_min = optimize_theta(pop, m)
+    spec = EstimatorSpec(kind="tracy_product", A=A_opt)
     rows += [
         ("theta_opt", theta_opt),
         ("A_opt", A_opt),
         ("mse_tracy_product_min", mse_min),
-        ("pre_tracy_product_opt", 100.0 * baseline / mse_min),
+        ("pre_tracy_product_opt", MseReport(spec, mse_min, baseline).pre),
     ]
     if md is not None:
         a1, a2, dual_min = optimize_alphas(md, pop)
+        spec = EstimatorSpec(kind="dual_family", alpha1=a1, alpha2=a2)
         rows += [
             ("alpha1_opt", a1),
             ("alpha2_opt", a2),
             ("mse_dual_family_min", dual_min),
-            ("pre_dual_family_opt", 100.0 * baseline / dual_min),
+            ("pre_dual_family_opt", MseReport(spec, dual_min, baseline).pre),
             ("bias_dual_family_opt", bias_first_order_dual(md, pop, a1, a2)),
         ]
     else:
@@ -534,21 +559,9 @@ def cmd_simulate(config: RunConfig) -> int:
         spec = dataclasses.replace(spec, seed=config.seed)
     design = spec.design
     frames = generate_population(spec)
-    census = any(n == f.size for n, f in zip(design, frames))
-
-    strata = [summarize_stratum(f, n) for f, n in zip(frames, design)]
-    pop = combine(strata)
-    m = compute_moments(pop)
-    md = compute_dual_moments(pop) if not census else None
-
-    texts = list(config.estimators or DEFAULT_ESTIMATORS)
-    if census:
-        dropped = [t for t in texts if t.split(":")[0] in DUAL_KINDS]
-        if dropped:
-            print(f"census design: skipping dual estimators {dropped}",
-                  file=sys.stderr)
-        texts = [t for t in texts if t.split(":")[0] not in DUAL_KINDS]
-    specs = [s for s, _ in _resolve_estimators(texts, pop, m, md)]
+    pop = combine([summarize_stratum(f, n) for f, n in zip(frames, design)])
+    m, md = _moment_sets(pop)
+    specs = [s for s, _ in _resolve_estimators(config, pop, m, md)]
 
     result = monte_carlo(frames, design, specs, config.replications, seed)
     print(f"true mean_y = {_fmt(result.true_mean_y, config.full_precision)}; "
@@ -636,7 +649,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--population", type=Path, default=None,
                        help="population spec JSON")
     p_sim.add_argument("--replications", type=int, default=None,
-                       help="number of Monte Carlo replications (default 10000)")
+                       help="number of Monte Carlo replications "
+                            f"(default {DEFAULT_REPLICATIONS})")
     p_sim.add_argument("--seed", type=int, default=None,
                        help="override the population spec's seed")
     p_sim.add_argument("--estimator", action="append", dest="estimators",
@@ -687,7 +701,7 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
         population = Path(sim_cfg["population"])
     replications = getattr(args, "replications", None)
     if replications is None:
-        replications = int(sim_cfg.get("replications", 10000))
+        replications = int(sim_cfg.get("replications", DEFAULT_REPLICATIONS))
     seed = getattr(args, "seed", None)
     if seed is None and "seed" in sim_cfg:
         seed = int(sim_cfg["seed"])

@@ -502,7 +502,6 @@ def validate(pop: PopulationSummary, corrections: str = "off") -> ValidationRepo
 def neyman_allocation(
     strata: Iterable[tuple[int, float]],
     n_total: int,
-    rounding: str = "largest_remainder",
 ) -> list[int]:
     """Allocate a total sample size across strata proportionally to ``N_h * s_yh``.
 
@@ -512,8 +511,6 @@ def neyman_allocation(
         Stratum population sizes and study-variable standard deviations.
     n_total : int
         Total sample size; must satisfy ``L <= n_total <= sum(N_h)``.
-    rounding : str
-        Rounding policy; only ``"largest_remainder"`` is implemented.
 
     Returns
     -------
@@ -522,8 +519,6 @@ def neyman_allocation(
         ``1 <= n_h <= N_h`` (excess beyond a stratum's capacity is
         redistributed to unsaturated strata by largest remainder).
     """
-    if rounding != "largest_remainder":
-        raise ValueError(f"unknown rounding policy {rounding!r}")
     pairs = [(int(N), float(s)) for N, s in strata]
     if not pairs:
         raise ValueError("at least one stratum is required")
@@ -597,7 +592,7 @@ def read_summary_csv(path: str | Path) -> list[StratumSummary]:
         if missing:
             raise ValueError(f"{path}: missing required columns {missing}")
         strata: list[StratumSummary] = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             try:
                 kwargs = {
                     "stratum_id": row["stratum_id"],
@@ -611,7 +606,9 @@ def read_summary_csv(path: str | Path) -> list[StratumSummary]:
                     kwargs[col] = float(cell) if cell not in (None, "") else None
                 strata.append(StratumSummary(**kwargs))
             except (TypeError, ValueError, KeyError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from exc
+                raise ValueError(
+                    f"{path}:{reader.line_num}: malformed row: {exc}"
+                ) from exc
     if not strata:
         raise ValueError(f"{path}: no stratum rows")
     return strata
@@ -656,16 +653,18 @@ def read_units_csv(path: str | Path) -> list[UnitFrame]:
         if missing:
             raise ValueError(f"{path}: missing required columns {missing}")
         # A repeated column name refers to its last occurrence, and blank
-        # lines are skipped uncounted, as ``csv.DictReader`` does.
+        # lines are skipped, as ``csv.DictReader`` does.
         index = {name: i for i, name in enumerate(header)}
         i_id, i_y, i_x, i_z = (index[c] for c in UNITS_COLUMNS)
-        for lineno, row in enumerate(filter(None, reader), start=2):
+        for row in filter(None, reader):
             try:
                 groups.setdefault(row[i_id], []).append(
                     (float(row[i_y]), float(row[i_x]), float(row[i_z]))
                 )
             except (IndexError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from exc
+                raise ValueError(
+                    f"{path}:{reader.line_num}: malformed row: {exc}"
+                ) from exc
     if not groups:
         raise ValueError(f"{path}: no unit rows")
     frames = []

@@ -30,21 +30,16 @@ __all__ = [
     "moments_from_dict",
 ]
 
-
-def _check_moment_fields(obj) -> None:
-    for name in ("v200", "v020", "v002", "v110", "v101", "v011"):
-        value = float(getattr(obj, name))
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite")
-        object.__setattr__(obj, name, value)
-    for name in ("v200", "v020", "v002"):
-        if getattr(obj, name) < 0:
-            raise ValueError(f"{name} must be nonnegative")
+_KEYS = ("v200", "v020", "v002", "v110", "v101", "v011")
 
 
 @dataclass(frozen=True)
 class MomentSet:
     """The six weighted relative moments ``v200 ... v011``.
+
+    ``dual`` marks the dual counterparts (per-stratum ``(-g)^(s+t)``
+    factors), which the dual estimator kinds need; their ``v200``
+    coincides exactly with the unprimed one (factor ``(-g)^0 = 1``).
 
     Diagonal moments (``v200``, ``v020``, ``v002``) must be nonnegative.
     Cross moments are unconstrained so that externally guessed values
@@ -58,50 +53,29 @@ class MomentSet:
     v110: float
     v101: float
     v011: float
+    dual: bool = False
 
     def __post_init__(self) -> None:
-        _check_moment_fields(self)
+        for name in _KEYS:
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
+        for name in _KEYS[:3]:
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
 
     def as_dict(self) -> dict:
-        return {
-            "v200": self.v200,
-            "v020": self.v020,
-            "v002": self.v002,
-            "v110": self.v110,
-            "v101": self.v101,
-            "v011": self.v011,
-        }
+        """The six moments by name, plus ``"dual": True`` for a dual set."""
+        doc = {name: getattr(self, name) for name in _KEYS}
+        if self.dual:
+            doc["dual"] = True
+        return doc
 
 
-@dataclass(frozen=True)
-class DualMomentSet:
-    """Dual counterparts of :class:`MomentSet` (``(-g)^(s+t)`` factors).
-
-    ``v200`` coincides exactly with the unprimed ``v200`` (its dual
-    factor is ``(-g)^0 = 1``); ``v020`` and ``v002`` are nonnegative
-    because their factor ``g^2`` is positive.
-    """
-
-    v200: float
-    v020: float
-    v002: float
-    v110: float
-    v101: float
-    v011: float
-
-    def __post_init__(self) -> None:
-        _check_moment_fields(self)
-
-    def as_dict(self) -> dict:
-        return {
-            "v200": self.v200,
-            "v020": self.v020,
-            "v002": self.v002,
-            "v110": self.v110,
-            "v101": self.v101,
-            "v011": self.v011,
-            "dual": True,
-        }
+def DualMomentSet(*args, **kwargs) -> MomentSet:
+    """A :class:`MomentSet` of dual moments (``dual=True``)."""
+    return MomentSet(*args, **kwargs, dual=True)
 
 
 def _require_nonzero_means(pop: PopulationSummary) -> tuple[float, float, float]:
@@ -138,7 +112,7 @@ def compute_moments(pop: PopulationSummary) -> MomentSet:
     )
 
 
-def compute_dual_moments(pop: PopulationSummary) -> DualMomentSet:
+def compute_dual_moments(pop: PopulationSummary) -> MomentSet:
     """Compute the dual moment set (per-stratum ``(-g_h)^(s+t)`` factors).
 
     Requires every stratum to be non-census (``n_h < N_h``) so that
@@ -152,19 +126,20 @@ def compute_dual_moments(pop: PopulationSummary) -> DualMomentSet:
     g = pop.g
     s_x = pop.stratum_array("s_x")
     s_z = pop.stratum_array("s_z")
-    return DualMomentSet(
+    return MomentSet(
         v200=_v200(pop, w2g, ybar),
         v020=float(w2g * g**2 @ s_x**2 / xbar**2),
         v002=float(w2g * g**2 @ s_z**2 / zbar**2),
         v110=float(-(w2g * g) @ pop.stratum_array("s_xy") / (xbar * ybar)),
         v101=float(-(w2g * g) @ pop.stratum_array("s_yz") / (ybar * zbar)),
         v011=float(w2g * g**2 @ pop.stratum_array("s_xz") / (xbar * zbar)),
+        dual=True,
     )
 
 
 def moments_to_json(
     moments: MomentSet,
-    dual: DualMomentSet | None = None,
+    dual: MomentSet | None = None,
     means: dict | None = None,
 ) -> str:
     """Serialize moment sets to a JSON document.
@@ -187,26 +162,24 @@ def moments_to_json(
 
 def moments_from_dict(
     doc: dict,
-) -> tuple[MomentSet, DualMomentSet | None, dict]:
+) -> tuple[MomentSet, MomentSet | None, dict]:
     """Parse the document produced by :func:`moments_to_json`.
 
     Also accepts a bare flat (unprimed) moment object.  Returns the
     unprimed set, the dual set when present, and a dict of whichever
     combined means the document carried.
     """
-    keys = ("v200", "v020", "v002", "v110", "v101", "v011")
-
-    def parse_set(obj: dict, cls):
-        missing = [k for k in keys if k not in obj]
+    def parse_set(obj: dict, dual: bool = False) -> MomentSet:
+        missing = [k for k in _KEYS if k not in obj]
         if missing:
             raise ValueError(f"moment object missing keys {missing}")
-        return cls(**{k: float(obj[k]) for k in keys})
+        return MomentSet(**{k: float(obj[k]) for k in _KEYS}, dual=dual)
 
     if "moments" in doc:
-        moments = parse_set(doc["moments"], MomentSet)
+        moments = parse_set(doc["moments"])
         dual = None
         if "dual_moments" in doc:
-            dual = parse_set(doc["dual_moments"], DualMomentSet)
+            dual = parse_set(doc["dual_moments"], dual=True)
         means = {
             k: float(doc[k])
             for k in ("mean_y", "mean_x", "mean_z")
@@ -218,4 +191,4 @@ def moments_from_dict(
             "a bare dual moment set cannot stand alone; supply a document "
             'with both "moments" and "dual_moments"'
         )
-    return parse_set(doc, MomentSet), None, {}
+    return parse_set(doc), None, {}

@@ -1,9 +1,18 @@
 """First-order MSE theory for the stratified estimator family.
 
-Each estimator's leading-order mean squared error is a quadratic form
-in the six relative moments of :mod:`stratdual.moments` (dual moments
-for the dual-transformed kinds), scaled by the squared population mean.
-This module evaluates those forms, provides the closed-form optimizers
+To first order every estimator here is ``mean_y * (1 + e_y + b_x*e_x +
+b_z*e_z)`` in the relative errors of the sample means, so its mean
+squared error is one quadratic form ``mean_y**2 * c' V c`` with
+``c = (1, b_x, b_z)`` and ``V`` the 3x3 matrix of the six relative
+moments of :mod:`stratdual.moments` (the dual moments for the
+dual-transformed kinds, whose errors are those of the transformed
+means).  The kinds' coefficients ``(b_x, b_z)`` are classical (0, 0),
+combined_ratio (-1, 0), combined_product (0, 1), ratio_cum_product
+(-1, 1), transformed_product (-theta, 0), tracy_product (-theta, 1),
+and, on the dual moments, dual_family (alpha1, -alpha2), of which
+plikusas_dual is the point (1, 1).
+
+This module evaluates that form, provides the closed-form optimizers
 for the transform constant and for the dual-family exponents, the
 first-order bias of the dual family, percent relative efficiencies, and
 the two efficiency conditions that decide when the transformed and
@@ -16,13 +25,13 @@ surfacing data defects is part of the contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .domain import PopulationSummary
 from .estimators import DUAL_KINDS, TRANSFORM_KINDS, EstimatorSpec
-from .moments import DualMomentSet, MomentSet
+from .moments import MomentSet
 
 __all__ = [
     "MseReport",
@@ -34,7 +43,6 @@ __all__ = [
     "optimize_theta",
     "optimize_alphas",
     "bias_first_order_dual",
-    "pre",
     "efficiency_conditions",
 ]
 
@@ -46,16 +54,32 @@ class MseReport:
     ``pre`` is the percent relative efficiency versus the classical
     combined mean (``100 * var_yst / mse``); it is ``None`` when the
     MSE is nonpositive, in which case ``warnings`` explains the
-    first-order breakdown.  ``optimal_params`` is populated by the
-    optimizers: ``(theta_opt, A_opt)`` or ``(alpha1, alpha2)``.
+    first-order breakdown.  Both are derived from ``mse`` and
+    ``var_yst``.  ``optimal_params`` holds the optimum an estimator was
+    resolved at: ``(theta_opt, A_opt)`` or ``(alpha1, alpha2)``.
     """
 
     estimator: EstimatorSpec
     mse: float
-    pre: float | None
     var_yst: float
-    warnings: tuple[str, ...] = ()
     optimal_params: tuple[float, float] | None = None
+    pre: float | None = field(init=False)
+    warnings: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        pre, warnings = None, ()
+        if self.mse > 0:
+            pre = 100.0 * self.var_yst / self.mse
+        else:
+            source = ("dual moments" if self.estimator.kind in DUAL_KINDS
+                      else "moments")
+            warnings = (
+                f"first-order MSE of {self.estimator.label} is nonpositive "
+                f"({self.mse}); the supplied {source} are internally "
+                "inconsistent at this order",
+            )
+        object.__setattr__(self, "pre", pre)
+        object.__setattr__(self, "warnings", warnings)
 
 
 @dataclass(frozen=True)
@@ -108,82 +132,64 @@ def A_of_theta(pop: PopulationSummary, theta: float) -> float:
     return pop.mean_x * (1.0 + theta) / theta
 
 
-def _tracy_form(m: MomentSet, theta):
-    # ``theta * theta``, not ``theta**2``: Python's pow and numpy's square
-    # can differ in the last bit, and a scalar and an array theta must
-    # give the same bits.
-    return (m.v200 + theta * theta * m.v020 + m.v002
-            - 2.0 * (theta * m.v110 - m.v101 + theta * m.v011))
+#: Linearisation coefficients ``(b_x, b_z)`` of the kinds without
+#: parameters; the module docstring lists every kind's.
+_FIXED = {
+    "classical": (0.0, 0.0),
+    "combined_ratio": (-1.0, 0.0),
+    "combined_product": (0.0, 1.0),
+    "ratio_cum_product": (-1.0, 1.0),
+}
 
 
-def _tracy_mse(pop: PopulationSummary, m: MomentSet, A):
-    """Tracy-product first-order MSE at transform constant ``A``.
+def _form(v: MomentSet, bx, bz):
+    """The quadratic form ``c' V c`` with ``c = (1, bx, bz)``.
 
-    The one expression behind :func:`mse_first_order` for that kind and
-    behind the CLI's whole-grid sweep, where ``A`` is an array.
+    ``bx * bx``, not ``bx**2``: Python's pow and numpy's square can
+    differ in the last bit, and a scalar and an array ``bx`` must give
+    the same bits.
     """
-    return pop.mean_y**2 * _tracy_form(m, theta_of_A(pop, A))
+    return (v.v200 + bx * bx * v.v020 + bz * bz * v.v002
+            + 2.0 * (bx * v.v110 + bz * v.v101 + bx * bz * v.v011))
 
 
-def _dual_form(md: DualMomentSet, a1: float, a2: float) -> float:
-    return (md.v200 + a1**2 * md.v020 + a2**2 * md.v002
-            + 2.0 * (a1 * md.v110 - a1 * a2 * md.v011 - a2 * md.v101))
-
-
-def _quadratic_form(spec: EstimatorSpec, pop: PopulationSummary,
-                    m: MomentSet, md: DualMomentSet | None) -> float:
-    kind = spec.kind
-    if kind == "classical":
-        return m.v200
-    if kind == "combined_ratio":
-        return m.v200 + m.v020 - 2.0 * m.v110
-    if kind == "combined_product":
-        return m.v200 + m.v002 + 2.0 * m.v101
-    if kind == "transformed_product":
-        theta = theta_of_A(pop, spec.A)
-        return m.v200 + theta**2 * m.v020 - 2.0 * theta * m.v110
-    if kind == "ratio_cum_product":
-        return m.v200 + m.v020 + m.v002 + 2.0 * (m.v101 - m.v110 - m.v011)
-    # plikusas_dual and dual_family share the same quadratic form.
-    if md is None:
-        raise ValueError(f"{kind} requires the dual moment set")
-    return _dual_form(md, spec.alpha1, spec.alpha2)
+def _require(v: MomentSet | None, dual: bool, name: str) -> None:
+    """Reject a moment set of the wrong kind, such as a swapped ``m``/``md``."""
+    if v is not None and v.dual != dual:
+        raise ValueError(
+            f"{name} must be {'a dual' if dual else 'an unprimed'} moment set"
+        )
 
 
 def mse_first_order(
     spec: EstimatorSpec,
     pop: PopulationSummary,
     m: MomentSet,
-    md: DualMomentSet | None = None,
+    md: MomentSet | None = None,
     optimal_params: tuple[float, float] | None = None,
 ) -> MseReport:
-    """First-order MSE of ``spec``, as ``mean_y**2`` times its quadratic form.
+    """First-order MSE of ``spec``: ``mean_y**2 * c' V c``.
 
-    ``md`` is required for the dual kinds.  A nonpositive MSE yields
-    ``pre=None`` plus a breakdown warning naming the moment set that
-    produced it.
+    ``c = (1, b_x, b_z)`` holds the kind's linearisation coefficients
+    and ``V`` is the unprimed set ``m``, or the dual set ``md`` for the
+    dual kinds, which require it.  A nonpositive MSE yields ``pre=None``
+    plus a breakdown warning naming the moment set that produced it.
     """
-    if spec.kind == "tracy_product":
-        mse = _tracy_mse(pop, m, spec.A)
+    _require(m, False, "m")
+    _require(md, True, "md")
+    if spec.kind in DUAL_KINDS:
+        if md is None:
+            raise ValueError(f"{spec.kind} requires the dual moment set")
+        v, bx, bz = md, spec.alpha1, -spec.alpha2
+    elif spec.kind in TRANSFORM_KINDS:
+        v, bx = m, -theta_of_A(pop, spec.A)
+        bz = 1.0 if spec.kind == "tracy_product" else 0.0
     else:
-        mse = pop.mean_y**2 * _quadratic_form(spec, pop, m, md)
-    baseline = var_yst(pop, m)
-    warnings: tuple[str, ...] = ()
-    pre_value: float | None = None
-    if mse > 0:
-        pre_value = 100.0 * baseline / mse
-    else:
-        source = "dual moments" if spec.kind in DUAL_KINDS else "moments"
-        warnings = (
-            f"first-order MSE of {spec.label} is nonpositive ({mse}); the "
-            f"supplied {source} are internally inconsistent at this order",
-        )
+        v, (bx, bz) = m, _FIXED[spec.kind]
     return MseReport(
         estimator=spec,
-        mse=mse,
-        pre=pre_value,
-        var_yst=baseline,
-        warnings=warnings,
+        mse=pop.mean_y**2 * _form(v, bx, bz),
+        var_yst=var_yst(pop, m),
         optimal_params=optimal_params,
     )
 
@@ -193,9 +199,10 @@ def optimize_theta(
 ) -> tuple[float, float, float]:
     """Minimize the transformed-product-with-z MSE over ``theta``.
 
-    The quadratic form is strictly convex in ``theta`` whenever
-    ``v020 > 0``; the minimizer is ``theta_opt = (v110 + v011) / v020``
-    with ``A_opt = mean_x * (1 + theta_opt) / theta_opt``.
+    With ``b_z = 1`` fixed, the form is strictly convex in ``b_x =
+    -theta`` whenever ``v020 > 0``; the minimizer is ``b_x = -(v110 +
+    b_z*v011) / v020``, so ``theta_opt = (v110 + v011) / v020``, with
+    ``A_opt = mean_x * (1 + theta_opt) / theta_opt``.
 
     Returns
     -------
@@ -207,22 +214,25 @@ def optimize_theta(
         If ``v020`` is zero (no curvature) or ``theta_opt`` is zero
         (``A_opt`` would sit at infinity: degenerate optimum).
     """
+    _require(m, False, "m")
     if m.v020 <= 0:
         raise ValueError("v020 must be positive to optimize theta")
-    theta_opt = (m.v110 + m.v011) / m.v020
-    if theta_opt == 0:
+    bz = 1.0
+    bx = -(m.v110 + bz * m.v011) / m.v020
+    if bx == 0:
         raise ValueError("degenerate optimum: theta_opt = 0 has no finite A")
-    A_opt = A_of_theta(pop, theta_opt)
-    mse_min = pop.mean_y**2 * _tracy_form(m, theta_opt)
-    return theta_opt, A_opt, mse_min
+    theta_opt = -bx
+    mse_min = pop.mean_y**2 * _form(m, bx, bz)
+    return theta_opt, A_of_theta(pop, theta_opt), mse_min
 
 
 def optimize_alphas(
-    md: DualMomentSet, pop: PopulationSummary
+    md: MomentSet, pop: PopulationSummary
 ) -> tuple[float, float, float]:
     """Minimize the dual-family MSE over ``(alpha1, alpha2)``.
 
-    Solves the 2x2 stationarity system of the quadratic form; requires
+    Solves the 2x2 stationarity system of the quadratic form in
+    ``(b_x, b_z) = (alpha1, -alpha2)`` on the dual moments; requires
     the Gram determinant ``v020'*v002' - v011'**2`` to be nonsingular
     relative to its scale (otherwise the two transformed auxiliaries
     are collinear and no unique optimum exists).
@@ -231,17 +241,18 @@ def optimize_alphas(
     -------
     (alpha1, alpha2, mse_min)
     """
+    _require(md, True, "md")
     det = md.v020 * md.v002 - md.v011**2
     if abs(det) <= 1e-12 * md.v020 * md.v002:
         raise ValueError("collinear auxiliaries: dual moment determinant is singular")
-    alpha1 = (md.v101 * md.v011 - md.v110 * md.v002) / det
-    alpha2 = (md.v020 * md.v101 - md.v110 * md.v011) / det
-    mse_min = pop.mean_y**2 * _dual_form(md, alpha1, alpha2)
-    return alpha1, alpha2, mse_min
+    bx = (md.v101 * md.v011 - md.v110 * md.v002) / det
+    bz = (md.v110 * md.v011 - md.v020 * md.v101) / det
+    mse_min = pop.mean_y**2 * _form(md, bx, bz)
+    return bx, -bz, mse_min
 
 
 def bias_first_order_dual(
-    md: DualMomentSet, pop: PopulationSummary, alpha1: float, alpha2: float
+    md: MomentSet, pop: PopulationSummary, alpha1: float, alpha2: float
 ) -> float:
     """First-order bias of the dual family at ``(alpha1, alpha2)``.
 
@@ -249,6 +260,7 @@ def bias_first_order_dual(
     it vanishes at ``alpha1 = alpha2 = 0`` and for an all-zero dual
     moment set.
     """
+    _require(md, True, "md")
     bracket = (
         alpha1 * md.v110
         - alpha2 * md.v101
@@ -259,23 +271,9 @@ def bias_first_order_dual(
     return pop.mean_y * bracket
 
 
-def pre(target: MseReport, baseline_var: float) -> float:
-    """Percent relative efficiency ``100 * baseline_var / target.mse``.
-
-    Raises ``ValueError`` on a nonpositive target MSE (first-order
-    breakdown; no meaningful efficiency exists).
-    """
-    if target.mse <= 0:
-        raise ValueError(
-            f"nonpositive first-order MSE ({target.mse}) for {target.estimator.label}; "
-            "percent relative efficiency undefined"
-        )
-    return 100.0 * baseline_var / target.mse
-
-
 def efficiency_conditions(
     m: MomentSet,
-    md: DualMomentSet,
+    md: MomentSet,
     theta: float,
     alpha1: float,
     alpha2: float,
@@ -292,6 +290,8 @@ def efficiency_conditions(
     form minus ``v200``, so a negative margin is equivalent to
     ``MSE < Var(classical)`` at first order.
     """
+    _require(m, False, "m")
+    _require(md, True, "md")
     B1 = theta**2 * m.v020 + m.v002
     B2 = theta * m.v110 - m.v101 + theta * m.v011
     margin21 = B1 - 2.0 * B2

@@ -288,6 +288,20 @@ class TestSweep:
         assert out == ""
         assert f" {entry} is not finite" in err
 
+    @pytest.mark.parametrize("grid, count", [
+        ("1:2:1e-15", "1000000000000001"), ("1:2:1e-320", "inf"),
+        ("0:1000000:1", "1000001"),
+    ])
+    def test_rejects_range_grid_over_the_point_limit(self, capsys, grid,
+                                                    count):
+        code, out, err = run(capsys, "sweep", "--input", CORRECTED,
+                             "--grid", grid)
+        assert code == 1
+        assert out == ""
+        assert (f"error: sweep grid of {count} points exceeds the limit of "
+                "1000000") in err
+        assert "Traceback" not in err
+
     def test_rejects_theta_whose_A_overflows(self, capsys):
         code, out, err = run(capsys, "sweep", "--input", CORRECTED,
                              "--grid", "1.0,1e-320")

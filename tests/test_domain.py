@@ -243,8 +243,6 @@ class TestNeymanAllocation:
             neyman_allocation([(5, -1.0)], 2)
         with pytest.raises(ValueError):
             neyman_allocation([(5, 0.0), (5, 0.0)], 4)
-        with pytest.raises(ValueError, match="rounding"):
-            neyman_allocation([(5, 1.0)], 2, rounding="banker")
 
 
 class TestCsvRoundTrip:
@@ -317,6 +315,20 @@ class TestCsvRoundTrip:
                         f"{bad_row}\n")
         with pytest.raises(ValueError, match=r"units\.csv:3: malformed row"):
             read_units_csv(path)
+
+    def test_malformed_row_after_blank_lines_names_its_file_line(
+            self, tmp_path, corrected_pop):
+        units = tmp_path / "units.csv"
+        units.write_text("stratum_id,y,x,z\na,1.0,10.0,100.0\n\n\n"
+                         "a,2.0,abc,200.0\n")
+        with pytest.raises(ValueError, match=r"units\.csv:5: malformed row"):
+            read_units_csv(units)
+        summary = tmp_path / "summary.csv"
+        write_summary_csv(summary, corrected_pop.strata[:1])
+        header, row = summary.read_text().splitlines()
+        summary.write_text(f"{header}\n{row}\n\n\n{row.replace(',', ',x', 1)}\n")
+        with pytest.raises(ValueError, match=r"summary\.csv:5: malformed row"):
+            read_summary_csv(summary)
 
     @pytest.mark.parametrize("text, message", [
         ("", "empty file or missing header"),

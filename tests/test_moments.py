@@ -199,3 +199,10 @@ class TestMomentSerialization:
         dual_guess = DualMomentSet(v200=0.01, v020=0.001, v002=0.0005,
                                    v110=-0.003, v101=-0.002, v011=0.0006)
         assert dual_guess.as_dict()["dual"] is True
+
+    def test_dual_moment_set_is_a_flagged_moment_set(self):
+        values = (0.01, 0.001, 0.0005, -0.003, -0.002, 0.0006)
+        md = DualMomentSet(*values)
+        assert md == MomentSet(*values, dual=True)
+        assert md != MomentSet(*values)
+        assert "dual" not in MomentSet(*values).as_dict()

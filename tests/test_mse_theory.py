@@ -24,7 +24,6 @@ from stratdual import (
     mse_first_order,
     optimize_alphas,
     optimize_theta,
-    pre,
     summarize_stratum,
     theta_of_A,
     var_yst,
@@ -113,6 +112,16 @@ class TestQuadraticForms:
             EstimatorSpec(kind="dual_family", alpha1=0.0, alpha2=0.0),
             corrected_pop, corrected_m, corrected_md)
         assert null.mse == var_yst(corrected_pop, corrected_m)
+
+    def test_swapped_moment_sets_rejected(self, corrected_pop, corrected_m,
+                                          corrected_md):
+        spec = EstimatorSpec(kind="combined_ratio")
+        with pytest.raises(ValueError, match="m must be an unprimed"):
+            mse_first_order(spec, corrected_pop, corrected_md, corrected_m)
+        with pytest.raises(ValueError, match="md must be a dual"):
+            mse_first_order(spec, corrected_pop, corrected_m, corrected_m)
+        with pytest.raises(ValueError, match="md must be a dual"):
+            optimize_alphas(corrected_m, corrected_pop)
 
     def test_dual_kinds_require_dual_moments(self, corrected_pop, corrected_m):
         with pytest.raises(ValueError, match="dual"):
@@ -261,14 +270,6 @@ class TestBreakdownReporting:
             corrected_m, bad_dual)
         assert report.mse < 0
         assert any("dual moments" in w for w in report.warnings)
-
-    def test_pre_rejects_nonpositive_mse(self, corrected_pop, corrected_m):
-        inconsistent = MomentSet(v200=0.001, v020=0.001, v002=0.001,
-                                 v110=0.01, v101=0.0, v011=0.0)
-        report = mse_first_order(EstimatorSpec(kind="combined_ratio"),
-                                 corrected_pop, inconsistent)
-        with pytest.raises(ValueError, match="nonpositive"):
-            pre(report, var_yst(corrected_pop, corrected_m))
 
 
 class TestEfficiencyConditions:
