@@ -53,8 +53,7 @@ from .estimators import (
 )
 from .moments import (
     MomentSet,
-    compute_dual_moments,
-    compute_moments,
+    _moment_sets,
     moments_from_dict,
     moments_to_json,
 )
@@ -131,6 +130,10 @@ class RunConfig:
             missing = [k for k in ("start", "stop", "step") if k not in self.sweep]
             if missing:
                 raise ValueError(f"sweep grid missing keys {missing}")
+            for key in ("start", "stop", "step"):
+                value = self.sweep[key]
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ValueError(f"sweep {key} {value!r} is not a number")
             if self.sweep["step"] <= 0:
                 raise ValueError("sweep step must be positive")
             if self.sweep["start"] > self.sweep["stop"]:
@@ -327,16 +330,10 @@ def _load_for_command(config: RunConfig):
     return pop, m, md
 
 
-def _moment_sets(pop: PopulationSummary) -> tuple[MomentSet, MomentSet | None]:
-    """The unprimed and dual moment sets; no dual set with a census stratum."""
-    m = compute_moments(pop)
-    return m, None if pop.has_census_stratum else compute_dual_moments(pop)
-
-
 def _resolve_estimators(
     config: RunConfig, pop: PopulationSummary, m: MomentSet,
     md: MomentSet | None,
-) -> list[tuple[EstimatorSpec, tuple[float, float] | None]]:
+) -> list[EstimatorSpec]:
     """Parse the command's estimator strings, resolving ``:opt`` via the optimizers.
 
     Without a dual moment set the dual kinds are skipped, with a note.
@@ -354,10 +351,8 @@ def _resolve_estimators(
         if text.endswith(":opt"):
             kind = text[: -len(":opt")]
             if kind == "tracy_product":
-                theta_opt, A_opt, _ = optimize_theta(pop, m)
-                resolved.append(
-                    (EstimatorSpec(kind=kind, A=A_opt), (theta_opt, A_opt))
-                )
+                _, A_opt, _ = optimize_theta(pop, m)
+                resolved.append(EstimatorSpec(kind=kind, A=A_opt))
             elif kind == "dual_family":
                 if md is None:
                     raise ValueError(
@@ -365,13 +360,11 @@ def _resolve_estimators(
                         "(census strata or missing dual set)"
                     )
                 a1, a2, _ = optimize_alphas(md, pop)
-                resolved.append(
-                    (EstimatorSpec(kind=kind, alpha1=a1, alpha2=a2), (a1, a2))
-                )
+                resolved.append(EstimatorSpec(kind=kind, alpha1=a1, alpha2=a2))
             else:
                 raise ValueError(f"no closed-form optimum implemented for {kind!r}")
         else:
-            resolved.append((parse_estimator(text), None))
+            resolved.append(parse_estimator(text))
     return resolved
 
 
@@ -424,8 +417,8 @@ def cmd_mse(config: RunConfig) -> int:
     pop, m, md = _load_for_command(config)
     headers = ("estimator", "params", "mse", "pre")
     rows = []
-    for spec, opt in _resolve_estimators(config, pop, m, md):
-        report = mse_first_order(spec, pop, m, md, optimal_params=opt)
+    for spec in _resolve_estimators(config, pop, m, md):
+        report = mse_first_order(spec, pop, m, md)
         for warning in report.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         rows.append((spec.kind, _params_cell(spec, config.full_precision),
@@ -561,7 +554,7 @@ def cmd_simulate(config: RunConfig) -> int:
     frames = generate_population(spec)
     pop = combine([summarize_stratum(f, n) for f, n in zip(frames, design)])
     m, md = _moment_sets(pop)
-    specs = [s for s, _ in _resolve_estimators(config, pop, m, md)]
+    specs = _resolve_estimators(config, pop, m, md)
 
     result = monte_carlo(frames, design, specs, config.replications, seed)
     print(f"true mean_y = {_fmt(result.true_mean_y, config.full_precision)}; "
@@ -668,13 +661,20 @@ def _parse_grid(text: str) -> dict:
     return {"values": [float(p) for p in text.split(",")]}
 
 
+def _json_object(value, what: str) -> dict:
+    """``value`` if it is a JSON object; a precise ``ValueError`` otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must hold a JSON object, not {value!r:.40}")
+    return value
+
+
 def merge_config(args: argparse.Namespace) -> RunConfig:
     """Merge the config file (if any) under the explicitly given flags."""
     file_cfg: dict = {}
     if getattr(args, "config", None) is not None:
         with Path(args.config).open() as fh:
-            file_cfg = json.load(fh)
-    sim_cfg = file_cfg.get("simulate", {})
+            file_cfg = _json_object(json.load(fh), f"config file {args.config}")
+    sim_cfg = _json_object(file_cfg.get("simulate", {}), "config key 'simulate'")
 
     def pick(flag, key, default, transform=lambda v: v):
         if flag is not None:
@@ -694,7 +694,7 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
     if grid_flag is not None:
         sweep = _parse_grid(grid_flag)
     elif "sweep" in file_cfg:
-        sweep = dict(file_cfg["sweep"])
+        sweep = dict(_json_object(file_cfg["sweep"], "config key 'sweep'"))
 
     population = getattr(args, "population", None)
     if population is None and "population" in sim_cfg:

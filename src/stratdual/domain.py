@@ -180,8 +180,11 @@ class PopulationSummary:
     """A stratified population with per-stratum design quantities.
 
     Built by :func:`combine`.  Stores the stratum summaries together
-    with the derived per-stratum arrays
+    with the per-stratum table, stratum on the last axis,
 
+    - ``means``: shape ``(3, L)``, the stratum means, rows y, x, z,
+    - ``cov``: shape ``(3, 3, L)``, the symmetric stratum covariance
+      matrices ``S_h`` in the same order, variances on the diagonal,
     - ``w``: stratum weights ``N_h / N``,
     - ``f``: sampling fractions ``n_h / N_h``,
     - ``gamma``: finite-population variance factors ``(1 - f_h) / n_h``,
@@ -189,10 +192,12 @@ class PopulationSummary:
       (``nan`` for a census stratum, where the transform is undefined),
 
     and the combined means ``mean_y``, ``mean_x``, ``mean_z`` (weighted
-    stratum means).
+    stratum means).  ``strata`` stays for validation and CSV output.
     """
 
     strata: tuple[StratumSummary, ...]
+    means: np.ndarray
+    cov: np.ndarray
     w: np.ndarray
     f: np.ndarray
     gamma: np.ndarray
@@ -222,10 +227,6 @@ class PopulationSummary:
     def has_census_stratum(self) -> bool:
         """True when any stratum is sampled completely (``n_h == N_h``)."""
         return any(s.is_census for s in self.strata)
-
-    def stratum_array(self, field: str) -> np.ndarray:
-        """Per-stratum values of ``field`` as a float array."""
-        return np.array([getattr(s, field) for s in self.strata], dtype=float)
 
     def require_no_census(self, operation: str) -> None:
         """Raise ``ValueError`` if any stratum is a census stratum."""
@@ -346,7 +347,8 @@ def _weighted_sum(w: np.ndarray, values: np.ndarray) -> np.ndarray:
 def combine(strata: Sequence[StratumSummary]) -> PopulationSummary:
     """Combine stratum summaries into a :class:`PopulationSummary`.
 
-    Computes weights ``w_h = N_h / N``, sampling fractions, the
+    Builds the per-stratum ``means`` and ``cov`` table and computes
+    weights ``w_h = N_h / N``, sampling fractions, the
     finite-population factors ``gamma_h``, the dual coefficients
     ``g_h`` (``nan`` where ``n_h == N_h``), and the weighted combined
     means.
@@ -362,8 +364,12 @@ def combine(strata: Sequence[StratumSummary]) -> PopulationSummary:
     ids = [s.stratum_id for s in strata]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate stratum_id in {ids}")
-    N_h = np.array([s.N for s in strata], dtype=float)
-    n_h = np.array([s.n for s in strata], dtype=float)
+    # One row per column N ... s_xz, stratum axis last: every row the
+    # moment kernel dots with is contiguous.
+    table = np.array([[getattr(s, name) for s in strata]
+                      for name in SUMMARY_COLUMNS[1:]])
+    N_h, n_h, means = table[0], table[1], table[2:5]
+    s_y, s_x, s_z, s_xy, s_yz, s_xz = table[5:]
     if np.any(N_h == 0):
         raise ValueError("stratum population size N must be positive")
     w = N_h / N_h.sum()
@@ -372,19 +378,13 @@ def combine(strata: Sequence[StratumSummary]) -> PopulationSummary:
     g = np.full(len(strata), np.nan)
     noncensus = n_h < N_h
     g[noncensus] = n_h[noncensus] / (N_h[noncensus] - n_h[noncensus])
-    mean_y = float(_weighted_sum(w, np.array([s.mean_y for s in strata])))
-    mean_x = float(_weighted_sum(w, np.array([s.mean_x for s in strata])))
-    mean_z = float(_weighted_sum(w, np.array([s.mean_z for s in strata])))
+    cov = np.array([[s_y**2, s_xy, s_yz],
+                    [s_xy, s_x**2, s_xz],
+                    [s_yz, s_xz, s_z**2]])
+    mean_y, mean_x, mean_z = (float(_weighted_sum(w, row)) for row in means)
     return PopulationSummary(
-        strata=strata,
-        w=w,
-        f=f,
-        gamma=gamma,
-        g=g,
-        mean_y=mean_y,
-        mean_x=mean_x,
-        mean_z=mean_z,
-    )
+        strata=strata, means=means, cov=cov, w=w, f=f, gamma=gamma, g=g,
+        mean_y=mean_y, mean_x=mean_x, mean_z=mean_z)
 
 
 #: Relative slack applied to Cauchy-Schwarz bounds before flagging.

@@ -201,8 +201,8 @@ def _dual_means(pop: PopulationSummary, xbar: np.ndarray, zbar: np.ndarray):
     draws (shape ``(c, L)``); the results have the leading shape.
     """
     g = pop.g
-    xstar = _weighted_sum(pop.w, (1.0 + g) * pop.stratum_array("mean_x") - g * xbar)
-    zstar = _weighted_sum(pop.w, (1.0 + g) * pop.stratum_array("mean_z") - g * zbar)
+    xstar = _weighted_sum(pop.w, (1.0 + g) * pop.means[1] - g * xbar)
+    zstar = _weighted_sum(pop.w, (1.0 + g) * pop.means[2] - g * zbar)
     return xstar, zstar
 
 

@@ -78,18 +78,30 @@ def DualMomentSet(*args, **kwargs) -> MomentSet:
     return MomentSet(*args, **kwargs, dual=True)
 
 
-def _require_nonzero_means(pop: PopulationSummary) -> tuple[float, float, float]:
-    ybar, xbar, zbar = pop.mean_y, pop.mean_x, pop.mean_z
-    if ybar == 0 or xbar == 0 or zbar == 0:
+def _moment_kernel(pop: PopulationSummary, k, dual: bool) -> MomentSet:
+    """The six moments ``v_rs = (w^2 gamma c_r c_s) @ S_rs / scale``.
+
+    ``c = (1, k, k)`` is the per-stratum factor on the y, x and z
+    errors: ``k = 1`` gives the unprimed set and ``k = -g`` the dual
+    one.  ``scale`` is ``mean_r**2`` on the diagonal and ``mean_r *
+    mean_s`` off it; that, and dotting with the contiguous row
+    ``pop.cov[r, s]``, keep the bits of six separate per-field sums.
+    """
+    mu = (pop.mean_y, pop.mean_x, pop.mean_z)
+    if 0 in mu:
         raise ValueError(
             "combined means must be nonzero to form relative moments "
-            f"(mean_y={ybar}, mean_x={xbar}, mean_z={zbar})"
+            "(mean_y={}, mean_x={}, mean_z={})".format(*mu)
         )
-    return ybar, xbar, zbar
+    w2g = pop.w**2 * pop.gamma
+    c = (1.0, k, k)
 
+    def v(r: int, s: int) -> float:
+        scale = mu[r] ** 2 if r == s else mu[r] * mu[s]
+        return float(w2g * (c[r] * c[s]) @ pop.cov[r, s] / scale)
 
-def _v200(pop: PopulationSummary, w2g: np.ndarray, ybar: float) -> float:
-    return float(w2g @ pop.stratum_array("s_y") ** 2 / ybar**2)
+    return MomentSet(v200=v(0, 0), v020=v(1, 1), v002=v(2, 2),
+                     v110=v(0, 1), v101=v(0, 2), v011=v(1, 2), dual=dual)
 
 
 def compute_moments(pop: PopulationSummary) -> MomentSet:
@@ -98,43 +110,25 @@ def compute_moments(pop: PopulationSummary) -> MomentSet:
     Requires nonzero combined means.  Census strata contribute nothing
     (``gamma_h = 0``), so an all-census population yields all zeros.
     """
-    ybar, xbar, zbar = _require_nonzero_means(pop)
-    w2g = pop.w**2 * pop.gamma
-    s_x = pop.stratum_array("s_x")
-    s_z = pop.stratum_array("s_z")
-    return MomentSet(
-        v200=_v200(pop, w2g, ybar),
-        v020=float(w2g @ s_x**2 / xbar**2),
-        v002=float(w2g @ s_z**2 / zbar**2),
-        v110=float(w2g @ pop.stratum_array("s_xy") / (xbar * ybar)),
-        v101=float(w2g @ pop.stratum_array("s_yz") / (ybar * zbar)),
-        v011=float(w2g @ pop.stratum_array("s_xz") / (xbar * zbar)),
-    )
+    return _moment_kernel(pop, 1.0, dual=False)
 
 
 def compute_dual_moments(pop: PopulationSummary) -> MomentSet:
     """Compute the dual moment set (per-stratum ``(-g_h)^(s+t)`` factors).
 
     Requires every stratum to be non-census (``n_h < N_h``) so that
-    ``g_h`` is defined, and nonzero combined means.  ``v200`` is
-    computed through the same code path as the unprimed moment and is
-    therefore bit-identical to it.
+    ``g_h`` is defined, and nonzero combined means.  ``v200`` carries
+    the factor ``1 * 1`` and is therefore bit-identical to the
+    unprimed moment.
     """
     pop.require_no_census("dual moment computation")
-    ybar, xbar, zbar = _require_nonzero_means(pop)
-    w2g = pop.w**2 * pop.gamma
-    g = pop.g
-    s_x = pop.stratum_array("s_x")
-    s_z = pop.stratum_array("s_z")
-    return MomentSet(
-        v200=_v200(pop, w2g, ybar),
-        v020=float(w2g * g**2 @ s_x**2 / xbar**2),
-        v002=float(w2g * g**2 @ s_z**2 / zbar**2),
-        v110=float(-(w2g * g) @ pop.stratum_array("s_xy") / (xbar * ybar)),
-        v101=float(-(w2g * g) @ pop.stratum_array("s_yz") / (ybar * zbar)),
-        v011=float(w2g * g**2 @ pop.stratum_array("s_xz") / (xbar * zbar)),
-        dual=True,
-    )
+    return _moment_kernel(pop, -pop.g, dual=True)
+
+
+def _moment_sets(pop: PopulationSummary) -> tuple[MomentSet, MomentSet | None]:
+    """The unprimed and dual moment sets; no dual set with a census stratum."""
+    m = compute_moments(pop)
+    return m, None if pop.has_census_stratum else compute_dual_moments(pop)
 
 
 def moments_to_json(
@@ -170,11 +164,17 @@ def moments_from_dict(
     combined means the document carried.
     """
     def parse_set(obj: dict, dual: bool = False) -> MomentSet:
+        if not isinstance(obj, dict):
+            raise ValueError(f"moment set must be a JSON object, not {obj!r:.40}")
         missing = [k for k in _KEYS if k not in obj]
         if missing:
             raise ValueError(f"moment object missing keys {missing}")
         return MomentSet(**{k: float(obj[k]) for k in _KEYS}, dual=dual)
 
+    if not isinstance(doc, dict):
+        raise ValueError(
+            f"moments document must be a JSON object, not {doc!r:.40}"
+        )
     if "moments" in doc:
         moments = parse_set(doc["moments"])
         dual = None

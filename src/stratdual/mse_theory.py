@@ -55,14 +55,12 @@ class MseReport:
     combined mean (``100 * var_yst / mse``); it is ``None`` when the
     MSE is nonpositive, in which case ``warnings`` explains the
     first-order breakdown.  Both are derived from ``mse`` and
-    ``var_yst``.  ``optimal_params`` holds the optimum an estimator was
-    resolved at: ``(theta_opt, A_opt)`` or ``(alpha1, alpha2)``.
+    ``var_yst``.
     """
 
     estimator: EstimatorSpec
     mse: float
     var_yst: float
-    optimal_params: tuple[float, float] | None = None
     pre: float | None = field(init=False)
     warnings: tuple[str, ...] = field(init=False)
 
@@ -166,7 +164,6 @@ def mse_first_order(
     pop: PopulationSummary,
     m: MomentSet,
     md: MomentSet | None = None,
-    optimal_params: tuple[float, float] | None = None,
 ) -> MseReport:
     """First-order MSE of ``spec``: ``mean_y**2 * c' V c``.
 
@@ -190,7 +187,6 @@ def mse_first_order(
         estimator=spec,
         mse=pop.mean_y**2 * _form(v, bx, bz),
         var_yst=var_yst(pop, m),
-        optimal_params=optimal_params,
     )
 
 
@@ -207,23 +203,26 @@ def optimize_theta(
     Returns
     -------
     (theta_opt, A_opt, mse_min)
+        ``mse_min`` is :func:`mse_first_order` of
+        ``EstimatorSpec(kind="tracy_product", A=A_opt)``, the spec the
+        optimum resolves to, so every table prints one value for it.
 
     Raises
     ------
     ValueError
         If ``v020`` is zero (no curvature) or ``theta_opt`` is zero
-        (``A_opt`` would sit at infinity: degenerate optimum).
+        (``A_opt`` would sit at infinity: degenerate optimum), or if
+        ``A_opt`` is not a valid transform constant.
     """
     _require(m, False, "m")
     if m.v020 <= 0:
         raise ValueError("v020 must be positive to optimize theta")
-    bz = 1.0
-    bx = -(m.v110 + bz * m.v011) / m.v020
-    if bx == 0:
+    theta_opt = (m.v110 + m.v011) / m.v020
+    if theta_opt == 0:
         raise ValueError("degenerate optimum: theta_opt = 0 has no finite A")
-    theta_opt = -bx
-    mse_min = pop.mean_y**2 * _form(m, bx, bz)
-    return theta_opt, A_of_theta(pop, theta_opt), mse_min
+    A_opt = A_of_theta(pop, theta_opt)
+    spec = EstimatorSpec(kind="tracy_product", A=A_opt)
+    return theta_opt, A_opt, mse_first_order(spec, pop, m).mse
 
 
 def optimize_alphas(

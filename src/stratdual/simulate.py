@@ -43,7 +43,7 @@ from .estimators import (
     _dual_means,
     _estimate_block,
 )
-from .moments import compute_dual_moments, compute_moments
+from .moments import _moment_sets
 from .mse_theory import mse_first_order
 
 __all__ = [
@@ -385,8 +385,7 @@ def monte_carlo(
     _check_design(frames, design)
     strata = [summarize_stratum(f, n) for f, n in zip(frames, design)]
     pop = combine(strata)
-    m = compute_moments(pop)
-    md = compute_dual_moments(pop) if not pop.has_census_stratum else None
+    m, md = _moment_sets(pop)
     if md is None:
         bad = [s.kind for s in specs if s.kind in DUAL_KINDS]
         if bad:

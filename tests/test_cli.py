@@ -366,6 +366,31 @@ class TestOptimize:
             assert values[key] == pytest.approx(want, rel=1e-12), key
 
 
+class TestOptimumRowsAgree:
+    """The tracy-product optimum is one value in every command."""
+
+    @pytest.mark.parametrize("path,corrections", [
+        (CORRECTED, "off"), (CORRECTED, "auto"), (PRINTED, "auto")])
+    def test_mse_optimize_and_sweep_rows_are_bit_equal(self, capsys, path,
+                                                       corrections):
+        common = ("--input", path, "--corrections", corrections,
+                  "--format", "json")
+        code, out, _ = run(capsys, "mse", "--estimator", "tracy_product:opt",
+                           *common)
+        assert code == 0
+        row, = json_rows(out)
+        code, out, _ = run(capsys, "optimize", *common)
+        assert code == 0
+        values = {r["parameter"]: r["value"] for r in json_rows(out)}
+        code, out, _ = run(capsys, "sweep", *common)
+        assert code == 0
+        star, = [r for r in json_rows(out) if r["note"] == "*"]
+        assert row["mse"] == values["mse_tracy_product_min"] == star["mse"]
+        assert row["pre"] == values["pre_tracy_product_opt"]
+        assert star["theta"] == values["theta_opt"]
+        assert star["A"] == values["A_opt"]
+
+
 class TestSimulate:
     def test_small_run_writes_artifact(self, capsys, tmp_path,
                                        population_json):
@@ -489,6 +514,32 @@ class TestFormatsAndConfig:
         assert code == 0
         row, = json_rows(out)
         assert row["replications"] == 25
+
+    def test_config_that_is_not_an_object_is_an_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text("[1, 2]")
+        code, out, err = run(capsys, "mse", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == f"error: config file {cfg} must hold a JSON object, not [1, 2]\n"
+
+    def test_moments_document_that_is_not_an_object_is_an_error(self, capsys,
+                                                                 tmp_path):
+        doc = tmp_path / "moments.json"
+        doc.write_text("[1]")
+        code, out, err = run(capsys, "mse", "--moments", str(doc))
+        assert (code, out) == (1, "")
+        assert err == "error: moments document must be a JSON object, not [1]\n"
+
+    def test_config_sweep_bound_that_is_not_a_number_is_an_error(self, capsys,
+                                                                 tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "input": CORRECTED,
+            "sweep": {"start": "a", "stop": 1, "step": 0.1},
+        }))
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == "error: sweep start 'a' is not a number\n"
 
     def test_missing_input_is_an_error(self, capsys):
         code, out, err = run(capsys, "pre")

@@ -112,6 +112,29 @@ class TestCombine:
         assert pop.mean_x == pytest.approx(np.mean(frame.x), rel=1e-12)
         assert pop.mean_z == pytest.approx(np.mean(frame.z), rel=1e-12)
 
+    @pytest.mark.parametrize("corrected", [True, False])
+    def test_table_holds_the_strata_fields(self, corrected):
+        strata = demo_strata(corrected)
+        pop = combine(strata)
+        assert pop.means.shape == (3, len(strata))
+        assert pop.cov.shape == (3, 3, len(strata))
+        for h, s in enumerate(strata):
+            assert pop.means[:, h].tolist() == [s.mean_y, s.mean_x, s.mean_z]
+            assert pop.cov[:, :, h].tolist() == [
+                [s.s_y * s.s_y, s.s_xy, s.s_yz],
+                [s.s_xy, s.s_x * s.s_x, s.s_xz],
+                [s.s_yz, s.s_xz, s.s_z * s.s_z],
+            ]
+        # The moment kernel dots with one (r, s) row at a time.
+        assert all(pop.cov[r, c].flags.c_contiguous
+                   for r in range(3) for c in range(3))
+        # The combined means are the weighted sums, added in stratum order.
+        for name in ("mean_y", "mean_x", "mean_z"):
+            total = pop.w[0] * getattr(strata[0], name)
+            for w, s in zip(pop.w[1:], strata[1:]):
+                total = total + w * getattr(s, name)
+            assert getattr(pop, name) == total
+
     def test_census_stratum_has_nan_g(self):
         pop = combine([make_summary(N=5, n=5)])
         assert pop.has_census_stratum

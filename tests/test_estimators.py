@@ -304,7 +304,7 @@ class TestArrayKernel:
     def rows(self, pop, rng, count=200):
         """Random per-stratum means near the population's, plus edge rows."""
         scale = rng.uniform(0.5, 1.5, size=(3, count, pop.L))
-        means = [pop.stratum_array(f"mean_{v}") for v in "yxz"]
+        means = pop.means
         ybar, xbar, zbar = (scale[i] * means[i] for i in range(3))
         if pop.L == 1:
             X, Z = means[1][0], means[2][0]

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from oracles import (
@@ -63,6 +64,61 @@ class TestComputeMoments:
         m_noisy = compute_moments(combine([noisy, other]))
         for key in MOMENT_KEYS:
             assert getattr(m_both, key) == getattr(m_noisy, key)
+
+
+def written_out_moments(pop):
+    """The unprimed and dual sets as six separate sums each.
+
+    Per-field arrays are rebuilt from the stratum summaries, and every
+    moment is its own expression: the form the kernel replaced, which
+    it must reproduce bit for bit.
+    """
+    s_y, s_x, s_z, s_xy, s_yz, s_xz = (
+        np.array([getattr(s, name) for s in pop.strata], dtype=float)
+        for name in ("s_y", "s_x", "s_z", "s_xy", "s_yz", "s_xz"))
+    ybar, xbar, zbar = pop.mean_y, pop.mean_x, pop.mean_z
+    w2g = pop.w**2 * pop.gamma
+    v200 = float(w2g @ s_y**2 / ybar**2)
+    m = dict(
+        v200=v200,
+        v020=float(w2g @ s_x**2 / xbar**2),
+        v002=float(w2g @ s_z**2 / zbar**2),
+        v110=float(w2g @ s_xy / (xbar * ybar)),
+        v101=float(w2g @ s_yz / (ybar * zbar)),
+        v011=float(w2g @ s_xz / (xbar * zbar)),
+    )
+    if pop.has_census_stratum:
+        return m, None
+    g = pop.g
+    md = dict(
+        v200=v200,
+        v020=float(w2g * g**2 @ s_x**2 / xbar**2),
+        v002=float(w2g * g**2 @ s_z**2 / zbar**2),
+        v110=float(-(w2g * g) @ s_xy / (xbar * ybar)),
+        v101=float(-(w2g * g) @ s_yz / (ybar * zbar)),
+        v011=float(w2g * g**2 @ s_xz / (xbar * zbar)),
+    )
+    return m, md
+
+
+class TestMomentKernel:
+    """One kernel computes both sets with the written-out sums' bits."""
+
+    def assert_bit_equal(self, pop):
+        want_m, want_md = written_out_moments(pop)
+        assert compute_moments(pop).as_dict() == want_m
+        if want_md is not None:
+            assert compute_dual_moments(pop).as_dict() == {**want_md, "dual": True}
+
+    @pytest.mark.parametrize("which", ["corrected_pop", "printed_pop"])
+    def test_bundled_tables(self, which, request):
+        self.assert_bit_equal(request.getfixturevalue(which))
+
+    def test_random_populations(self, rng):
+        for _ in range(30):
+            frames, designs = make_random_population(rng, max_strata=8)
+            self.assert_bit_equal(combine([summarize_stratum(f, n)
+                                           for f, n in zip(frames, designs)]))
 
 
 class TestComputeDualMoments:
