@@ -21,6 +21,7 @@ data/usage error.
 from __future__ import annotations
 
 import argparse
+import array
 import csv
 import dataclasses
 import functools
@@ -69,6 +70,7 @@ from .mse_theory import (
     var_yst,
 )
 from .simulate import (
+    ROW_COLUMNS,
     generate_population,
     load_population_spec,
     monte_carlo,
@@ -90,9 +92,6 @@ DEFAULT_ESTIMATORS = (
     "dual_family:opt",
 )
 
-#: Default theta grid of the `sweep` command.
-DEFAULT_SWEEP = {"start": 0.8, "stop": 2.4, "step": 0.1}
-
 #: Largest number of points a `sweep` range grid may have.
 MAX_SWEEP_POINTS = 10**6
 
@@ -100,44 +99,202 @@ MAX_SWEEP_POINTS = 10**6
 DEFAULT_REPLICATIONS = 10000
 
 
+# ---------------------------------------------------------------------------
+# Options: one converter per kind of value, one RunConfig field per option
+# ---------------------------------------------------------------------------
+#
+# A converter takes a flag's text or a config file's JSON value, and
+# ``where`` ("argument --flag" or "config key 'key'") to name it in errors.
+
+
+def _path(value, where: str) -> Path:
+    if not isinstance(value, str):
+        raise ValueError(f"{where}: {value!r:.40} is not a path")
+    return Path(value)
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif type(value) is int:
+        return value
+    raise ValueError(f"{where}: {value!r:.40} is not an integer")
+
+
+def _boolean(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{where}: {value!r:.40} is not true or false")
+    return value
+
+
+def _specs(value, where: str) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ValueError(f"{where}: {value!r:.40} is not a list of estimator specs")
+    return tuple(value)
+
+
+def _one_of(choices: tuple[str, ...]):
+    def convert(value, where: str) -> str:
+        if value not in choices:
+            raise ValueError(
+                f"{where}: {value!r:.40} is not one of {', '.join(choices)}")
+        return value
+    return convert
+
+
+def _is_number(value) -> bool:
+    """Whether ``value`` is a JSON number (not a bool) that a float can hold."""
+    if type(value) is int:
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float)
+
+
+def _sweep_grid(grid, where: str) -> array.array:
+    """The theta grid of the ``sweep`` command: finite and nonzero.
+
+    ``grid`` is ``START:STOP:STEP`` or ``V1,V2,...`` text, or an object
+    with ``values`` or with ``start``, ``stop`` and ``step``.  A range
+    grid may have at most :data:`MAX_SWEEP_POINTS` points.
+    """
+    if isinstance(grid, str) and ":" in grid:
+        parts = grid.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"bad grid {grid!r}; expected START:STOP:STEP")
+        grid = dict(zip(("start", "stop", "step"), map(float, parts)))
+    elif isinstance(grid, str):
+        grid = {"values": [float(p) for p in grid.split(",")]}
+    elif not isinstance(grid, dict):
+        raise ValueError(f"{where} must hold a JSON object, not {grid!r:.40}")
+    else:
+        unknown = set(grid) - {"values", "start", "stop", "step"}
+        if unknown:
+            raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+    if "values" in grid:
+        values = grid["values"]
+        if not isinstance(values, list):
+            raise ValueError(f"{where}: values {values!r:.40} is not a list")
+        for value in values:
+            if not _is_number(value):
+                raise ValueError(f"{where}: values entry {value!r:.40} "
+                                 "is not a number")
+        values = np.array(values, dtype=float)
+    else:
+        missing = [k for k in ("start", "stop", "step") if k not in grid]
+        if missing:
+            raise ValueError(f"sweep grid missing keys {missing}")
+        for key in ("start", "stop", "step"):
+            if not _is_number(grid[key]):
+                raise ValueError(f"sweep {key} {grid[key]!r:.40} is not a number")
+        start, stop, step = grid["start"], grid["stop"], grid["step"]
+        if step <= 0:
+            raise ValueError("sweep step must be positive")
+        if start > stop:
+            raise ValueError("sweep start must not exceed stop")
+        for key in ("start", "stop", "step"):
+            if not math.isfinite(grid[key]):
+                raise ValueError(f"sweep {key} {grid[key]!r} is not finite")
+        span = (stop - start) / step
+        count = round(span) + 1 if math.isfinite(span) else math.inf
+        if count > MAX_SWEEP_POINTS:
+            raise ValueError(f"sweep grid of {count} points exceeds the "
+                             f"limit of {MAX_SWEEP_POINTS}")
+        values = start + step * np.arange(count)
+        values = values[values <= stop + step * 1e-9]
+    if values.size == 0:
+        raise ValueError("empty sweep grid")
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"sweep grid entry {float(bad[0])!r} is not finite")
+    if np.any(values == 0):
+        raise ValueError("sweep grid must not contain theta = 0")
+    # An array.array compares with == and, unlike a tuple, holds no Python
+    # float per point; numpy reads it back with its dtype.
+    return array.array(values.dtype.char, values.tobytes())
+
+
+def _option(default, convert=None, help: str = "", *, choices=None,
+            commands=None, flag=None, key=None, **argparse_kw):
+    """A :class:`RunConfig` field that declares one option.
+
+    ``default`` is written as the option's flag or config value; the
+    field's default is its converted value.  ``choices`` gives the
+    converter of a choice option.  ``commands`` lists the subcommands
+    that take the flag (every one when ``None``).  ``flag`` defaults to
+    ``--`` plus the field name with dashes, ``key`` (the config key
+    path) to the field name; ``argparse_kw`` goes to ``add_argument``.
+    """
+    if choices is not None:
+        convert = _one_of(choices)
+        argparse_kw["choices"] = choices
+    metadata = {"convert": convert, "default": default, "help": help,
+                "commands": commands, "flag": flag, "key": key,
+                "argparse": argparse_kw}
+    if default is None:
+        return dataclasses.field(default=None, metadata=metadata)
+    # Converted on first use, so importing the module runs no numpy code.
+    typed = functools.cache(functools.partial(convert, default, "default"))
+    return dataclasses.field(default_factory=typed, metadata=metadata)
+
+
 @dataclass
 class RunConfig:
-    """Merged options of one CLI invocation (config file plus flags)."""
+    """Merged options of one CLI invocation (config file plus flags).
+
+    Every field but ``command`` declares one option, with its converter,
+    default, help, flag, config key and subcommands (see :func:`_option`);
+    :func:`build_parser` and :func:`merge_config` read nothing else.
+    """
 
     command: str
-    input: Path | None = None
-    schema: str = "summary"
-    moments: Path | None = None
-    allocate: int | None = None
-    corrections: str = "off"
-    estimators: tuple[str, ...] | None = None
-    sweep: dict | None = None
-    population: Path | None = None
-    replications: int = DEFAULT_REPLICATIONS
-    seed: int | None = None
-    output_dir: Path | None = None
-    format: str = "markdown"
-    full_precision: bool = False
+    input: Path | None = _option(
+        None, _path, "input CSV (summary- or unit-level schema)")
+    schema: str = _option("summary", choices=("summary", "units"),
+                          help="input CSV schema")
+    moments: Path | None = _option(
+        None, _path, "moments JSON document replacing --input")
+    allocate: int | None = _option(
+        None, _integer, "total sample size for unit-level input "
+                        "(Neyman-allocated across strata)")
+    corrections: str = _option("off", choices=("off", "auto"),
+                               help="validation repair policy")
+    estimators: tuple[str, ...] | None = _option(
+        list(DEFAULT_ESTIMATORS), _specs,
+        "estimator spec (repeatable), e.g. 'tracy_product:A=18631.62', "
+        "'dual_family:opt'",
+        commands=("mse", "simulate"), flag="--estimator", action="append",
+        metavar="SPEC")
+    sweep: array.array = _option(
+        "0.8:2.4:0.1", _sweep_grid, "theta grid", commands=("sweep",),
+        flag="--grid", metavar="START:STOP:STEP|V1,V2,...")
+    population: Path | None = _option(
+        None, _path, "population spec JSON", commands=("simulate",),
+        key=("simulate", "population"))
+    replications: int = _option(
+        DEFAULT_REPLICATIONS, _integer, "number of Monte Carlo replications",
+        commands=("simulate",), key=("simulate", "replications"))
+    seed: int | None = _option(
+        None, _integer, "override the population spec's seed",
+        commands=("simulate",), key=("simulate", "seed"))
+    output_dir: Path | None = _option(
+        None, _path, "directory for rendered artifacts")
+    format: str = _option("markdown", choices=_FORMATS, help="table format")
+    full_precision: bool = _option(
+        False, _boolean, "render numbers with 17 significant digits",
+        action="store_true")
 
-    def __post_init__(self) -> None:
-        if self.schema not in ("summary", "units"):
-            raise ValueError(f"unknown schema {self.schema!r}")
-        if self.corrections not in ("off", "auto"):
-            raise ValueError(f"unknown corrections policy {self.corrections!r}")
-        if self.format not in _FORMATS:
-            raise ValueError(f"unknown format {self.format!r}")
-        if self.sweep is not None and "values" not in self.sweep:
-            missing = [k for k in ("start", "stop", "step") if k not in self.sweep]
-            if missing:
-                raise ValueError(f"sweep grid missing keys {missing}")
-            for key in ("start", "stop", "step"):
-                value = self.sweep[key]
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ValueError(f"sweep {key} {value!r} is not a number")
-            if self.sweep["step"] <= 0:
-                raise ValueError("sweep step must be positive")
-            if self.sweep["start"] > self.sweep["stop"]:
-                raise ValueError("sweep start must not exceed stop")
+
+#: ``(name, flag, config key path, metadata)`` of every option, in field order.
+_OPTIONS = tuple(
+    (f.name, f.metadata["flag"] or "--" + f.name.replace("_", "-"),
+     f.metadata["key"] or (f.name,), f.metadata)
+    for f in dataclasses.fields(RunConfig) if f.metadata
+)
+_CONFIG_KEYS = frozenset(key for _, _, key, _ in _OPTIONS)
+#: Config keys that hold an object of further keys.
+_CONFIG_BLOCKS = frozenset(key[0] for key in _CONFIG_KEYS if len(key) > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +392,8 @@ def _publish(config: RunConfig, filename: str, text: str) -> None:
     """Print ``text``, and write it to ``filename`` in the output dir if set."""
     print(text)
     if config.output_dir is not None:
-        directory = Path(config.output_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / filename).write_text(text + "\n")
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+        (config.output_dir / filename).write_text(text + "\n")
 
 
 def _emit(config: RunConfig, name: str, headers, rows) -> None:
@@ -257,14 +413,11 @@ def _print_findings(report: ValidationReport, stream) -> None:
 
 
 def load_input(
-    path: str | Path,
-    schema: str = "summary",
-    corrections: str = "off",
-    allocate: int | None = None,
+    config: RunConfig,
 ) -> tuple[PopulationSummary, ValidationReport, tuple]:
-    """Load, validate and (optionally) repair an input population.
+    """Load, validate and (optionally) repair the ``--input`` population.
 
-    For the unit-level schema an ``allocate`` total sample size is
+    For the unit-level schema an ``--allocate`` total sample size is
     required; per-stratum sizes are then assigned by Neyman allocation
     on the realized study-variable standard deviations.
 
@@ -274,19 +427,20 @@ def load_input(
     the corrections policy; downstream computation must not proceed
     when it is nonempty.
     """
-    if schema == "summary":
-        strata = read_summary_csv(path)
+    if config.schema == "summary":
+        strata = read_summary_csv(config.input)
     else:
-        frames = read_units_csv(path)
-        if allocate is None:
+        frames = read_units_csv(config.input)
+        if config.allocate is None:
             raise ValueError(
                 "unit-level input needs --allocate TOTAL to assign sample sizes"
             )
         prelim = [summarize_stratum(f, 1) for f in frames]
-        sizes = neyman_allocation([(s.N, s.s_y) for s in prelim], allocate)
+        sizes = neyman_allocation([(s.N, s.s_y) for s in prelim],
+                                  config.allocate)
         strata = [dataclasses.replace(s, n=n_h) for s, n_h in zip(prelim, sizes)]
     pop = combine(strata)
-    report = validate(pop, corrections)
+    report = validate(pop, config.corrections)
     effective = report.corrected if report.corrected is not None else pop
     blocking = ()
     if not report.ok:
@@ -302,7 +456,7 @@ def _load_for_command(config: RunConfig):
     dual set or ``None``.
     """
     if config.moments is not None:
-        with Path(config.moments).open() as fh:
+        with config.moments.open() as fh:
             doc = json.load(fh)
         m, md, means = moments_from_dict(doc)
         shell = StratumSummary(
@@ -317,9 +471,7 @@ def _load_for_command(config: RunConfig):
         return combine([shell]), m, md
     if config.input is None:
         raise ValueError("no input: pass --input CSV or --moments JSON")
-    pop, report, blocking = load_input(
-        config.input, config.schema, config.corrections, config.allocate
-    )
+    pop, report, blocking = load_input(config)
     _print_findings(report, sys.stderr)
     if blocking:
         raise ValueError(
@@ -376,9 +528,7 @@ def _resolve_estimators(
 def cmd_validate(config: RunConfig) -> int:
     if config.input is None:
         raise ValueError("validate requires --input")
-    pop, report, blocking = load_input(
-        config.input, config.schema, config.corrections, config.allocate
-    )
+    pop, report, blocking = load_input(config)
     headers = ("severity", "stratum_id", "code", "message")
     rows = [
         (f.severity, f.stratum_id if f.stratum_id is not None else "", f.code,
@@ -453,33 +603,6 @@ def cmd_pre(config: RunConfig) -> int:
     return 0
 
 
-def _sweep_grid(config: RunConfig) -> np.ndarray:
-    """The theta grid of the ``sweep`` command: finite and nonzero."""
-    sweep = config.sweep or dict(DEFAULT_SWEEP)
-    if "values" in sweep:
-        values = np.array([float(v) for v in sweep["values"]], dtype=float)
-    else:
-        for key in ("start", "stop", "step"):
-            if not math.isfinite(sweep[key]):
-                raise ValueError(f"sweep {key} {sweep[key]!r} is not finite")
-        start, stop, step = sweep["start"], sweep["stop"], sweep["step"]
-        span = (stop - start) / step
-        count = round(span) + 1 if math.isfinite(span) else math.inf
-        if count > MAX_SWEEP_POINTS:
-            raise ValueError(f"sweep grid of {count} points exceeds the "
-                             f"limit of {MAX_SWEEP_POINTS}")
-        values = start + step * np.arange(count)
-        values = values[values <= stop + step * 1e-9]
-    if values.size == 0:
-        raise ValueError("empty sweep grid")
-    bad = values[~np.isfinite(values)]
-    if bad.size:
-        raise ValueError(f"sweep grid entry {float(bad[0])!r} is not finite")
-    if np.any(values == 0):
-        raise ValueError("sweep grid must not contain theta = 0")
-    return values
-
-
 def cmd_sweep(config: RunConfig) -> int:
     """Tracy-product MSE over the theta grid, evaluated as one array expression.
 
@@ -488,7 +611,7 @@ def cmd_sweep(config: RunConfig) -> int:
     """
     pop, m, _ = _load_for_command(config)
     baseline = var_yst(pop, m)
-    theta = _sweep_grid(config)
+    theta = np.array(config.sweep)
     with np.errstate(over="ignore"):
         A = A_of_theta(pop, theta)
     bad = np.flatnonzero(~np.isfinite(A))
@@ -547,7 +670,6 @@ def cmd_simulate(config: RunConfig) -> int:
     if config.population is None:
         raise ValueError("simulate requires --population SPEC.json")
     spec = load_population_spec(config.population)
-    seed = config.seed if config.seed is not None else spec.seed
     if config.seed is not None:
         spec = dataclasses.replace(spec, seed=config.seed)
     design = spec.design
@@ -556,7 +678,7 @@ def cmd_simulate(config: RunConfig) -> int:
     m, md = _moment_sets(pop)
     specs = _resolve_estimators(config, pop, m, md)
 
-    result = monte_carlo(frames, design, specs, config.replications, seed)
+    result = monte_carlo(frames, design, specs, config.replications, spec.seed)
     print(f"true mean_y = {_fmt(result.true_mean_y, config.full_precision)}; "
           f"R = {result.R}; seed = {result.seed}; design = {list(result.design)}",
           file=sys.stderr)
@@ -567,22 +689,19 @@ def cmd_simulate(config: RunConfig) -> int:
               f"mean zstar_st = {_fmt(result.zstar_mean, config.full_precision)} "
               f"(se {_fmt(result.zstar_se, config.full_precision)})",
               file=sys.stderr)
-    headers = ("estimator", "replications", "accepted", "rejected",
-               "empirical_mean", "empirical_bias", "empirical_variance",
-               "empirical_mse", "theoretical_mse", "ratio")
-    rows = [[row[h] for h in headers] for row in result.rows()]
-    _emit(config, "simulate", headers, rows)
+    rows = [list(row.values()) for row in result.rows()]
+    _emit(config, "simulate", ROW_COLUMNS, rows)
     return 0
 
 
 _COMMANDS = {
-    "validate": cmd_validate,
-    "moments": cmd_moments,
-    "mse": cmd_mse,
-    "pre": cmd_pre,
-    "sweep": cmd_sweep,
-    "optimize": cmd_optimize,
-    "simulate": cmd_simulate,
+    "validate": (cmd_validate, "report data-consistency findings"),
+    "moments": (cmd_moments, "export moment sets as JSON"),
+    "mse": (cmd_mse, "first-order MSE/PRE table"),
+    "pre": (cmd_pre, "canonical efficiency table with the dual-family optimum"),
+    "sweep": (cmd_sweep, "theta sweep of the transformed product-with-z MSE"),
+    "optimize": (cmd_optimize, "closed-form optimal parameters and their MSEs"),
+    "simulate": (cmd_simulate, "Monte Carlo empirical-vs-theory comparison"),
 }
 
 
@@ -592,73 +711,31 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, default=None,
-                        help="JSON config file; explicit flags win on conflict")
-    common.add_argument("--input", type=Path, default=None,
-                        help="input CSV (summary- or unit-level schema)")
-    common.add_argument("--schema", choices=("summary", "units"), default=None,
-                        help="input CSV schema (default: summary)")
-    common.add_argument("--moments", type=Path, default=None,
-                        help="moments JSON document replacing --input")
-    common.add_argument("--allocate", type=int, default=None,
-                        help="total sample size for unit-level input "
-                             "(Neyman-allocated across strata)")
-    common.add_argument("--corrections", choices=("off", "auto"), default=None,
-                        help="validation repair policy (default: off)")
-    common.add_argument("--output-dir", type=Path, default=None,
-                        help="directory for rendered artifacts")
-    common.add_argument("--format", choices=_FORMATS, default=None,
-                        help="table format (default: markdown)")
-    common.add_argument("--full-precision", action="store_true", default=None,
-                        help="render numbers with 17 significant digits")
+    """One subparser per command, with a flag per :class:`RunConfig` option.
 
+    Flags default to ``None``, so :func:`merge_config` can tell a given
+    flag from an absent one.
+    """
     parser = argparse.ArgumentParser(
         prog="stratdual",
         description="Stratified-sampling estimators with two auxiliary "
                     "variables: MSE theory, efficiency tables, Monte Carlo.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("validate", parents=[common],
-                   help="report data-consistency findings")
-    sub.add_parser("moments", parents=[common],
-                   help="export moment sets as JSON")
-    p_mse = sub.add_parser("mse", parents=[common],
-                           help="first-order MSE/PRE table")
-    p_mse.add_argument("--estimator", action="append", dest="estimators",
-                       metavar="SPEC",
-                       help="estimator spec (repeatable), e.g. "
-                            "'tracy_product:A=18631.62', 'dual_family:opt'")
-    sub.add_parser("pre", parents=[common],
-                   help="canonical efficiency table with the dual-family optimum")
-    p_sweep = sub.add_parser("sweep", parents=[common],
-                             help="theta sweep of the transformed product-with-z MSE")
-    p_sweep.add_argument("--grid", default=None, metavar="START:STOP:STEP|V1,V2,...",
-                         help="theta grid (default 0.8:2.4:0.1)")
-    sub.add_parser("optimize", parents=[common],
-                   help="closed-form optimal parameters and their MSEs")
-    p_sim = sub.add_parser("simulate", parents=[common],
-                           help="Monte Carlo empirical-vs-theory comparison")
-    p_sim.add_argument("--population", type=Path, default=None,
-                       help="population spec JSON")
-    p_sim.add_argument("--replications", type=int, default=None,
-                       help="number of Monte Carlo replications "
-                            f"(default {DEFAULT_REPLICATIONS})")
-    p_sim.add_argument("--seed", type=int, default=None,
-                       help="override the population spec's seed")
-    p_sim.add_argument("--estimator", action="append", dest="estimators",
-                       metavar="SPEC", help="estimator spec (repeatable)")
+    for command, (_, about) in _COMMANDS.items():
+        p = sub.add_parser(command, help=about)
+        p.add_argument("--config", type=Path, default=None,
+                       help="JSON config file; explicit flags win on conflict")
+        for name, flag, _, meta in _OPTIONS:
+            if meta["commands"] is not None and command not in meta["commands"]:
+                continue
+            text, default = meta["help"], meta["default"]
+            if default is not None and not isinstance(default, bool):
+                shown = ", ".join(default) if isinstance(default, list) else default
+                text += f" (default: {shown})"
+            p.add_argument(flag, dest=name, default=None, help=text,
+                           **meta["argparse"])
     return parser
-
-
-def _parse_grid(text: str) -> dict:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"bad grid {text!r}; expected START:STOP:STEP")
-        start, stop, step = (float(p) for p in parts)
-        return {"start": start, "stop": stop, "step": step}
-    return {"values": [float(p) for p in text.split(",")]}
 
 
 def _json_object(value, what: str) -> dict:
@@ -668,60 +745,40 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
+def _config_values(doc: dict) -> dict:
+    """The config document's values by key path; unknown keys are errors."""
+    values = {}
+    for key, value in doc.items():
+        if key in _CONFIG_BLOCKS:
+            block = _json_object(value, f"config key {key!r}")
+            values.update(((key, sub), v) for sub, v in block.items())
+        else:
+            values[key,] = value
+    for key in values:
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"config key {'.'.join(key)!r}: unknown key")
+    return values
+
+
 def merge_config(args: argparse.Namespace) -> RunConfig:
-    """Merge the config file (if any) under the explicitly given flags."""
-    file_cfg: dict = {}
+    """Merge the config file (if any) under the explicitly given flags.
+
+    A flag's text and a config value go through the same converter.
+    """
+    file_values = {}
     if getattr(args, "config", None) is not None:
-        with Path(args.config).open() as fh:
-            file_cfg = _json_object(json.load(fh), f"config file {args.config}")
-    sim_cfg = _json_object(file_cfg.get("simulate", {}), "config key 'simulate'")
-
-    def pick(flag, key, default, transform=lambda v: v):
-        if flag is not None:
-            return flag
-        if key is not None and key in file_cfg:
-            return transform(file_cfg[key])
-        return default
-
-    estimators = getattr(args, "estimators", None)
-    if estimators is None and "estimators" in file_cfg:
-        estimators = tuple(file_cfg["estimators"])
-    elif estimators is not None:
-        estimators = tuple(estimators)
-
-    sweep = None
-    grid_flag = getattr(args, "grid", None)
-    if grid_flag is not None:
-        sweep = _parse_grid(grid_flag)
-    elif "sweep" in file_cfg:
-        sweep = dict(_json_object(file_cfg["sweep"], "config key 'sweep'"))
-
-    population = getattr(args, "population", None)
-    if population is None and "population" in sim_cfg:
-        population = Path(sim_cfg["population"])
-    replications = getattr(args, "replications", None)
-    if replications is None:
-        replications = int(sim_cfg.get("replications", DEFAULT_REPLICATIONS))
-    seed = getattr(args, "seed", None)
-    if seed is None and "seed" in sim_cfg:
-        seed = int(sim_cfg["seed"])
-
-    return RunConfig(
-        command=args.command,
-        input=pick(args.input, "input", None, Path),
-        schema=pick(args.schema, "schema", "summary"),
-        moments=pick(args.moments, "moments", None, Path),
-        allocate=pick(args.allocate, "allocate", None, int),
-        corrections=pick(args.corrections, "corrections", "off"),
-        estimators=estimators,
-        sweep=sweep,
-        population=population,
-        replications=replications,
-        seed=seed,
-        output_dir=pick(args.output_dir, "output_dir", None, Path),
-        format=pick(args.format, "format", "markdown"),
-        full_precision=bool(pick(args.full_precision, "full_precision", False)),
-    )
+        with args.config.open() as fh:
+            doc = _json_object(json.load(fh), f"config file {args.config}")
+        file_values = _config_values(doc)
+    options = {}
+    for name, flag, key, meta in _OPTIONS:
+        value = getattr(args, name, None)
+        if value is not None:
+            options[name] = meta["convert"](value, f"argument {flag}")
+        elif key in file_values:
+            options[name] = meta["convert"](
+                file_values[key], f"config key {'.'.join(key)!r}")
+    return RunConfig(command=args.command, **options)
 
 
 @functools.lru_cache(maxsize=None)
@@ -739,7 +796,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = merge_config(args)
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[config.command][0](config)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -163,13 +163,20 @@ def moments_from_dict(
     unprimed set, the dual set when present, and a dict of whichever
     combined means the document carried.
     """
+    def number(obj: dict, key: str) -> float:
+        value = obj[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"moments key {key!r} must be a JSON number, "
+                             f"not {value!r:.40}")
+        return float(value)
+
     def parse_set(obj: dict, dual: bool = False) -> MomentSet:
         if not isinstance(obj, dict):
             raise ValueError(f"moment set must be a JSON object, not {obj!r:.40}")
         missing = [k for k in _KEYS if k not in obj]
         if missing:
             raise ValueError(f"moment object missing keys {missing}")
-        return MomentSet(**{k: float(obj[k]) for k in _KEYS}, dual=dual)
+        return MomentSet(**{k: number(obj, k) for k in _KEYS}, dual=dual)
 
     if not isinstance(doc, dict):
         raise ValueError(
@@ -181,7 +188,7 @@ def moments_from_dict(
         if "dual_moments" in doc:
             dual = parse_set(doc["dual_moments"], dual=True)
         means = {
-            k: float(doc[k])
+            k: number(doc, k)
             for k in ("mean_y", "mean_x", "mean_z")
             if k in doc
         }

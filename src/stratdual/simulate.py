@@ -22,7 +22,7 @@ cost.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -36,7 +36,6 @@ from .domain import (
     summarize_stratum,
 )
 from .estimators import (
-    DUAL_KINDS,
     EstimatorSpec,
     SampleMeans,
     _check_estimator,
@@ -309,18 +308,14 @@ class EstimatorResult:
     ratio: float
 
     def as_row(self) -> dict:
-        return {
-            "estimator": self.spec.label,
-            "replications": self.replications,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "empirical_mean": self.empirical_mean,
-            "empirical_bias": self.empirical_bias,
-            "empirical_variance": self.empirical_variance,
-            "empirical_mse": self.empirical_mse,
-            "theoretical_mse": self.theoretical_mse,
-            "ratio": self.ratio,
-        }
+        row = {"estimator": self.spec.label}
+        row.update((name, getattr(self, name)) for name in ROW_COLUMNS[1:])
+        return row
+
+
+#: The columns of :meth:`EstimatorResult.as_row`: one per field, in field
+#: order, with the spec (the first field) shown by its label.
+ROW_COLUMNS = ("estimator",) + tuple(f.name for f in fields(EstimatorResult)[1:])
 
 
 @dataclass(frozen=True)
@@ -386,12 +381,6 @@ def monte_carlo(
     strata = [summarize_stratum(f, n) for f, n in zip(frames, design)]
     pop = combine(strata)
     m, md = _moment_sets(pop)
-    if md is None:
-        bad = [s.kind for s in specs if s.kind in DUAL_KINDS]
-        if bad:
-            raise ValueError(
-                f"census design: dual-transform estimators are undefined ({bad})"
-            )
     for spec in specs:
         _check_estimator(spec, pop)
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratdual.cli import main, render_table
+from stratdual.cli import (
+    RunConfig, build_parser, main, merge_config, render_table,
+)
 from stratdual.datasets import demo_path
 from test_domain import make_summary
 from stratdual import (
@@ -427,6 +430,21 @@ class TestSimulate:
         assert code == 1
         assert "population" in err
 
+    def test_census_run_without_estimators_prints_the_header(
+            self, capsys, tmp_path, population_json):
+        spec = json.loads((tmp_path / "pop.json").read_text())
+        spec["strata"][0]["n"] = spec["strata"][0]["N"]
+        census = tmp_path / "census.json"
+        census.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "simulate", "--population", str(census),
+                             "--replications", "20",
+                             "--estimator", "plikusas_dual", "--format", "csv")
+        assert code == 0
+        assert out == ("estimator,replications,accepted,rejected,"
+                       "empirical_mean,empirical_bias,empirical_variance,"
+                       "empirical_mse,theoretical_mse,ratio\n")
+        assert "skipping dual estimators" in err
+
 
 class TestUnitsSchema:
     def test_units_input_with_allocation(self, capsys, units_csv):
@@ -441,6 +459,29 @@ class TestUnitsSchema:
                              "--schema", "units")
         assert code == 1
         assert "--allocate" in err
+
+
+#: One option set by flag and by config key, per RunConfig option.
+_ROUND_TRIPS = [
+    ("mse", ["--input", CORRECTED], {"input": CORRECTED}),
+    ("mse", ["--schema", "units"], {"schema": "units"}),
+    ("pre", ["--moments", "m.json"], {"moments": "m.json"}),
+    ("mse", ["--allocate", "180"], {"allocate": 180}),
+    ("validate", ["--corrections", "auto"], {"corrections": "auto"}),
+    ("mse", ["--estimator", "classical", "--estimator", "dual_family:opt"],
+     {"estimators": ["classical", "dual_family:opt"]}),
+    ("sweep", ["--grid", "1:2:0.25"],
+     {"sweep": {"start": 1, "stop": 2, "step": 0.25}}),
+    ("sweep", ["--grid", "2,1.5"], {"sweep": {"values": [2, 1.5]}}),
+    ("simulate", ["--population", "p.json"],
+     {"simulate": {"population": "p.json"}}),
+    ("simulate", ["--replications", "40"],
+     {"simulate": {"replications": 40}}),
+    ("simulate", ["--seed", "3"], {"simulate": {"seed": 3}}),
+    ("moments", ["--output-dir", "out"], {"output_dir": "out"}),
+    ("optimize", ["--format", "csv"], {"format": "csv"}),
+    ("pre", ["--full-precision"], {"full_precision": True}),
+]
 
 
 class TestFormatsAndConfig:
@@ -540,6 +581,82 @@ class TestFormatsAndConfig:
         code, out, err = run(capsys, "sweep", "--config", str(cfg))
         assert (code, out) == (1, "")
         assert err == "error: sweep start 'a' is not a number\n"
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("mse", {"estimators": 5},
+         "config key 'estimators': 5 is not a list of estimator specs"),
+        ("mse", {"estimators": "classical"},
+         "config key 'estimators': 'classical' is not a list of estimator "
+         "specs"),
+        ("mse", {"input": 5}, "config key 'input': 5 is not a path"),
+        ("sweep", {"sweep": {"values": 5}},
+         "config key 'sweep': values 5 is not a list"),
+        ("sweep", {"sweep": {"values": [True, 2]}},
+         "config key 'sweep': values entry True is not a number"),
+        ("mse", {"allocate": 180.7},
+         "config key 'allocate': 180.7 is not an integer"),
+        ("simulate", {"simulate": {"replications": True}},
+         "config key 'simulate.replications': True is not an integer"),
+        ("pre", {"full_precision": "no"},
+         "config key 'full_precision': 'no' is not true or false"),
+        ("pre", {"format": "xml"},
+         "config key 'format': 'xml' is not one of csv, markdown, json"),
+        ("pre", {"fromat": "csv"}, "config key 'fromat': unknown key"),
+        ("sweep", {"sweep": {"start": 1, "stop": 2, "step": 0.5, "stpe": 3}},
+         "config key 'sweep': unknown keys ['stpe']"),
+        ("simulate", {"simulate": {"sead": 3}},
+         "config key 'simulate.sead': unknown key"),
+    ])
+    def test_config_value_of_the_wrong_type_is_an_error(self, capsys,
+                                                        tmp_path, command,
+                                                        doc, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command, flags, doc", _ROUND_TRIPS)
+    def test_flag_and_config_key_give_the_same_options(self, tmp_path,
+                                                       command, flags, doc):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        parser = build_parser()
+        by_flag = merge_config(parser.parse_args([command, *flags]))
+        by_key = merge_config(parser.parse_args([command, "--config", str(cfg)]))
+        assert by_flag == by_key != RunConfig(command)
+
+    def test_round_trip_cases_cover_every_option(self):
+        names = {f.name for f in dataclasses.fields(RunConfig)}
+        covered = set()
+        for command, flags, _ in _ROUND_TRIPS:
+            config = merge_config(build_parser().parse_args([command, *flags]))
+            default = RunConfig(command)
+            covered |= {n for n in names
+                        if getattr(config, n) != getattr(default, n)}
+        assert covered == names - {"command"}
+
+    @pytest.mark.parametrize("command", [
+        "validate", "moments", "mse", "pre", "sweep", "optimize", "simulate"])
+    def test_help_shows_each_default(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        defaults = ["(default: summary)", "(default: off)",
+                    "(default: markdown)"]
+        if command in ("mse", "simulate"):
+            defaults.append("(default: classical, combined_ratio, "
+                            "combined_product, ratio_cum_product, "
+                            "tracy_product:opt, plikusas_dual, "
+                            "dual_family:opt)")
+        if command == "sweep":
+            defaults.append("(default: 0.8:2.4:0.1)")
+        if command == "simulate":
+            defaults.append("(default: 10000)")
+        for default in defaults:
+            assert default in text
+        assert text.count("(default:") == len(defaults)
 
     def test_missing_input_is_an_error(self, capsys):
         code, out, err = run(capsys, "pre")

@@ -242,6 +242,20 @@ class TestMomentSerialization:
         assert m2 == corrected_m
         assert md2 is None
 
+    @pytest.mark.parametrize("where", ["moments", "dual_moments", "mean"])
+    @pytest.mark.parametrize("bad", [None, True, False, "1.5", [1.0], {}])
+    def test_value_that_is_not_a_json_number_is_rejected(
+            self, corrected_pop, corrected_m, corrected_md, where, bad):
+        doc = json.loads(moments_to_json(
+            corrected_m, corrected_md, {"mean_y": corrected_pop.mean_y}))
+        if where == "mean":
+            doc["mean_y"], key = bad, "mean_y"
+        else:
+            doc[where]["v011"], key = bad, "v011"
+        with pytest.raises(ValueError,
+                           match=f"moments key '{key}' must be a JSON number"):
+            moments_from_dict(doc)
+
     def test_bare_dual_object_rejected(self, corrected_md):
         with pytest.raises(ValueError, match="dual"):
             moments_from_dict(corrected_md.as_dict())
