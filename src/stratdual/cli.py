@@ -490,7 +490,7 @@ def _resolve_estimators(
 
     Without a dual moment set the dual kinds are skipped, with a note.
     """
-    texts = config.estimators or DEFAULT_ESTIMATORS
+    texts = [t.strip() for t in config.estimators or DEFAULT_ESTIMATORS]
     if md is None:
         dropped = [t for t in texts if t.split(":")[0] in DUAL_KINDS]
         if dropped:
@@ -499,18 +499,12 @@ def _resolve_estimators(
         texts = [t for t in texts if t.split(":")[0] not in DUAL_KINDS]
     resolved = []
     for text in texts:
-        text = text.strip()
         if text.endswith(":opt"):
             kind = text[: -len(":opt")]
             if kind == "tracy_product":
                 _, A_opt, _ = optimize_theta(pop, m)
                 resolved.append(EstimatorSpec(kind=kind, A=A_opt))
             elif kind == "dual_family":
-                if md is None:
-                    raise ValueError(
-                        "dual_family:opt needs dual moments "
-                        "(census strata or missing dual set)"
-                    )
                 a1, a2, _ = optimize_alphas(md, pop)
                 resolved.append(EstimatorSpec(kind=kind, alpha1=a1, alpha2=a2))
             else:

@@ -40,34 +40,8 @@ __all__ = [
     "UNITS_COLUMNS",
 ]
 
-#: Required columns of the summary-level CSV schema, in order.
-SUMMARY_COLUMNS = (
-    "stratum_id",
-    "N",
-    "n",
-    "mean_y",
-    "mean_x",
-    "mean_z",
-    "s_y",
-    "s_x",
-    "s_z",
-    "s_xy",
-    "s_yz",
-    "s_xz",
-)
-
-#: Optional trailing columns of the summary-level schema (cross-validation only).
-SUMMARY_RHO_COLUMNS = ("rho_xy", "rho_yz", "rho_xz")
-
 #: Columns of the unit-level CSV schema (one row per population unit).
 UNITS_COLUMNS = ("stratum_id", "y", "x", "z")
-
-
-def _as_float_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -91,19 +65,18 @@ class UnitFrame:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stratum_id", str(self.stratum_id))
-        y = _as_float_array(self.y, "y")
-        x = _as_float_array(self.x, "x")
-        z = _as_float_array(self.z, "z")
-        if not (len(y) == len(x) == len(z)):
+        for name in UNITS_COLUMNS[1:]:
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be one-dimensional")
+            object.__setattr__(self, name, arr)
+        if not (len(self.y) == len(self.x) == len(self.z)):
             raise ValueError("y, x, z must have identical lengths")
-        if len(y) == 0:
+        if len(self.y) == 0:
             raise ValueError("unit frame must contain at least one unit")
-        for name, arr in (("y", y), ("x", x), ("z", z)):
-            if not np.all(np.isfinite(arr)):
+        for name in UNITS_COLUMNS[1:]:
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"non-finite values in {name}")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "z", z)
 
     @property
     def size(self) -> int:
@@ -146,7 +119,7 @@ class StratumSummary:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stratum_id", str(self.stratum_id))
-        for name in ("N", "n"):
+        for name in SUMMARY_COLUMNS[1:3]:  # N, n
             value = getattr(self, name)
             if int(value) != value:
                 raise ValueError(f"{name} must be an integer count")
@@ -155,24 +128,30 @@ class StratumSummary:
             raise ValueError("N must be at least 1")
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        for name in ("mean_y", "mean_x", "mean_z", "s_y", "s_x", "s_z",
-                     "s_xy", "s_yz", "s_xz"):
-            value = float(getattr(self, name))
+        for name in SUMMARY_COLUMNS[3:] + SUMMARY_RHO_COLUMNS:
+            value = getattr(self, name)
+            if value is None and name in SUMMARY_RHO_COLUMNS:
+                continue
+            value = float(value)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, value)
-        for name in ("rho_xy", "rho_yz", "rho_xz"):
-            value = getattr(self, name)
-            if value is not None:
-                value = float(value)
-                if not math.isfinite(value):
-                    raise ValueError(f"{name} must be finite")
-                object.__setattr__(self, name, value)
 
     @property
     def is_census(self) -> bool:
         """True when the design samples the whole stratum (``n == N``)."""
         return self.n == self.N
+
+
+#: Required columns of the summary-level CSV schema, in order: the
+#: ``StratumSummary`` fields without a default.  The CSV column order is
+#: the field order, so a row and a summary convert by position.
+SUMMARY_COLUMNS = tuple(f.name for f in dataclasses.fields(StratumSummary)
+                        if f.default is dataclasses.MISSING)
+
+#: Optional trailing columns of the summary-level schema (cross-validation only).
+SUMMARY_RHO_COLUMNS = tuple(f.name for f in dataclasses.fields(StratumSummary)
+                            if f.default is None)
 
 
 @dataclass(frozen=True)
@@ -300,34 +279,16 @@ def summarize_stratum(units: UnitFrame, n: int) -> StratumSummary:
     if not 1 <= n <= N:
         raise ValueError(f"sample size n={n} out of range 1..{N}")
     y, x, z = units.y, units.x, units.z
-    mean_y = float(np.mean(y))
-    mean_x = float(np.mean(x))
-    mean_z = float(np.mean(z))
+    means = [float(np.mean(v)) for v in (y, x, z)]  # mean_y, mean_x, mean_z
     if N == 1:
-        s_y = s_x = s_z = s_xy = s_yz = s_xz = 0.0
+        spreads = [0.0] * 6
     else:
-        dy, dx, dz = y - mean_y, x - mean_x, z - mean_z
+        dy, dx, dz = (v - m for v, m in zip((y, x, z), means))
         denom = N - 1
-        s_y = float(np.sqrt(dy @ dy / denom))
-        s_x = float(np.sqrt(dx @ dx / denom))
-        s_z = float(np.sqrt(dz @ dz / denom))
-        s_xy = float(dx @ dy / denom)
-        s_yz = float(dy @ dz / denom)
-        s_xz = float(dx @ dz / denom)
-    return StratumSummary(
-        stratum_id=units.stratum_id,
-        N=N,
-        n=int(n),
-        mean_y=mean_y,
-        mean_x=mean_x,
-        mean_z=mean_z,
-        s_y=s_y,
-        s_x=s_x,
-        s_z=s_z,
-        s_xy=s_xy,
-        s_yz=s_yz,
-        s_xz=s_xz,
-    )
+        # s_y, s_x, s_z, then s_xy, s_yz, s_xz
+        spreads = [float(np.sqrt(d @ d / denom)) for d in (dy, dx, dz)]
+        spreads += [float(a @ b / denom) for a, b in ((dx, dy), (dy, dz), (dx, dz))]
+    return StratumSummary(units.stratum_id, N, int(n), *means, *spreads)
 
 
 def _weighted_sum(w: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -393,15 +354,22 @@ _CS_RTOL = 1e-9
 #: Absolute tolerance for supplied-vs-implied correlation cross-checks.
 _RHO_TOL = 5e-3
 
+#: (covariance, first sd, second sd, pair) for each variable pair; the
+#: supplied correlation of the pair is ``rho_<pair>``.
 _COV_FIELDS = (
     ("s_xy", "s_x", "s_y", "xy"),
     ("s_yz", "s_y", "s_z", "yz"),
     ("s_xz", "s_x", "s_z", "xz"),
 )
 
-_RHO_FIELDS = (("rho_xy", "s_xy", "s_x", "s_y", "xy"),
-               ("rho_yz", "s_yz", "s_y", "s_z", "yz"),
-               ("rho_xz", "s_xz", "s_x", "s_z", "xz"))
+
+def _exceeds_bound(cov: float, a: float, b: float) -> bool:
+    """True when ``|cov| > a * b`` beyond rounding slack (implied ``|rho| > 1``).
+
+    Never true when ``a`` or ``b`` is negative: that is reported as
+    ``negative_sd`` instead.
+    """
+    return a >= 0 and b >= 0 and abs(cov) > a * b * (1.0 + _CS_RTOL)
 
 
 def _scan_stratum(s: StratumSummary) -> list[Finding]:
@@ -412,25 +380,22 @@ def _scan_stratum(s: StratumSummary) -> list[Finding]:
             "error", sid, "n_gt_N",
             f"sample size n={s.n} exceeds population size N={s.N}",
         ))
-    for name in ("s_y", "s_x", "s_z"):
+    for name in SUMMARY_COLUMNS[6:9]:  # s_y, s_x, s_z
         if getattr(s, name) < 0:
             findings.append(Finding(
                 "error", sid, "negative_sd",
                 f"negative standard deviation {name}={getattr(s, name)}",
             ))
     for cov, sa, sb, pair in _COV_FIELDS:
-        a, b = getattr(s, sa), getattr(s, sb)
-        if a < 0 or b < 0:
-            continue  # already reported as negative_sd
-        bound = a * b * (1.0 + _CS_RTOL)
-        if abs(getattr(s, cov)) > bound:
+        value, a, b = getattr(s, cov), getattr(s, sa), getattr(s, sb)
+        if _exceeds_bound(value, a, b):
             findings.append(Finding(
                 "error", sid, "impossible_covariance",
-                f"implied |rho_{pair}| > 1: |{cov}|={abs(getattr(s, cov))} "
+                f"implied |rho_{pair}| > 1: |{cov}|={abs(value)} "
                 f"exceeds {sa}*{sb}={a * b}",
             ))
-    for rho_name, cov, sa, sb, pair in _RHO_FIELDS:
-        rho = getattr(s, rho_name)
+    for cov, sa, sb, pair in _COV_FIELDS:
+        rho = getattr(s, f"rho_{pair}")
         a, b = getattr(s, sa), getattr(s, sb)
         if rho is None or a <= 0 or b <= 0:
             continue
@@ -449,12 +414,8 @@ def _try_decimal_shift(s: StratumSummary) -> tuple[StratumSummary, list[Finding]
     notes: list[Finding] = []
     repaired = s
     for cov, sa, sb, pair in _COV_FIELDS:
-        a, b = getattr(s, sa), getattr(s, sb)
-        if a < 0 or b < 0:
-            continue
-        value = getattr(repaired, cov)
-        bound = a * b * (1.0 + _CS_RTOL)
-        if abs(value) > bound and abs(value) / 10.0 <= bound:
+        value, a, b = getattr(s, cov), getattr(s, sa), getattr(s, sb)
+        if _exceeds_bound(value, a, b) and not _exceeds_bound(value / 10.0, a, b):
             repaired = dataclasses.replace(repaired, **{cov: value / 10.0})
             notes.append(Finding(
                 "warning", s.stratum_id, "decimal_shift",
@@ -536,26 +497,20 @@ def neyman_allocation(
     raw = [n_total * N * s / total_share for N, s in pairs]
     alloc = [min(max(int(math.floor(r)), 1), N) for r, (N, _) in zip(raw, pairs)]
     remainders = [r - math.floor(r) for r in raw]
-    # Redistribute until the total matches, respecting 1 <= n_h <= N_h.
-    while sum(alloc) < n_total:
-        order = sorted(range(L), key=lambda i: remainders[i], reverse=True)
+    # Step the strata by one unit each, in turn, until the total matches,
+    # respecting 1 <= n_h <= N_h: largest remainder first when adding,
+    # smallest first when removing.
+    gap = n_total - sum(alloc)
+    step = 1 if gap > 0 else -1
+    order = sorted(range(L), key=lambda i: remainders[i], reverse=step > 0)
+    while gap:
         progressed = False
         for i in order:
-            if sum(alloc) == n_total:
+            if not gap:
                 break
-            if alloc[i] < pairs[i][0]:
-                alloc[i] += 1
-                progressed = True
-        if not progressed:  # pragma: no cover - excluded by feasibility check
-            raise ValueError("allocation failed to converge")
-    while sum(alloc) > n_total:
-        order = sorted(range(L), key=lambda i: remainders[i])
-        progressed = False
-        for i in order:
-            if sum(alloc) == n_total:
-                break
-            if alloc[i] > 1:
-                alloc[i] -= 1
+            if 1 <= alloc[i] + step <= pairs[i][0]:
+                alloc[i] += step
+                gap -= step
                 progressed = True
         if not progressed:  # pragma: no cover - excluded by feasibility check
             raise ValueError("allocation failed to converge")
@@ -570,7 +525,7 @@ def neyman_allocation(
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return str(value)
     return repr(float(value))
 
@@ -578,10 +533,9 @@ def _format_cell(value) -> str:
 def read_summary_csv(path: str | Path) -> list[StratumSummary]:
     """Read stratum summaries from the summary-level CSV schema.
 
-    The required columns are ``stratum_id, N, n, mean_y, mean_x, mean_z,
-    s_y, s_x, s_z, s_xy, s_yz, s_xz``; the optional ``rho_xy, rho_yz,
-    rho_xz`` columns (empty cells allowed) carry cross-validation
-    correlations.
+    The required columns are :data:`SUMMARY_COLUMNS`; the optional
+    :data:`SUMMARY_RHO_COLUMNS` (empty cells allowed) carry
+    cross-validation correlations.  Columns are found by header name.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -594,17 +548,11 @@ def read_summary_csv(path: str | Path) -> list[StratumSummary]:
         strata: list[StratumSummary] = []
         for row in reader:
             try:
-                kwargs = {
-                    "stratum_id": row["stratum_id"],
-                    "N": int(row["N"]),
-                    "n": int(row["n"]),
-                }
-                for col in SUMMARY_COLUMNS[3:]:
-                    kwargs[col] = float(row[col])
-                for col in SUMMARY_RHO_COLUMNS:
-                    cell = row.get(col)
-                    kwargs[col] = float(cell) if cell not in (None, "") else None
-                strata.append(StratumSummary(**kwargs))
+                values = [row["stratum_id"], int(row["N"]), int(row["n"])]
+                values += [float(row[col]) for col in SUMMARY_COLUMNS[3:]]
+                values += [float(cell) if cell else None
+                           for cell in map(row.get, SUMMARY_RHO_COLUMNS)]
+                strata.append(StratumSummary(*values))
             except (TypeError, ValueError, KeyError) as exc:
                 raise ValueError(
                     f"{path}:{reader.line_num}: malformed row: {exc}"
@@ -631,9 +579,7 @@ def write_summary_csv(path: str | Path, strata: Sequence[StratumSummary]) -> Non
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for s in strata:
-            row = [s.stratum_id, s.N, s.n]
-            row += [_format_cell(getattr(s, col)) for col in columns[3:]]
-            writer.writerow(row)
+            writer.writerow([_format_cell(getattr(s, col)) for col in columns])
 
 
 def read_units_csv(path: str | Path) -> list[UnitFrame]:

@@ -147,6 +147,7 @@ class PopulationSpec:
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate stratum_id in {ids}")
         object.__setattr__(self, "seed", int(self.seed))
+        _check_seed(self.seed)
 
     @property
     def design(self) -> tuple[int, ...]:
@@ -162,7 +163,7 @@ class PopulationSpec:
             strata = tuple(
                 StratumSpec(
                     stratum_id=item.get("stratum_id", str(i + 1)),
-                    N=int(item["N"]),
+                    N=_spec_integer(item, "N"),
                     mu=tuple(item["mu"]),
                     sigma=tuple(item["sigma"]),
                     rho=(
@@ -170,13 +171,31 @@ class PopulationSpec:
                         float(item["rho"]["yz"]),
                         float(item["rho"]["xz"]),
                     ),
-                    n=int(item["n"]) if "n" in item else None,
+                    n=_spec_integer(item, "n") if "n" in item else None,
                 )
                 for i, item in enumerate(doc["strata"])
             )
-            return cls(strata=strata, seed=int(doc["seed"]))
+            return cls(strata=strata, seed=_spec_integer(doc, "seed"))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed population spec: {exc}") from exc
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
+def _spec_integer(doc: dict, key: str) -> int:
+    """``doc[key]`` as an int.
+
+    A bool or a non-integral number raises ``TypeError``, which
+    :meth:`PopulationSpec.from_dict` reports as a malformed spec.
+    """
+    value = doc[key]
+    if isinstance(value, bool) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def load_population_spec(path: str | Path) -> PopulationSpec:
@@ -368,13 +387,14 @@ def monte_carlo(
     AllDrawsRejectedError
         If some estimator rejects all ``R`` draws.
     ValueError
-        If a dual-transform estimator is requested under a census
-        design (the transform is undefined there), or an estimator is
-        undefined on the population whatever the draw; raised before
-        any sampling.
+        If ``R < 1`` or ``seed`` is negative, if a dual-transform
+        estimator is requested under a census design (the transform is
+        undefined there), or if an estimator is undefined on the
+        population whatever the draw; raised before any sampling.
     """
     if R < 1:
         raise ValueError("R must be at least 1")
+    _check_seed(seed)
     design = tuple(int(n) for n in design)
     specs = tuple(specs)
     _check_design(frames, design)

@@ -179,6 +179,20 @@ class TestMse:
         assert "tracy_product" in kinds
         assert "skipping dual estimators" in err
 
+    @pytest.mark.parametrize("text", [" plikusas_dual", "dual_family:opt ",
+                                      " dual_family:opt"])
+    def test_census_input_skips_padded_dual_specs(self, capsys, tmp_path, text):
+        path = tmp_path / "census.csv"
+        write_summary_csv(path, [make_summary(stratum_id="1"),
+                                 make_summary(stratum_id="2", n=20)])
+        code, out, err = run(capsys, "mse", "--input", str(path),
+                             "--estimator", "classical", "--estimator", text,
+                             "--format", "json")
+        assert code == 0
+        assert [r["estimator"] for r in json_rows(out)] == ["classical"]
+        assert err == ("skipping dual estimators (no dual moments): "
+                       f"[{text.strip()!r}]\n")
+
     def test_unknown_estimator_is_an_error(self, capsys):
         code, out, err = run(capsys, "mse", "--input", CORRECTED,
                              "--estimator", "bogus_kind")
@@ -429,6 +443,13 @@ class TestSimulate:
         code, out, err = run(capsys, "simulate")
         assert code == 1
         assert "population" in err
+
+    def test_negative_seed_is_an_error(self, capsys, population_json):
+        code, out, err = run(capsys, "simulate", "--population", population_json,
+                             "--replications", "10", "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: seed must be a non-negative integer, got -1\n"
 
     def test_census_run_without_estimators_prints_the_header(
             self, capsys, tmp_path, population_json):

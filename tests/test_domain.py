@@ -24,6 +24,8 @@ from stratdual import (
 )
 from stratdual.datasets import demo_path, demo_strata
 
+NAN = float("nan")
+
 
 def make_summary(**overrides):
     base = dict(
@@ -50,6 +52,22 @@ class TestUnitFrame:
         frame = UnitFrame(stratum_id="a", y=(1.0, 2.0, 3.0), x=(4.0, 5.0, 6.0),
                           z=(7.0, 8.0, 9.0))
         assert frame.size == 3
+
+    @pytest.mark.parametrize("y, x, z, message", [
+        # shape of y, x and z first, then lengths, emptiness, finiteness
+        ([[1.0, 2.0]], (1.0,), (1.0, 2.0), "y must be one-dimensional"),
+        (5.0, (1.0,), (1.0,), "y must be one-dimensional"),
+        ((1.0, 2.0), (1.0,), [[1.0], [2.0]], "z must be one-dimensional"),
+        ((1.0, NAN), (1.0,), (1.0, 2.0), "y, x, z must have identical lengths"),
+        ((), (1.0,), (), "y, x, z must have identical lengths"),
+        ((), (), (), "unit frame must contain at least one unit"),
+        ((1.0, 2.0), (1.0, math.inf), (NAN, 2.0), "non-finite values in x"),
+        ((1.0, 2.0), (1.0, 2.0), (NAN, 2.0), "non-finite values in z"),
+    ])
+    def test_error_precedence(self, y, x, z, message):
+        with pytest.raises(ValueError) as info:
+            UnitFrame(stratum_id="u", y=y, x=x, z=z)
+        assert str(info.value) == message
 
 
 class TestSummarizeStratum:
@@ -212,6 +230,74 @@ class TestValidate:
         assert report.findings == ()
 
 
+class TestFindingMessages:
+    """The exact text of every validation finding, in report order."""
+
+    RHO_5 = ("warning", "5", "rho_mismatch",
+             "supplied rho_xy=0.989 differs from implied "
+             "s_xy/(s_x*s_y)=0.934362 by more than 0.005")
+    IMPOSSIBLE_3 = ("error", "3", "impossible_covariance",
+                    "implied |rho_xz| > 1: |s_xz|=164900674.56 "
+                    "exceeds s_x*s_z=16886612.34502379")
+    CRAFTED = [
+        ("error", "a", "n_gt_N", "sample size n=9 exceeds population size N=5"),
+        ("error", "a", "negative_sd", "negative standard deviation s_x=-2.0"),
+        ("error", "a", "impossible_covariance",
+         "implied |rho_yz| > 1: |s_yz|=1000.0 exceeds s_y*s_z=50.0"),
+        ("warning", "a", "rho_mismatch",
+         "supplied rho_yz=0.3 differs from implied "
+         "s_yz/(s_y*s_z)=20.000000 by more than 0.005"),
+        ("error", "b", "impossible_covariance",
+         "implied |rho_xy| > 1: |s_xy|=1500.0 exceeds s_x*s_y=200.0"),
+        ("warning", "b", "rho_mismatch",
+         "supplied rho_xz=0.1 differs from implied "
+         "s_xz/(s_x*s_z)=-0.600000 by more than 0.005"),
+        ("error", "c", "negative_sd", "negative standard deviation s_y=-1.0"),
+        ("error", "c", "negative_sd", "negative standard deviation s_z=-3.0"),
+    ]
+
+    @staticmethod
+    def rows(report):
+        return [(f.severity, f.stratum_id, f.code, f.message)
+                for f in report.findings]
+
+    @staticmethod
+    def crafted_pop():
+        return combine([
+            # negative s_x hides both x pairs (and rho_xy) from the bound
+            # checks; |s_yz| exceeds ten times its bound, so no repair
+            make_summary(stratum_id="a", N=5, n=9, s_x=-2.0, s_xy=1e6,
+                         s_yz=1000.0, rho_xy=0.5, rho_yz=0.3),
+            make_summary(stratum_id="b", s_xy=-1500.0, rho_xz=0.1),
+            make_summary(stratum_id="c", s_y=-1.0, s_z=-3.0),
+        ])
+
+    def test_printed_table(self, printed_pop):
+        assert self.rows(validate(printed_pop)) == [self.IMPOSSIBLE_3, self.RHO_5]
+        assert self.rows(validate(printed_pop, corrections="auto")) == [
+            self.IMPOSSIBLE_3, self.RHO_5,
+            ("warning", "3", "decimal_shift",
+             "corrected s_xz from 164900674.56 to 16490067.456 "
+             "(one decimal shift restores |rho_xz| <= 1)"),
+        ]
+
+    def test_corrected_table(self, corrected_pop):
+        for corrections in ("off", "auto"):
+            report = validate(corrected_pop, corrections=corrections)
+            assert self.rows(report) == [self.RHO_5]
+
+    def test_crafted_strata(self):
+        pop = self.crafted_pop()
+        assert self.rows(validate(pop)) == self.CRAFTED
+        auto = validate(pop, corrections="auto")
+        assert self.rows(auto) == self.CRAFTED + [
+            ("warning", "b", "decimal_shift",
+             "corrected s_xy from -1500.0 to -150.0 "
+             "(one decimal shift restores |rho_xy| <= 1)"),
+        ]
+        assert [s.s_xy for s in auto.corrected.strata] == [1e6, -150.0, 150.0]
+
+
 class TestNeymanAllocation:
     def test_fixture_allocation(self, corrected_pop):
         pairs = [(s.N, s.s_y) for s in corrected_pop.strata]
@@ -230,6 +316,7 @@ class TestNeymanAllocation:
             alloc = neyman_allocation(pairs, n_total)
             assert sum(alloc) == n_total
             assert all(1 <= n <= N for n, (N, _) in zip(alloc, pairs))
+            assert alloc == naive_largest_remainder(pairs, n_total)
 
     def test_rounding_stays_within_one_of_raw_shares(self, rng):
         # Without binding caps/floors, largest remainder moves each

@@ -128,6 +128,37 @@ class TestPopulationSpec:
         assert spec.strata[0].mu == (100.0, 50.0, 80.0)
         assert spec.strata[1].rho == (0.7, 0.4, 0.3)
 
+    @pytest.mark.parametrize("where, key, value", [
+        ("doc", "seed", 2.7), ("doc", "seed", True), ("stratum", "N", 30.9),
+        ("stratum", "N", False), ("stratum", "n", True), ("stratum", "n", 5.5),
+    ])
+    def test_from_dict_rejects_non_integral_counts(self, where, key, value):
+        doc = {"seed": 1, "strata": [{"N": 30, "n": 5, "mu": [1, 1, 1],
+                                      "sigma": [1, 1, 1],
+                                      "rho": {"xy": 0, "yz": 0, "xz": 0}}]}
+        (doc if where == "doc" else doc["strata"][0])[key] = value
+        with pytest.raises(ValueError) as info:
+            PopulationSpec.from_dict(doc)
+        assert str(info.value) == (f"malformed population spec: {key} must be "
+                                   f"an integer, got {value!r}")
+        # an integral float is still a count
+        (doc if where == "doc" else doc["strata"][0])[key] = 6.0
+        spec = PopulationSpec.from_dict(doc)
+        got = spec.seed if where == "doc" else getattr(spec.strata[0], key)
+        assert got == 6 and type(got) is int
+
+    def test_negative_seed_rejected(self, tiny_frames):
+        message = "seed must be a non-negative integer, got -1"
+        with pytest.raises(ValueError, match=message):
+            PopulationSpec(strata=(make_stratum_spec(),), seed=-1)
+        with pytest.raises(ValueError, match=message):
+            PopulationSpec.from_dict({"seed": -1, "strata": [
+                {"N": 30, "mu": [1, 1, 1], "sigma": [1, 1, 1],
+                 "rho": {"xy": 0, "yz": 0, "xz": 0}}]})
+        with pytest.raises(ValueError, match=message):
+            monte_carlo(tiny_frames, (2, 3), [EstimatorSpec(kind="classical")],
+                        R=4, seed=-1)
+
     def test_from_dict_malformed(self):
         with pytest.raises(ValueError, match="malformed population spec"):
             PopulationSpec.from_dict({"strata": []})
