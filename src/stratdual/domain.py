@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -460,6 +461,15 @@ def validate(pop: PopulationSummary, corrections: str = "off") -> ValidationRepo
     return ValidationReport(findings=tuple(findings), corrected=corrected)
 
 
+def _is_whole(value) -> bool:
+    """True for an integer or an integral float; a bool or a string is not one."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(value, numbers.Integral):
+        return True
+    return isinstance(value, float) and value.is_integer()
+
+
 def neyman_allocation(
     strata: Iterable[tuple[int, float]],
     n_total: int,
@@ -471,7 +481,8 @@ def neyman_allocation(
     strata : iterable of (N, s_y) pairs
         Stratum population sizes and study-variable standard deviations.
     n_total : int
-        Total sample size; must satisfy ``L <= n_total <= sum(N_h)``.
+        Total sample size, an integer with ``L <= n_total <= sum(N_h)``.
+        Every ``N_h`` must be at least 1.
 
     Returns
     -------
@@ -480,9 +491,15 @@ def neyman_allocation(
         ``1 <= n_h <= N_h`` (excess beyond a stratum's capacity is
         redistributed to unsaturated strata by largest remainder).
     """
+    if not _is_whole(n_total):
+        raise ValueError(f"n_total must be an integer, got {n_total!r}")
+    n_total = int(n_total)
     pairs = [(int(N), float(s)) for N, s in strata]
     if not pairs:
         raise ValueError("at least one stratum is required")
+    for h, (N, _) in enumerate(pairs, start=1):
+        if N < 1:
+            raise ValueError(f"stratum {h} has N={N}; every stratum needs N >= 1")
     L = len(pairs)
     cap = sum(N for N, _ in pairs)
     if not L <= n_total <= cap:

@@ -7,16 +7,24 @@ compares the empirical mean squared errors against the first-order
 formulas computed from the *realized* population (the generated finite
 population is the ground truth; the generator targets are not).
 
-Reproducibility contract: results are a pure function of
-``(population, design, estimators, R, seed)``.  Replication ``r`` draws
-its sample from its own stream, child ``r`` of ``SeedSequence(seed)``,
-so replications can be evaluated in any order, or concurrently, with
-identical output, and a study is prefix-stable: its first ``R`` draws
-are those of any larger study with the same seed.  Replications are
-evaluated together in blocks of :data:`BLOCK`, which bounds memory and
-does not change any result.  Every sample is shared across estimators
-(common random numbers), which sharpens efficiency comparisons at equal
-cost.
+Reproducibility contract, for the fixed block size :data:`BLOCK`:
+
+* a study is a pure function of ``(population, design, estimators, R,
+  seed)``;
+* it is prefix-stable: its ``R`` draws are the first ``R`` draws of any
+  larger study with the same seed;
+* it is parallel-safe per block: block ``b`` (replications
+  ``b * BLOCK`` onwards) draws only from its own generator, built from
+  child ``b`` of ``SeedSequence(seed)``, so blocks can be evaluated in
+  any order, or concurrently, with identical output.
+
+Every block is drawn at full size and the last one is cut to the study's
+``R``, which is what keeps a study prefix-stable.  A different
+``BLOCK`` gives different (equally valid) draws.  Within a block each
+stratum, in turn, fills its ``(BLOCK, n_h)`` index array with one of two
+samplers, chosen by the stratum's shape (:func:`_subsets`).  Every
+sample is shared across estimators (common random numbers), which
+sharpens efficiency comparisons at equal cost.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import numpy as np
 from .domain import (
     PopulationSummary,
     UnitFrame,
+    _is_whole,
     _weighted_sum,
     combine,
     summarize_stratum,
@@ -57,8 +66,10 @@ __all__ = [
 ]
 
 
-#: Replications a Monte Carlo study evaluates together.  It bounds the
-#: study's index and mean arrays; results do not depend on it.
+#: Replications a Monte Carlo study draws from one generator and
+#: evaluates together.  It bounds the study's index and mean arrays, and
+#: it is part of the reproducibility contract: another value gives other
+#: draws.
 BLOCK = 256
 
 
@@ -188,12 +199,12 @@ def _check_seed(seed: int) -> None:
 def _spec_integer(doc: dict, key: str) -> int:
     """``doc[key]`` as an int.
 
-    A bool or a non-integral number raises ``TypeError``, which
-    :meth:`PopulationSpec.from_dict` reports as a malformed spec.
+    Anything but an integer or an integral float (a bool, a string, a
+    fraction) raises ``TypeError``, which :meth:`PopulationSpec.from_dict`
+    reports as a malformed spec.
     """
     value = doc[key]
-    if isinstance(value, bool) or (
-            isinstance(value, float) and not value.is_integer()):
+    if not _is_whole(value):
         raise TypeError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
@@ -249,28 +260,60 @@ def _check_design(frames: Sequence[UnitFrame], design: Sequence[int]) -> None:
             )
 
 
+def _subsets(rng: np.random.Generator, N: int, n: int, rows: int) -> np.ndarray:
+    """``rows`` independent uniform ``n``-subsets of ``range(N)``, sorted.
+
+    Returns an index array of shape ``(rows, n)``, each row ascending.
+    Small or high-fraction strata (``N <= 64`` or ``3 n >= N``) rank
+    ``N`` iid uniform keys per row and keep the ``n`` smallest.  Larger
+    strata draw ``n`` units with replacement, sort, and redraw the extra
+    copies of any repeated unit until each row is distinct; only rows
+    that still hold a repeat are redrawn and re-sorted.  Which units
+    survive depends only on their multiplicities, so the result is
+    invariant under relabelling the units and is therefore a uniform
+    subset.  The keys sampler costs ``O(N)`` time and memory per row and
+    the redraw sampler about ``O(n log n)``, growing fast as ``n``
+    nears ``N``.  The rule picks the faster one from timings of both at
+    ``rows = 256``, and it bounds the keys sampler's two ``(rows, N)``
+    arrays by 256 KiB or by six times the index array.
+    """
+    if N <= 64 or 3 * n >= N:
+        keys = rng.random((rows, N))
+        return np.sort(np.argpartition(keys, n - 1, axis=1)[:, :n], axis=1)
+    idx = rng.integers(N, size=(rows, n))
+    idx.sort(axis=1)
+    todo = np.arange(rows)
+    block = idx
+    while True:
+        repeat = block[:, 1:] == block[:, :-1]
+        has_repeat = repeat.any(axis=1)
+        if not has_repeat.any():
+            return idx
+        todo, block, repeat = todo[has_repeat], block[has_repeat], repeat[has_repeat]
+        block[:, 1:][repeat] = rng.integers(N, size=np.count_nonzero(repeat))
+        block.sort(axis=1)
+        idx[todo] = block
+
+
 def _draw_block(
     frames: Sequence[UnitFrame],
     design: Sequence[int],
-    rngs: Sequence[np.random.Generator],
+    rng: np.random.Generator,
+    rows: int,
+    keep: int,
 ) -> np.ndarray:
-    """Per-stratum sample means of one stratified sample per generator.
+    """Per-stratum sample means of the first ``keep`` of ``rows`` draws.
 
-    Each generator draws ``n_h`` distinct unit indices for every stratum
-    in turn.  Returns an array of shape ``(3, len(rngs), L)``: the y, x
-    and z means of each draw and stratum, with the units of a sample
-    added in index order.
+    ``rng`` draws a ``(rows, n_h)`` block of uniform subsets for every
+    stratum in turn; the means of the first ``keep`` rows are returned
+    as an array of shape ``(3, keep, L)``: the y, x and z means of each
+    draw and stratum, with the units of a sample added in index order.
     """
-    count = len(rngs)
-    idx = [np.empty((count, n), dtype=np.intp) for n in design]
-    for r, rng in enumerate(rngs):
-        for block, frame, n in zip(idx, frames, design):
-            block[r] = rng.choice(frame.size, n, replace=False)
-    means = np.empty((3, count, len(frames)))
-    for h, (block, frame) in enumerate(zip(idx, frames)):
-        block.sort(axis=1)
+    means = np.empty((3, keep, len(frames)))
+    for h, (frame, n) in enumerate(zip(frames, design)):
+        units = _subsets(rng, frame.size, n, rows)[:keep]
         for v, column in enumerate((frame.y, frame.x, frame.z)):
-            means[v, :, h] = column[block].mean(axis=1)
+            means[v, :, h] = column[units].mean(axis=1)
     return means
 
 
@@ -281,13 +324,14 @@ def _sample_blocks(
 
     ``means`` is :func:`_draw_block`'s output for replications
     ``start`` to ``start + BLOCK - 1`` (fewer in the last block), drawn
-    from children ``start`` onwards of ``SeedSequence(seed)``.
+    from the generator of child ``start // BLOCK`` of
+    ``SeedSequence(seed)``.  The last block is drawn at full size and
+    cut, so a study is a prefix of any larger one.
     """
     root = np.random.SeedSequence(seed)
     for start in range(0, R, BLOCK):
-        children = root.spawn(min(BLOCK, R - start))
-        rngs = [np.random.default_rng(child) for child in children]
-        yield start, _draw_block(frames, design, rngs)
+        rng = np.random.default_rng(root.spawn(1)[0])
+        yield start, _draw_block(frames, design, rng, BLOCK, min(BLOCK, R - start))
 
 
 def draw_sample(
@@ -304,7 +348,7 @@ def draw_sample(
     design = tuple(int(n) for n in design)
     _check_design(frames, design)
     sizes = np.array([f.size for f in frames], dtype=float)
-    ybar, xbar, zbar = _draw_block(frames, design, [rng])
+    ybar, xbar, zbar = _draw_block(frames, design, rng, 1, 1)
     return SampleMeans.from_stratum_means(
         [f.stratum_id for f in frames], ybar[0], xbar[0], zbar[0],
         sizes / sizes.sum()
@@ -372,12 +416,12 @@ def monte_carlo(
 ) -> SimResult:
     """Run ``R`` replications of sample-then-estimate over ``frames``.
 
-    Replication ``r`` draws one stratified sample from child ``r`` of
-    ``SeedSequence(seed)``, so the result is a pure function of
-    ``(frames, design, specs, R, seed)`` and its first draws are those
-    of any larger ``R``.  Every estimator in ``specs`` is evaluated on
-    the same draws, one array operation per block of :data:`BLOCK`
-    replications.  Draws that are degenerate for an estimator are
+    Block ``b`` of :data:`BLOCK` replications draws its stratified
+    samples from child ``b`` of ``SeedSequence(seed)``, so the result is
+    a pure function of ``(frames, design, specs, R, seed)`` and its
+    draws are the first ``R`` of any larger study.  Every estimator in
+    ``specs`` is evaluated on the same draws, one array operation per
+    block.  Draws that are degenerate for an estimator are
     rejected-and-counted for that estimator only.  Theoretical
     first-order MSEs are computed from the realized population summary
     under the same design.

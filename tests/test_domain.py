@@ -354,6 +354,20 @@ class TestNeymanAllocation:
         with pytest.raises(ValueError):
             neyman_allocation([(5, 0.0), (5, 0.0)], 4)
 
+    def test_empty_stratum_rejected(self):
+        # Every stratum gets at least one unit, so N_h = 0 is infeasible
+        # whatever n_total is.
+        with pytest.raises(ValueError) as info:
+            neyman_allocation([(0, 1.0), (5, 1.0)], 2)
+        assert str(info.value) == "stratum 1 has N=0; every stratum needs N >= 1"
+
+    @pytest.mark.parametrize("n_total", [5.5, True, "5"])
+    def test_non_integral_total_rejected(self, n_total):
+        with pytest.raises(ValueError) as info:
+            neyman_allocation([(5, 1.0), (5, 1.0)], n_total)
+        assert str(info.value) == f"n_total must be an integer, got {n_total!r}"
+        assert neyman_allocation([(5, 1.0), (5, 1.0)], 6.0) == [3, 3]
+
 
 class TestCsvRoundTrip:
     def test_summary_round_trip_preserves_values(self, tmp_path, corrected_pop):

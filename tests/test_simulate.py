@@ -1,6 +1,7 @@
 """Unit tests for the Monte Carlo validation harness."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,11 @@ class TestPopulationSpec:
     @pytest.mark.parametrize("where, key, value", [
         ("doc", "seed", 2.7), ("doc", "seed", True), ("stratum", "N", 30.9),
         ("stratum", "N", False), ("stratum", "n", True), ("stratum", "n", 5.5),
+    ] + [
+        # a count written as a string is not a count, integral or not
+        pytest.param(where, key, text, id=f"{where}-{key}-{text!r}")
+        for where, key in (("doc", "seed"), ("stratum", "N"), ("stratum", "n"))
+        for text in ("30", "30.9")
     ])
     def test_from_dict_rejects_non_integral_counts(self, where, key, value):
         doc = {"seed": 1, "strata": [{"N": 30, "n": 5, "mu": [1, 1, 1],
@@ -474,11 +480,26 @@ class TestMonteCarlo:
         assert dual.rejected + dual.accepted == dual.replications
 
     def test_all_draws_rejected_raises(self):
+        # A draw is rejected exactly when it picks the unit with x = 3,
+        # so a study raises exactly when all its draws pick that unit.
+        # At R = 1 that happens with probability 1/2 per seed, so no
+        # seed of 40 raising has probability 2**-40.
         frames = [negative_base_frame()]
         specs = [EstimatorSpec(kind="dual_family", alpha1=0.5, alpha2=0.5)]
-        for R in (1, 3):
-            with pytest.raises(AllDrawsRejectedError, match="dual_family"):
-                monte_carlo(frames, (1,), specs, R=R, seed=0)
+        raised = {1: 0, 3: 0}
+        for seed in range(40):
+            for R in raised:
+                xbar = study_means(frames, (1,), R, seed)[1, :, 0]
+                picks = int(np.count_nonzero(xbar == 3.0))
+                if picks == R:
+                    with pytest.raises(AllDrawsRejectedError,
+                                       match="dual_family"):
+                        monte_carlo(frames, (1,), specs, R=R, seed=seed)
+                    raised[R] += 1
+                else:
+                    result = monte_carlo(frames, (1,), specs, R=R, seed=seed)
+                    assert result.results[0].rejected == picks
+        assert raised[1] > 0
 
     def test_rejects_nonpositive_replication_count(self, tiny_frames):
         with pytest.raises(ValueError, match="R"):
@@ -538,20 +559,26 @@ def study_means(frames, design, R, seed):
 
 
 class TestBlockSampler:
-    def test_draw_r_comes_from_child_r_of_the_seed(self, tiny_frames):
-        # Replication r draws each stratum in turn from its own child
-        # stream, as a one-replication loop does, across a block
-        # boundary too; the units of a sample are averaged in index order.
-        R, seed, design = BLOCK + 3, 8, (2, 3)
+    def test_block_b_comes_from_child_b_of_the_seed(self, tiny_frames):
+        # Block b draws every stratum in turn, BLOCK rows each, from the
+        # generator of child b; the last block is drawn at full size and
+        # cut.  The tiny strata take the keys sampler: a row's sample is
+        # its n smallest of N uniform keys, its units averaged in index
+        # order.
+        R, seed, design = 2 * BLOCK + 3, 8, (2, 3)
         means = study_means(tiny_frames, design, R, seed)
-        children = np.random.SeedSequence(seed).spawn(R)
-        for r, child in enumerate(children):
+        for b in range(3):
+            child = np.random.SeedSequence(seed).spawn(b + 1)[b]
             rng = np.random.default_rng(child)
+            kept = min(BLOCK, R - b * BLOCK)
             for h, (frame, n) in enumerate(zip(tiny_frames, design)):
-                units = np.sort(rng.choice(frame.size, n, replace=False))
-                expected = [frame.y[units].mean(), frame.x[units].mean(),
-                            frame.z[units].mean()]
-                np.testing.assert_array_equal(means[:, r, h], expected)
+                keys = rng.random((BLOCK, frame.size))
+                units = np.sort(np.argsort(keys, axis=1)[:kept, :n], axis=1)
+                for r, row in enumerate(units):
+                    expected = [frame.y[row].mean(), frame.x[row].mean(),
+                                frame.z[row].mean()]
+                    np.testing.assert_array_equal(
+                        means[:, b * BLOCK + r, h], expected)
 
     def test_study_is_a_prefix_of_any_larger_study(self, tiny_frames):
         # The short study ends inside a block, the long one runs on.
@@ -575,16 +602,14 @@ class TestBlockSampler:
         values = sum(pop.w[h] * ybar[:, h] for h in range(pop.L))
         assert result.results[0].empirical_mean == float(values.mean())
 
-    def test_block_size_does_not_change_results(self, tiny_frames,
-                                                monkeypatch):
+    def test_study_equals_itself_when_run_again(self, tiny_frames):
         R = 2 * BLOCK + 9
-        whole = monte_carlo(tiny_frames, (2, 3), ALL_KINDS_SPECS, R=R, seed=6)
-        monkeypatch.setattr(simulate, "BLOCK", 7)
-        small = monte_carlo(tiny_frames, (2, 3), ALL_KINDS_SPECS, R=R, seed=6)
-        assert small.rows() == whole.rows()
-        assert (small.xstar_mean, small.xstar_se, small.zstar_mean,
-                small.zstar_se) == (whole.xstar_mean, whole.xstar_se,
-                                    whole.zstar_mean, whole.zstar_se)
+        first = monte_carlo(tiny_frames, (2, 3), ALL_KINDS_SPECS, R=R, seed=6)
+        again = monte_carlo(tiny_frames, (2, 3), ALL_KINDS_SPECS, R=R, seed=6)
+        assert again.rows() == first.rows()
+        assert (again.xstar_mean, again.xstar_se, again.zstar_mean,
+                again.zstar_se) == (first.xstar_mean, first.xstar_se,
+                                    first.zstar_mean, first.zstar_se)
 
     def test_rows_are_uniform_sets_of_distinct_units(self):
         # y = 2^j decodes each drawn subset from its mean.  Every row
@@ -605,3 +630,124 @@ class TestBlockSampler:
             p = n / frame.size
             band = 4 * np.sqrt(p * (1 - p) / draws)
             assert np.all(np.abs(counts / draws - p) < band)
+
+
+class RecordingGenerator:
+    """A ``Generator`` that records which of its drawing methods ran."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.called = set()
+
+    def random(self, *args, **kwargs):
+        self.called.add("keys")
+        return self.rng.random(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        self.called.add("redraw")
+        return self.rng.integers(*args, **kwargs)
+
+
+def chi2_bound(k, alpha):
+    """A ``t`` with ``P(chi2_k >= t) <= alpha``, from the Chernoff bound.
+
+    ``P(chi2_k >= k u) <= (u e^(1 - u))^(k/2)`` for ``u > 1``; ``u`` is
+    found by bisection, so the bound is conservative.
+    """
+    target = 2.0 * np.log(alpha) / k
+    lo, hi = 1.0, 100.0
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        if np.log(mid) + 1.0 - mid > target:
+            lo = mid
+        else:
+            hi = mid
+    return k * hi
+
+
+class TestSubsets:
+    @pytest.mark.parametrize("N, n, sampler", [
+        (10, 10, "keys"),     # census
+        (5, 2, "keys"),
+        (64, 8, "keys"),      # N <= 64
+        (65, 8, "redraw"),    # one unit past the small-stratum bound
+        (66, 22, "keys"),     # 3 n = N
+        (67, 22, "redraw"),   # 3 n = N - 1
+        (200, 20, "redraw"),
+    ])
+    def test_rows_are_uniform_subsets(self, N, n, sampler):
+        """Both samplers draw uniform ``n``-subsets, by pooled scores.
+
+        Every row must hold ``n`` distinct in-range units, ascending.
+        Over ``D`` uniform draws the inclusion count ``c_i`` of unit
+        ``i`` has mean ``D p``, ``p = n/N``, and each pair ``i < j``
+        count ``C_ij`` has mean ``D q``, ``q = n(n-1)/(N(N-1))``.
+
+        * Units: the counts sum to ``D n`` and their covariance is
+          ``D (p - q)`` times the identity off the all-ones direction, so
+          ``Q1 = sum_i (c_i - D p)^2 / (D (p - q))`` is close to
+          chi-square with ``N - 1`` degrees of freedom.
+        * Pairs: uniform single-unit frequencies do not prove uniform
+          subsets, so the pair counts are scored too.  Their gaps
+          ``e_ij = C_ij - D q`` sum to zero; removing the part a sum
+          ``g_i + g_j`` explains (the unit counts) leaves
+          ``|e|^2 - sum_i d_i^2 / (N - 2)``, with ``d_i = sum_j e_ij``,
+          a projection onto ``N(N-3)/2`` dimensions on which the
+          covariance is ``D (q - 2r + s)``, where ``r`` and ``s`` are the
+          chances that three and four given units are all drawn.  So
+          ``Q2``, their ratio, is close to chi-square with ``N(N-3)/2``
+          degrees of freedom.
+
+        Each score must stay under its Chernoff bound at 5e-6.  The
+        census shape has no spread and is checked by its rows alone.
+
+        Nominal false-alarm rate of the test: 1e-5 per shape, 7e-5 in all.
+        """
+        rng = RecordingGenerator(seed=20261018)
+        blocks = 80
+        D = blocks * BLOCK
+        C = np.zeros((N, N))
+        for _ in range(blocks):
+            units = simulate._subsets(rng, N, n, BLOCK)
+            assert units.shape == (BLOCK, n)
+            assert np.all(np.diff(units, axis=1) > 0)
+            assert units.min() >= 0 and units.max() < N
+            X = np.zeros((BLOCK, N))
+            np.put_along_axis(X, units, 1.0, axis=1)
+            C += X.T @ X
+        assert rng.called == {sampler}
+        if n == N:
+            return
+        p = n / N
+        q = p * (n - 1) / (N - 1)
+        r = q * (n - 2) / (N - 2)
+        s = r * (n - 3) / (N - 3)
+        alpha = 5e-6
+        Q1 = np.sum((np.diag(C) - D * p) ** 2) / (D * (p - q))
+        assert Q1 < chi2_bound(N - 1, alpha), Q1
+        e = C - D * q
+        np.fill_diagonal(e, 0.0)
+        d = e.sum(axis=1)
+        Q2 = (np.sum(e**2) / 2 - np.sum(d**2) / (N - 2)) / (D * (q - 2 * r + s))
+        assert Q2 < chi2_bound(N * (N - 3) // 2, alpha), Q2
+
+    def test_large_stratum_study_memory_is_bounded(self):
+        """Sampling memory follows the index block, not the stratum size.
+
+        One stratum of N = 20,000 units at n = 200 takes the redraw
+        sampler, whose arrays are a few ``(BLOCK, n)`` blocks of 400 KiB.
+        Ranking uniform keys instead would hold two ``(BLOCK, N)``
+        arrays, 78 MiB.  The traced peak of a two-block study must stay
+        under 4 MiB.
+        """
+        values = np.random.default_rng(5).normal(100.0, 10.0, (3, 20_000))
+        frame = UnitFrame(stratum_id="big", y=values[0], x=values[1],
+                          z=values[2])
+        tracemalloc.start()
+        try:
+            monte_carlo([frame], (200,), [EstimatorSpec(kind="classical")],
+                        R=2 * BLOCK, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
