@@ -39,6 +39,7 @@ from .domain import (
     PopulationSummary,
     StratumSummary,
     ValidationReport,
+    _is_number,
     combine,
     neyman_allocation,
     read_summary_csv,
@@ -50,6 +51,7 @@ from .estimators import (
     DUAL_KINDS,
     TRANSFORM_KINDS,
     EstimatorSpec,
+    _factors,
     parse_estimator,
 )
 from .moments import (
@@ -62,11 +64,11 @@ from .mse_theory import (
     A_of_theta,
     MseReport,
     _form,
+    _linearisation,
     bias_first_order_dual,
     mse_first_order,
     optimize_alphas,
     optimize_theta,
-    theta_of_A,
     var_yst,
 )
 from .simulate import (
@@ -143,13 +145,6 @@ def _one_of(choices: tuple[str, ...]):
                 f"{where}: {value!r:.40} is not one of {', '.join(choices)}")
         return value
     return convert
-
-
-def _is_number(value) -> bool:
-    """Whether ``value`` is a JSON number (not a bool) that a float can hold."""
-    if type(value) is int:
-        return abs(value) <= sys.float_info.max
-    return isinstance(value, float)
 
 
 def _sweep_grid(grid, where: str) -> array.array:
@@ -575,18 +570,14 @@ def cmd_pre(config: RunConfig) -> int:
     pop, m, md = _load_for_command(config)
     baseline = var_yst(pop, m)
     headers = ("estimator", "alpha1", "alpha2", "pre")
-    named = [
-        ("classical", 0, 0),
-        ("combined_ratio", 1, 0),
-        ("ratio_cum_product", 1, 1),
-    ]
+    kinds = ["classical", "combined_ratio", "ratio_cum_product"]
     rows = []
-    for kind, a1, a2 in named:
+    for kind in kinds + (["plikusas_dual"] if md is not None else []):
+        # alpha1 and alpha2 are the exponents of the kind's x and z factors.
+        (_, _, a1), (_, _, a2) = _factors(kind)
         report = mse_first_order(EstimatorSpec(kind=kind), pop, m, md)
-        rows.append((kind, a1, a2, report.pre))
+        rows.append((kind, int(a1), int(a2), report.pre))
     if md is not None:
-        report = mse_first_order(EstimatorSpec(kind="plikusas_dual"), pop, m, md)
-        rows.append(("plikusas_dual", 1, 1, report.pre))
         a1, a2, mse_min = optimize_alphas(md, pop)
         spec = EstimatorSpec(kind="dual_family", alpha1=a1, alpha2=a2)
         rows.append(("dual_family:opt", a1, a2,
@@ -613,8 +604,8 @@ def cmd_sweep(config: RunConfig) -> int:
         i = int(bad[0])
         raise ValueError(f"theta = {float(theta[i])!r} gives a non-finite "
                          f"transform constant A = {float(A[i])!r}")
-    # The tracy-product form, (b_x, b_z) = (-theta, 1), over the whole grid.
-    mse = pop.mean_y**2 * _form(m, -theta_of_A(pop, A), 1.0)
+    (bx, _), (bz, _) = _linearisation(pop, "tracy_product", A=A)
+    mse = pop.mean_y**2 * _form(m, bx, bz)
     order = np.argsort(theta, kind="stable")
     theta, A, mse = theta[order], A[order], mse[order]
     labels = np.where(mse < baseline, "better", "worse").tolist()

@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -461,6 +462,13 @@ def validate(pop: PopulationSummary, corrections: str = "off") -> ValidationRepo
     return ValidationReport(findings=tuple(findings), corrected=corrected)
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a JSON number (not a bool) that a float can hold."""
+    if type(value) is int:
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float)
+
+
 def _is_whole(value) -> bool:
     """True for an integer or an integral float; a bool or a string is not one."""
     if isinstance(value, bool):
@@ -482,7 +490,7 @@ def neyman_allocation(
         Stratum population sizes and study-variable standard deviations.
     n_total : int
         Total sample size, an integer with ``L <= n_total <= sum(N_h)``.
-        Every ``N_h`` must be at least 1.
+        Every ``N_h`` must be an integer of at least 1.
 
     Returns
     -------
@@ -494,12 +502,15 @@ def neyman_allocation(
     if not _is_whole(n_total):
         raise ValueError(f"n_total must be an integer, got {n_total!r}")
     n_total = int(n_total)
-    pairs = [(int(N), float(s)) for N, s in strata]
+    pairs = [(N, float(s)) for N, s in strata]
     if not pairs:
         raise ValueError("at least one stratum is required")
     for h, (N, _) in enumerate(pairs, start=1):
+        if not _is_whole(N):
+            raise ValueError(f"stratum {h} has N={N!r}; N must be an integer")
         if N < 1:
             raise ValueError(f"stratum {h} has N={N}; every stratum needs N >= 1")
+    pairs = [(int(N), s) for N, s in pairs]
     L = len(pairs)
     cap = sum(N for N, _ in pairs)
     if not L <= n_total <= cap:

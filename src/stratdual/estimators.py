@@ -7,9 +7,12 @@ exponents interpolate between ratio-like and product-like behaviour.
 
 All estimators consume combined (population-weighted) sample means, so
 one :class:`SampleMeans` value drawn by the simulation harness can be
-evaluated under every estimator.  Each kind is computed by one array
-kernel over a block of draws, which marks degenerate draws with a
-rejection code instead of raising; :func:`estimate` is its one-row call.
+evaluated under every estimator.  Each kind is one row of
+:data:`_TABLE`, which gives its two auxiliary factors; the coefficients
+of the first-order theory are read from the same rows.  One array kernel
+evaluates a list of estimators over a block of draws at once and marks
+degenerate draws with a rejection code instead of raising;
+:func:`estimate` is its one-row call.
 """
 
 from __future__ import annotations
@@ -33,23 +36,45 @@ __all__ = [
     "estimate",
 ]
 
+#: The side of a factor that holds the sample-side mean: the sign of its
+#: linear coefficient.  ``_ONE`` is the factor 1 (exponent 0).
+_UP, _DOWN = 1.0, -1.0
+_ONE = (_UP, 0.0, 0.0)
+
+#: Every kind as one row: its x factor, its z factor, and whether it reads
+#: the dual means.  The estimate is ``ybar_st * f_x * f_z``, a factor
+#: ``(side, c, e)`` being ``(num/den)**e`` in the sample-side mean ``u``
+#: and the population mean ``U``: up is ``(c - u)/(c - U)``, down
+#: ``(c - U)/(c - u)``.  A name stands for that :class:`EstimatorSpec`
+#: parameter.  The kernel, the theory and the ``sweep`` command read these.
+_TABLE = {
+    "classical": (_ONE, _ONE, False),
+    "combined_ratio": ((_DOWN, 0.0, 1.0), _ONE, False),
+    "combined_product": (_ONE, (_UP, 0.0, 1.0), False),
+    "transformed_product": ((_UP, "A", 1.0), _ONE, False),
+    "ratio_cum_product": ((_DOWN, 0.0, 1.0), (_UP, 0.0, 1.0), False),
+    "tracy_product": ((_UP, "A", 1.0), (_UP, 0.0, 1.0), False),
+    "plikusas_dual": ((_UP, 0.0, 1.0), (_DOWN, 0.0, 1.0), True),
+    "dual_family": ((_UP, 0.0, "alpha1"), (_DOWN, 0.0, "alpha2"), True),
+}
+
 #: Recognised estimator kinds.
-KINDS = (
-    "classical",
-    "combined_ratio",
-    "combined_product",
-    "transformed_product",
-    "ratio_cum_product",
-    "tracy_product",
-    "plikusas_dual",
-    "dual_family",
-)
+KINDS = tuple(_TABLE)
 
 #: Kinds built on the per-stratum dual transform (require n_h < N_h).
-DUAL_KINDS = ("plikusas_dual", "dual_family")
+DUAL_KINDS = tuple(kind for kind, (_, _, dual) in _TABLE.items() if dual)
 
 #: Kinds parameterized by the transform constant A.
-TRANSFORM_KINDS = ("transformed_product", "tracy_product")
+TRANSFORM_KINDS = tuple(kind for kind, (x, _, _) in _TABLE.items()
+                        if x[1] == "A")
+
+
+def _factors(kind: str, A=None, alpha1=None, alpha2=None):
+    """The kind's x and z factors ``(side, c, e)``, names replaced by the
+    parameters; ``A`` may be an array."""
+    params = {"A": A, "alpha1": alpha1, "alpha2": alpha2}
+    return tuple((side, params.get(c, c), params.get(e, e))
+                 for side, c, e in _TABLE[kind][:2])
 
 
 class DegenerateSampleError(ValueError):
@@ -236,9 +261,8 @@ def _check_estimator(spec: EstimatorSpec, pop: PopulationSummary) -> None:
         pop.require_no_census("the dual transform")
         if pop.mean_x == 0 or pop.mean_z == 0:
             raise ValueError("population auxiliary means must be nonzero")
-    elif kind in ("combined_product", "ratio_cum_product", "tracy_product"):
-        if pop.mean_z == 0:
-            raise ValueError("population z-mean is zero")
+    elif _TABLE[kind][1] != _ONE and pop.mean_z == 0:  # a z factor divides by it
+        raise ValueError("population z-mean is zero")
 
 
 #: Why the kernel rejects a draw, by rejection code; code 0 accepts it.
@@ -251,76 +275,47 @@ _REJECTIONS = (
     "dual-transformed z ratio is zero with negative exponent",
     "dual-transformed z ratio = {base} is negative under fractional exponent {exponent}",
 )
-_ZERO_XBAR, _ZERO_ZSTAR, _ZERO_X_RATIO, _ZERO_Z_RATIO = 1, 2, 3, 5
+
+def _plan(specs) -> tuple[np.ndarray, np.ndarray]:
+    """``(factors, dual)`` of the specs for :func:`_estimate_block`: the side,
+    shift and exponent of each x and z factor, shape ``(3, 2, S, 1)``, and
+    which specs read the dual means, shape ``(S, 1)``."""
+    factors = np.array([_factors(s.kind, s.A, s.alpha1, s.alpha2)
+                        for s in specs], dtype=float).reshape(len(specs), 2, 3)
+    dual = np.array([_TABLE[s.kind][2] for s in specs])[:, None]
+    return factors.transpose(2, 1, 0)[..., None], dual
 
 
-def _power_checks(base: np.ndarray, exponent: float, zero_code: int) -> list:
-    """Where ``base ** exponent`` has no real value, with rejection codes.
+def _estimate_block(plan, pop: PopulationSummary, ybar_st: np.ndarray,
+                    plain: np.ndarray, dual: np.ndarray | None = None):
+    """Evaluate the ``S`` specs of a :func:`_plan` on a block of draws.
 
-    A zero base under a negative exponent gets ``zero_code`` and a
-    negative base under a fractional exponent ``zero_code + 1``; integer
-    exponents of negative bases are real and accepted.
+    Takes the draws' combined y means, their x and z means ``plain``
+    (shape ``(2, rows)``) and, for a plan with dual kinds, their dual means.
+    Returns ``(values, codes, ratios)``: ``codes[j, r]`` indexes
+    :data:`_REJECTIONS` (0 accepts), ``values`` is ``NaN`` where it is
+    nonzero, and ``ratios`` (``(2, S, rows)``) holds each factor's
+    ``num/den``.  Configuration is checked by :func:`_check_estimator`.
     """
-    checks = []
-    if exponent < 0:
-        checks.append((base == 0.0, zero_code))
-    if not float(exponent).is_integer():
-        checks.append((base < 0.0, zero_code + 1))
-    return checks
-
-
-def _estimate_block(
-    spec: EstimatorSpec,
-    pop: PopulationSummary,
-    ybar_st: np.ndarray,
-    xbar_st: np.ndarray,
-    zbar_st: np.ndarray,
-    xstar_st: np.ndarray | None = None,
-    zstar_st: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate one estimator on a block of draws.
-
-    Takes the combined sample means of the draws, one entry each, and
-    for dual kinds their combined dual-transformed means.  Returns
-    ``(values, codes)``: ``codes`` is the index into :data:`_REJECTIONS`
-    of the first degeneracy of each draw, 0 where there is none, and
-    ``values`` is ``NaN`` where ``codes`` is nonzero.  Configuration is
-    not checked here; see :func:`_check_estimator`.
-    """
-    kind = spec.kind
-    checks = []
+    (side, c, e), reads_dual = plan
+    u = plain[:, None] if dual is None else np.where(
+        reads_dual, dual[:, None], plain[:, None])
+    U = np.array([pop.mean_x, pop.mean_z])[:, None, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        if kind == "classical":
-            value = ybar_st
-        elif kind == "combined_ratio":
-            checks.append((xbar_st == 0, _ZERO_XBAR))
-            value = ybar_st * pop.mean_x / xbar_st
-        elif kind == "combined_product":
-            value = ybar_st * zbar_st / pop.mean_z
-        elif kind == "ratio_cum_product":
-            checks.append((xbar_st == 0, _ZERO_XBAR))
-            value = ybar_st * (pop.mean_x / xbar_st) * (zbar_st / pop.mean_z)
-        elif kind in TRANSFORM_KINDS:
-            value = ybar_st * (spec.A - xbar_st) / (spec.A - pop.mean_x)
-            if kind == "tracy_product":
-                value = value * (zbar_st / pop.mean_z)
-        else:
-            if spec.alpha2 != 0:
-                checks.append((zstar_st == 0, _ZERO_ZSTAR))
-            # At zstar = 0 with alpha2 = 0 the z ratio is infinite and
-            # its zeroth power is 1.
-            base_x = xstar_st / pop.mean_x
-            base_z = pop.mean_z / zstar_st
-            if kind == "plikusas_dual":
-                value = ybar_st * base_x * base_z
-            else:
-                checks += _power_checks(base_x, spec.alpha1, _ZERO_X_RATIO)
-                checks += _power_checks(base_z, spec.alpha2, _ZERO_Z_RATIO)
-                value = ybar_st * base_x**spec.alpha1 * base_z**spec.alpha2
-    if not checks:
-        return value, np.zeros(np.shape(value), dtype=int)
-    codes = np.select([bad for bad, _ in checks], [code for _, code in checks], 0)
-    return np.where(codes == 0, value, np.nan), codes
+        sample_side, population_side = c - u, c - U
+        den = np.where(side > 0, population_side, sample_side)
+        ratios = np.where(side > 0, sample_side, population_side) / den
+        # e = 1 keeps the ratio's bits; e = 0 gives 1, even at infinity.
+        factors = ratios**e
+        values = ybar_st * factors[0] * factors[1]
+    zero_den = (e != 0) & (den == 0)
+    zero_ratio = (e < 0) & (ratios == 0)
+    negative_ratio = (e != np.trunc(e)) & (ratios < 0)
+    # Codes 1 to 6 of _REJECTIONS, x before z; the lowest code wins.
+    codes = np.select([zero_den[0], zero_den[1], zero_ratio[0],
+                       negative_ratio[0], zero_ratio[1], negative_ratio[1]],
+                      [1, 2, 3, 4, 5, 6], 0)
+    return np.where(codes == 0, values, np.nan), codes, ratios
 
 
 def estimate(
@@ -341,18 +336,17 @@ def estimate(
     """
     _check_alignment(sample, pop)
     _check_estimator(spec, pop)
-    means = [sample.ybar_st, sample.xbar_st, sample.zbar_st]
-    if spec.kind in DUAL_KINDS:
-        means += dual_transform_means(sample, pop)
-    value, codes = _estimate_block(spec, pop, *(np.array([m]) for m in means))
-    code = int(codes[0])
+    plan = _plan([spec])
+    dual = (np.array(dual_transform_means(sample, pop))[:, None]
+            if spec.kind in DUAL_KINDS else None)
+    values, codes, ratios = _estimate_block(
+        plan, pop, np.array([sample.ybar_st]),
+        np.array([[sample.xbar_st], [sample.zbar_st]]), dual)
+    code = int(codes[0, 0])
     if code:
-        base, exponent = None, None
-        if code >= _ZERO_Z_RATIO:
-            base, exponent = pop.mean_z / means[4], spec.alpha2
-        elif code >= _ZERO_X_RATIO:
-            base, exponent = means[3] / pop.mean_x, spec.alpha1
-        raise DegenerateSampleError(
-            _REJECTIONS[code].format(base=base, exponent=exponent)
-        )
-    return float(value[0])
+        axis = 0 if code in (1, 3, 4) else 1  # the factor that failed
+        (_, _, exponents), _ = plan
+        raise DegenerateSampleError(_REJECTIONS[code].format(
+            base=float(ratios[axis, 0, 0]),
+            exponent=float(exponents[axis, 0, 0])))
+    return float(values[0, 0])

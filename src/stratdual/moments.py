@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import PopulationSummary
+from .domain import PopulationSummary, _is_number
 
 __all__ = [
     "MomentSet",
@@ -165,7 +165,7 @@ def moments_from_dict(
     """
     def number(obj: dict, key: str) -> float:
         value = obj[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise ValueError(f"moments key {key!r} must be a JSON number, "
                              f"not {value!r:.40}")
         return float(value)

@@ -1,16 +1,15 @@
 """First-order MSE theory for the stratified estimator family.
 
-To first order every estimator here is ``mean_y * (1 + e_y + b_x*e_x +
-b_z*e_z)`` in the relative errors of the sample means, so its mean
-squared error is one quadratic form ``mean_y**2 * c' V c`` with
-``c = (1, b_x, b_z)`` and ``V`` the 3x3 matrix of the six relative
-moments of :mod:`stratdual.moments` (the dual moments for the
-dual-transformed kinds, whose errors are those of the transformed
-means).  The kinds' coefficients ``(b_x, b_z)`` are classical (0, 0),
-combined_ratio (-1, 0), combined_product (0, 1), ratio_cum_product
-(-1, 1), transformed_product (-theta, 0), tracy_product (-theta, 1),
-and, on the dual moments, dual_family (alpha1, -alpha2), of which
-plikusas_dual is the point (1, 1).
+Every estimator kind is one row of ``stratdual.estimators._TABLE``: the
+mean ``ybar_st`` times an x and a z factor ``(num/den)**e``.  To first
+order a factor is ``1 + b*e_u`` in the relative error ``e_u`` of its
+sample-side mean, and to second order it adds ``q*e_u**2``, with ``b`` and
+``q`` read from the row (:func:`_linearisation`).  So every first-order
+MSE is one quadratic form ``mean_y**2 * c' V c`` with ``c = (1, b_x,
+b_z)`` and ``V`` the 3x3 matrix of the six relative moments of
+:mod:`stratdual.moments` (the dual moments for the dual-transformed
+kinds, whose errors are those of the transformed means), and the
+first-order bias of the dual family comes from the same ``b`` and ``q``.
 
 This module evaluates that form, provides the closed-form optimizers
 for the transform constant and for the dual-family exponents, the
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import PopulationSummary
-from .estimators import DUAL_KINDS, TRANSFORM_KINDS, EstimatorSpec
+from .estimators import DUAL_KINDS, EstimatorSpec, _factors
 from .moments import MomentSet
 
 __all__ = [
@@ -110,14 +109,13 @@ def var_yst(pop: PopulationSummary, m: MomentSet) -> float:
 
 
 def theta_of_A(pop: PopulationSummary, A: float) -> float:
-    """The working transform parameter ``theta = mean_x / (A - mean_x)``.
+    """The working transform parameter ``theta = mean_x / (A - mean_x)``,
+    minus the ``a`` of the transformed x factor (:func:`_linearisation`).
 
     ``A`` may be a scalar or an array; an array is mapped elementwise.
     """
-    denom = A - pop.mean_x
-    if np.any(denom == 0):
-        raise ValueError("A equals the population x-mean; theta undefined")
-    return pop.mean_x / denom
+    (b_x, _), _ = _linearisation(pop, "transformed_product", A=A)
+    return -b_x
 
 
 def A_of_theta(pop: PopulationSummary, theta: float) -> float:
@@ -130,14 +128,25 @@ def A_of_theta(pop: PopulationSummary, theta: float) -> float:
     return pop.mean_x * (1.0 + theta) / theta
 
 
-#: Linearisation coefficients ``(b_x, b_z)`` of the kinds without
-#: parameters; the module docstring lists every kind's.
-_FIXED = {
-    "classical": (0.0, 0.0),
-    "combined_ratio": (-1.0, 0.0),
-    "combined_product": (0.0, 1.0),
-    "ratio_cum_product": (-1.0, 1.0),
-}
+def _linearisation(pop: PopulationSummary, kind: str, **params):
+    """``((b_x, q_x), (b_z, q_z))`` of the kind's factors; ``A`` may be an array.
+
+    A factor ``(side, c, e)`` of the kind's table row is ``(1 +
+    a*e_u)**(s*e)`` in the relative error ``e_u`` of its mean, ``s = +1``
+    up and ``-1`` down, ``a = U/(U - c)``.  So ``b = s*e*a`` and ``q =
+    s*e*(s*e - 1)/2 * a**2``.
+    """
+    out = []
+    for (side, c, e), U in zip(_factors(kind, **params),
+                               (pop.mean_x, pop.mean_z)):
+        a = 1.0
+        if isinstance(c, np.ndarray) or c != 0:
+            if np.any(U - c == 0):
+                raise ValueError("A equals the population x-mean; theta undefined")
+            a = U / (U - c)
+        p = side * e
+        out.append((p * a, p * (p - 1.0) / 2.0 * (a * a)))
+    return tuple(out)
 
 
 def _form(v: MomentSet, bx, bz):
@@ -174,15 +183,13 @@ def mse_first_order(
     """
     _require(m, False, "m")
     _require(md, True, "md")
+    v = m
     if spec.kind in DUAL_KINDS:
         if md is None:
             raise ValueError(f"{spec.kind} requires the dual moment set")
-        v, bx, bz = md, spec.alpha1, -spec.alpha2
-    elif spec.kind in TRANSFORM_KINDS:
-        v, bx = m, -theta_of_A(pop, spec.A)
-        bz = 1.0 if spec.kind == "tracy_product" else 0.0
-    else:
-        v, (bx, bz) = m, _FIXED[spec.kind]
+        v = md
+    (bx, _), (bz, _) = _linearisation(pop, spec.kind, A=spec.A,
+                                      alpha1=spec.alpha1, alpha2=spec.alpha2)
     return MseReport(
         estimator=spec,
         mse=pop.mean_y**2 * _form(v, bx, bz),
@@ -255,19 +262,16 @@ def bias_first_order_dual(
 ) -> float:
     """First-order bias of the dual family at ``(alpha1, alpha2)``.
 
-    Equals ``mean_y`` times a five-term expression in the dual moments;
-    it vanishes at ``alpha1 = alpha2 = 0`` and for an all-zero dual
-    moment set.
+    Equals ``mean_y * (b_x v110' + b_z v101' + b_x b_z v011' + q_x v020'
+    + q_z v002')`` with the coefficients of the dual-family factors (see
+    :func:`_linearisation`); it vanishes at ``alpha1 = alpha2 = 0`` and
+    for an all-zero dual moment set.
     """
     _require(md, True, "md")
-    bracket = (
-        alpha1 * md.v110
-        - alpha2 * md.v101
-        - alpha1 * alpha2 * md.v011
-        + alpha1 * (alpha1 - 1.0) / 2.0 * md.v020
-        + alpha2 * (alpha2 + 1.0) / 2.0 * md.v002
-    )
-    return pop.mean_y * bracket
+    (bx, qx), (bz, qz) = _linearisation(pop, "dual_family", alpha1=alpha1,
+                                        alpha2=alpha2)
+    return pop.mean_y * (bx * md.v110 + bz * md.v101 + bx * bz * md.v011
+                         + qx * md.v020 + qz * md.v002)
 
 
 def efficiency_conditions(

@@ -39,6 +39,7 @@ import numpy as np
 from .domain import (
     PopulationSummary,
     UnitFrame,
+    _is_number,
     _is_whole,
     _weighted_sum,
     combine,
@@ -50,6 +51,7 @@ from .estimators import (
     _check_estimator,
     _dual_means,
     _estimate_block,
+    _plan,
 )
 from .moments import _moment_sets
 from .mse_theory import mse_first_order
@@ -175,13 +177,9 @@ class PopulationSpec:
                 StratumSpec(
                     stratum_id=item.get("stratum_id", str(i + 1)),
                     N=_spec_integer(item, "N"),
-                    mu=tuple(item["mu"]),
-                    sigma=tuple(item["sigma"]),
-                    rho=(
-                        float(item["rho"]["xy"]),
-                        float(item["rho"]["yz"]),
-                        float(item["rho"]["xz"]),
-                    ),
+                    mu=_spec_numbers(item["mu"], "mu"),
+                    sigma=_spec_numbers(item["sigma"], "sigma"),
+                    rho=_spec_rho(item["rho"]),
                     n=_spec_integer(item, "n") if "n" in item else None,
                 )
                 for i, item in enumerate(doc["strata"])
@@ -207,6 +205,27 @@ def _spec_integer(doc: dict, key: str) -> int:
     if not _is_whole(value):
         raise TypeError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _spec_numbers(values, key: str) -> tuple[float, ...]:
+    """``values``, a list of three numbers, as floats.
+
+    Anything else raises ``TypeError`` naming ``key``, which
+    :meth:`PopulationSpec.from_dict` reports as a malformed spec.
+    """
+    if not (isinstance(values, list) and len(values) == 3
+            and all(map(_is_number, values))):
+        raise TypeError(f"{key} must be a list of three numbers, got {values!r}")
+    return tuple(map(float, values))
+
+
+def _spec_rho(rho) -> tuple[float, ...]:
+    """A stratum's ``rho`` object as ``(xy, yz, xz)``; see :func:`_spec_numbers`."""
+    pairs = ("xy", "yz", "xz")
+    if not (isinstance(rho, dict) and all(_is_number(rho.get(p)) for p in pairs)):
+        raise TypeError(f"rho must be an object with numbers xy, yz and xz, "
+                        f"got {rho!r}")
+    return tuple(float(rho[p]) for p in pairs)
 
 
 def load_population_spec(path: str | Path) -> PopulationSpec:
@@ -442,75 +461,52 @@ def monte_carlo(
     design = tuple(int(n) for n in design)
     specs = tuple(specs)
     _check_design(frames, design)
-    strata = [summarize_stratum(f, n) for f, n in zip(frames, design)]
-    pop = combine(strata)
+    pop = combine([summarize_stratum(f, n) for f, n in zip(frames, design)])
     m, md = _moment_sets(pop)
     for spec in specs:
         _check_estimator(spec, pop)
 
-    estimates = np.full((len(specs), R), np.nan)
-    track_duals = md is not None
-    xstar = np.empty(R) if track_duals else None
-    zstar = np.empty(R) if track_duals else None
-
+    plan = _plan(specs)
+    estimates = np.empty((len(specs), R))
+    stars = np.empty((2, R)) if md is not None else None  # xstar, zstar
     for start, (ybar, xbar, zbar) in _sample_blocks(frames, design, R, seed):
         rows = slice(start, start + len(ybar))
-        combined = [_weighted_sum(pop.w, v) for v in (ybar, xbar, zbar)]
-        if track_duals:
-            duals = _dual_means(pop, xbar, zbar)
-            xstar[rows], zstar[rows] = duals
-            combined += duals
-        for j, spec in enumerate(specs):
-            estimates[j, rows] = _estimate_block(spec, pop, *combined)[0]
+        ybar_st, *plain = (_weighted_sum(pop.w, v) for v in (ybar, xbar, zbar))
+        if stars is not None:
+            stars[:, rows] = _dual_means(pop, xbar, zbar)
+        estimates[:, rows] = _estimate_block(
+            plan, pop, ybar_st, np.array(plain),
+            None if stars is None else stars[:, rows])[0]
 
+    # Every aggregate of every estimator at once; rejected draws add 0.
+    ok = ~np.isnan(estimates)
+    accepted = np.count_nonzero(ok, axis=1)
+    if not accepted.all():
+        raise AllDrawsRejectedError(f"all {R} draws were degenerate for "
+                                    f"{specs[int(np.argmin(accepted))].label}")
+
+    def accepted_mean(values):
+        return np.where(ok, values, 0.0).sum(axis=1) / accepted
+
+    means = accepted_mean(estimates)
+    variances = accepted_mean((estimates - means[:, None]) ** 2)
+    mses = accepted_mean((estimates - pop.mean_y) ** 2)
     results = []
-    for j, spec in enumerate(specs):
-        values = estimates[j]
-        accepted = int(np.count_nonzero(~np.isnan(values)))
-        rejected = R - accepted
-        if accepted == 0:
-            raise AllDrawsRejectedError(
-                f"all {R} draws were degenerate for {spec.label}"
-            )
-        kept = values[~np.isnan(values)]
-        emp_mean = float(kept.mean())
-        emp_bias = emp_mean - pop.mean_y
-        emp_var = float(kept.var())
-        emp_mse = float(np.mean((kept - pop.mean_y) ** 2))
+    for spec, n, mean, var, mse in zip(specs, accepted.tolist(), means.tolist(),
+                                       variances.tolist(), mses.tolist()):
         theo = mse_first_order(spec, pop, m, md).mse
-        ratio = emp_mse / theo if theo > 0 else float("nan")
-        results.append(
-            EstimatorResult(
-                spec=spec,
-                replications=R,
-                accepted=accepted,
-                rejected=rejected,
-                empirical_mean=emp_mean,
-                empirical_bias=emp_bias,
-                empirical_variance=emp_var,
-                empirical_mse=emp_mse,
-                theoretical_mse=theo,
-                ratio=ratio,
-            )
-        )
+        results.append(EstimatorResult(
+            spec=spec, replications=R, accepted=n, rejected=R - n,
+            empirical_mean=mean, empirical_bias=mean - pop.mean_y,
+            empirical_variance=var, empirical_mse=mse, theoretical_mse=theo,
+            ratio=mse / theo if theo > 0 else float("nan")))
 
-    def _mean_se(arr: np.ndarray | None) -> tuple[float | None, float | None]:
-        if arr is None:
-            return None, None
-        se = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
-        return float(arr.mean()), se
-
-    xstar_mean, xstar_se = _mean_se(xstar)
-    zstar_mean, zstar_se = _mean_se(zstar)
-    return SimResult(
-        population=pop,
-        true_mean_y=pop.mean_y,
-        R=R,
-        seed=int(seed),
-        design=design,
-        results=tuple(results),
-        xstar_mean=xstar_mean,
-        xstar_se=xstar_se,
-        zstar_mean=zstar_mean,
-        zstar_se=zstar_se,
-    )
+    star_mean = star_se = (None, None)
+    if stars is not None:
+        star_mean = stars.mean(axis=1).tolist()
+        star_se = (0.0, 0.0) if R == 1 else (
+            stars.std(axis=1, ddof=1) / np.sqrt(R)).tolist()
+    return SimResult(population=pop, true_mean_y=pop.mean_y, R=R,
+                     seed=int(seed), design=design, results=tuple(results),
+                     xstar_mean=star_mean[0], xstar_se=star_se[0],
+                     zstar_mean=star_mean[1], zstar_se=star_se[1])

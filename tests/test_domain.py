@@ -361,6 +361,14 @@ class TestNeymanAllocation:
             neyman_allocation([(0, 1.0), (5, 1.0)], 2)
         assert str(info.value) == "stratum 1 has N=0; every stratum needs N >= 1"
 
+    @pytest.mark.parametrize("N", [5.9, True, "5"])
+    def test_non_integral_stratum_size_rejected(self, N):
+        # int() would truncate 5.9 to 5 and allocate [5, 5] without a word.
+        with pytest.raises(ValueError) as info:
+            neyman_allocation([(N, 1.0), (5, 1.0)], 10)
+        assert str(info.value) == f"stratum 1 has N={N!r}; N must be an integer"
+        assert neyman_allocation([(5.0, 1.0), (np.int64(5), 1.0)], 10) == [5, 5]
+
     @pytest.mark.parametrize("n_total", [5.5, True, "5"])
     def test_non_integral_total_rejected(self, n_total):
         with pytest.raises(ValueError) as info:

@@ -18,7 +18,7 @@ from stratdual import (
     summarize_stratum,
 )
 from stratdual.domain import _weighted_sum
-from stratdual.estimators import _dual_means, _estimate_block
+from stratdual.estimators import _dual_means, _estimate_block, _plan
 from test_domain import make_summary
 
 
@@ -262,11 +262,15 @@ def test_kind_registry_is_complete():
 
 
 def block_estimates(spec, pop, ybar, xbar, zbar):
-    """The array kernel on a block of per-stratum sample means (c x L)."""
-    combined = [_weighted_sum(pop.w, v) for v in (ybar, xbar, zbar)]
+    """The array kernel's ``(values, codes)`` for one spec on a block of
+    per-stratum sample means (c x L)."""
+    ybar_st, *plain = (_weighted_sum(pop.w, v) for v in (ybar, xbar, zbar))
+    dual = None
     if spec.kind in DUAL_KINDS:
-        combined += _dual_means(pop, xbar, zbar)
-    return _estimate_block(spec, pop, *combined)
+        dual = np.array(_dual_means(pop, xbar, zbar))
+    values, codes, _ = _estimate_block(_plan([spec]), pop, ybar_st,
+                                       np.array(plain), dual)
+    return values[0], codes[0]
 
 
 @pytest.fixture

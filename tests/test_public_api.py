@@ -1,6 +1,8 @@
 """The package's public names."""
 
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +42,17 @@ def test_every_exported_name_resolves(name):
     for export in module.__all__:
         assert hasattr(module, export), f"stratdual.{name}.{export}"
 
+
+def test_benchmark_traced_names_resolve():
+    # The benchmark rebinds each function of its TRACED table by name, so
+    # a name that no longer resolves stops every benchmark run.  The
+    # table is read, not imported as a package, from the benchmark's file.
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    for module, names in tracing.TRACED.items():
+        home = importlib.import_module(f"stratdual.{module}")
+        for name in names:
+            assert callable(getattr(home, name, None)), f"{module}.{name}"

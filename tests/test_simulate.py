@@ -7,15 +7,19 @@ import numpy as np
 import pytest
 
 from stratdual import (
+    KINDS,
     AllDrawsRejectedError,
+    DegenerateSampleError,
     EstimatorSpec,
     PopulationSpec,
+    SampleMeans,
     StratumSpec,
     UnitFrame,
     combine,
     compute_dual_moments,
     compute_moments,
     draw_sample,
+    estimate,
     generate_population,
     load_population_spec,
     monte_carlo,
@@ -178,6 +182,30 @@ class TestPopulationSpec:
                                         "sigma": [1, 1, 1],
                                         "rho": [0.5, 0.5, 0.5]}]})
 
+    @pytest.mark.parametrize("key, value, message", [
+        # A string used to become the tuple of its characters: "100"
+        # gave mu = (1.0, 0.0, 0.0).
+        ("mu", "100", "mu must be a list of three numbers, got '100'"),
+        ("mu", [1, 2], "mu must be a list of three numbers, got [1, 2]"),
+        ("mu", [1, "2", 3],
+         "mu must be a list of three numbers, got [1, '2', 3]"),
+        ("sigma", 5, "sigma must be a list of three numbers, got 5"),
+        ("sigma", [1, True, 1],
+         "sigma must be a list of three numbers, got [1, True, 1]"),
+        ("rho", [0.5, 0.5, 0.5], "rho must be an object with numbers xy, "
+         "yz and xz, got [0.5, 0.5, 0.5]"),
+        ("rho", {"xy": "0.5", "yz": 0, "xz": 0}, "rho must be an object with "
+         "numbers xy, yz and xz, got {'xy': '0.5', 'yz': 0, 'xz': 0}"),
+        ("rho", {"xy": 0.5, "xz": 0}, "rho must be an object with numbers "
+         "xy, yz and xz, got {'xy': 0.5, 'xz': 0}"),
+    ])
+    def test_from_dict_names_the_malformed_value(self, key, value, message):
+        stratum = {"N": 10, "mu": [1, 1, 1], "sigma": [1, 1, 1],
+                   "rho": {"xy": 0, "yz": 0, "xz": 0}, key: value}
+        with pytest.raises(ValueError) as info:
+            PopulationSpec.from_dict({"seed": 1, "strata": [stratum]})
+        assert str(info.value) == f"malformed population spec: {message}"
+
     def test_load_from_json_file(self, tmp_path):
         doc = {
             "seed": 7,
@@ -284,9 +312,14 @@ class TestDrawSample:
             assert subset <= set(range(16))
 
     def test_inclusion_frequencies_are_uniform(self):
-        # Under SRSWOR each unit is included with probability n/N; over
-        # 10,000 draws the frequency should sit within 4 binomial
-        # standard errors of 0.3.
+        """Under SRSWOR each unit is included with probability n/N.
+
+        Over 10,000 draws of 3 of 10 units the inclusion counts give one
+        pooled score (:func:`inclusion_score`), which must stay under its
+        chi-square bound.
+
+        Nominal false-alarm rate of the test: 1e-4.
+        """
         frame = powers_of_two_frame(10)
         rng = np.random.default_rng(42)
         draws = 10_000
@@ -295,9 +328,8 @@ class TestDrawSample:
             sample = draw_sample([frame], [3], rng)
             for j in decode_subset(sample.ybar[0], 3):
                 counts[j] += 1
-        freq = counts / draws
-        band = 4 * np.sqrt(0.3 * 0.7 / draws)
-        assert np.all(np.abs(freq - 0.3) < band)
+        score = inclusion_score(counts, draws, 3)
+        assert score < chi2_bound(9, 1e-4), score
 
     def test_rejects_out_of_range_sample_size(self, tiny_frames):
         rng = np.random.default_rng(0)
@@ -348,16 +380,31 @@ class TestMonteCarlo:
         assert a.zstar_se == b.zstar_se
 
     def test_common_random_numbers_across_estimators(self, tiny_frames):
-        # Every estimator sees the same draws, so adding estimators to a
-        # run must not perturb the rows already present.
-        alone = monte_carlo(tiny_frames, (2, 3),
-                            [EstimatorSpec(kind="classical")], R=64, seed=9)
-        paired = monte_carlo(
-            tiny_frames, (2, 3),
-            [EstimatorSpec(kind="classical"),
-             EstimatorSpec(kind="combined_ratio")],
-            R=64, seed=9)
-        assert alone.rows()[0] == paired.rows()[0]
+        # Every estimator sees the same draws, and all of them are
+        # evaluated together, so each row must be bit for bit the row of
+        # the estimator run alone: counts, aggregates and theory.  On the
+        # negative-base frame the fractional dual exponents reject about
+        # half of the draws.
+        for frames, design in ((tiny_frames, (2, 3)),
+                               ([negative_base_frame()], (1,))):
+            pop = combine([summarize_stratum(f, n)
+                           for f, n in zip(frames, design)])
+            A = 2.0 * pop.mean_x + 1.0
+            specs = ALL_KINDS_SPECS + (
+                EstimatorSpec(kind="transformed_product", A=A),
+                EstimatorSpec(kind="tracy_product", A=A),
+                EstimatorSpec(kind="dual_family", alpha1=0.5, alpha2=0.5),
+                EstimatorSpec(kind="dual_family", alpha1=-1.5, alpha2=0.25),
+                EstimatorSpec(kind="dual_family", alpha1=2.0, alpha2=-1.0),
+            )
+            assert {spec.kind for spec in specs} == set(KINDS)
+            R = BLOCK + 40
+            together = monte_carlo(frames, design, specs, R=R, seed=9)
+            for spec, row in zip(specs, together.rows()):
+                alone = monte_carlo(frames, design, [spec], R=R, seed=9)
+                np.testing.assert_equal(alone.rows()[0], row)
+            rejected = sum(row["rejected"] for row in together.rows())
+            assert (rejected > 0) == (len(frames) == 1)
 
     def test_theoretical_column_matches_direct_formula(self, tiny_frames):
         design = (2, 3)
@@ -602,6 +649,57 @@ class TestBlockSampler:
         values = sum(pop.w[h] * ybar[:, h] for h in range(pop.L))
         assert result.results[0].empirical_mean == float(values.mean())
 
+    def test_aggregates_match_a_per_draw_loop(self):
+        """Each row aggregates its accepted draws, estimated one at a time.
+
+        The study evaluates every estimator on a block at once and sums
+        over the accepted draws with the rejected ones zeroed.  Here each
+        draw is estimated alone with :func:`estimate`, the rejected ones
+        are dropped, and numpy aggregates the rest.  Counts must agree
+        exactly; the aggregates are equal bit for bit where nothing was
+        rejected and to 1e-12 otherwise, the summation order differing.
+        The z-mean sits near zero against its spread, so the fractional
+        dual exponents reject some draws.
+        """
+        rho = (0.8, -0.5, -0.4)
+        spec = PopulationSpec(strata=(
+            StratumSpec(stratum_id="p", N=30, n=18, mu=(50.0, 100.0, 3.0),
+                        sigma=(10.0, 15.0, 10.0), rho=rho),
+            StratumSpec(stratum_id="q", N=20, n=12, mu=(60.0, 120.0, 2.5),
+                        sigma=(12.0, 18.0, 10.0), rho=rho)), seed=5)
+        frames = generate_population(spec)
+        pop = combine([summarize_stratum(f, n)
+                       for f, n in zip(frames, spec.design)])
+        specs = ALL_KINDS_SPECS + (
+            EstimatorSpec(kind="tracy_product", A=2.0 * pop.mean_x),
+            EstimatorSpec(kind="dual_family", alpha1=0.25, alpha2=0.75),
+            EstimatorSpec(kind="dual_family", alpha1=0.75, alpha2=-0.25),
+        )
+        R, seed = BLOCK + 40, 3
+        result = monte_carlo(frames, spec.design, specs, R=R, seed=seed)
+        ybar, xbar, zbar = study_means(frames, spec.design, R, seed)
+        samples = [SampleMeans.from_stratum_means(
+            pop.stratum_ids, ybar[r], xbar[r], zbar[r], pop.w)
+            for r in range(R)]
+        partly_rejected = 0
+        for estimator, row in zip(specs, result.results):
+            kept = []
+            for sample in samples:
+                try:
+                    kept.append(estimate(estimator, sample, pop))
+                except DegenerateSampleError:
+                    pass
+            kept = np.array(kept)
+            assert (row.accepted, row.rejected) == (kept.size, R - kept.size)
+            partly_rejected += 0 < row.rejected < R
+            want = (kept.mean(), kept.var(), np.mean((kept - pop.mean_y) ** 2))
+            got = (row.empirical_mean, row.empirical_variance, row.empirical_mse)
+            if row.rejected:
+                assert got == pytest.approx(want, rel=1e-12), estimator.label
+            else:
+                assert got == want, estimator.label
+        assert partly_rejected > 0
+
     def test_study_equals_itself_when_run_again(self, tiny_frames):
         R = 2 * BLOCK + 9
         first = monte_carlo(tiny_frames, (2, 3), ALL_KINDS_SPECS, R=R, seed=6)
@@ -612,10 +710,16 @@ class TestBlockSampler:
                                     first.zstar_mean, first.zstar_se)
 
     def test_rows_are_uniform_sets_of_distinct_units(self):
-        # y = 2^j decodes each drawn subset from its mean.  Every row
-        # must decode to n distinct units, and under SRSWOR each unit
-        # is included with probability n/N: over 10,000 draws each
-        # frequency sits within 4 binomial standard errors.
+        """Every row is a set of n distinct units, included uniformly.
+
+        ``y = 2^j`` decodes each drawn subset from its mean.  Every row
+        must decode to ``n`` distinct units, and under SRSWOR each unit is
+        included with probability ``n/N``: over 10,000 draws the pooled
+        inclusion score of each stratum (:func:`inclusion_score`) must
+        stay under its chi-square bound at 5e-5.
+
+        Nominal false-alarm rate of the test: 1e-4.
+        """
         frames = [powers_of_two_frame(10, "a"), powers_of_two_frame(16, "b")]
         design = (3, 5)
         draws = 10_000
@@ -627,9 +731,8 @@ class TestBlockSampler:
                 assert len(subset) == n
                 assert subset <= set(range(frame.size))
                 counts[list(subset)] += 1
-            p = n / frame.size
-            band = 4 * np.sqrt(p * (1 - p) / draws)
-            assert np.all(np.abs(counts / draws - p) < band)
+            score = inclusion_score(counts, draws, n)
+            assert score < chi2_bound(frame.size - 1, 5e-5), (h, score)
 
 
 class RecordingGenerator:
@@ -663,6 +766,22 @@ def chi2_bound(k, alpha):
         else:
             hi = mid
     return k * hi
+
+
+def inclusion_score(counts, draws, n):
+    """Pooled score of the unit inclusion counts of uniform ``n``-subsets.
+
+    Over ``draws`` uniform draws of ``n`` of ``N = len(counts)`` units, the
+    count ``c_i`` of unit ``i`` has mean ``draws p``, ``p = n/N``.  The
+    counts sum to ``draws n``, and their covariance is ``draws (p - q)``
+    times the identity off the all-ones direction, ``q = n(n-1)/(N(N-1))``.
+    So ``sum_i (c_i - draws p)^2 / (draws (p - q))`` is close to
+    chi-square with ``N - 1`` degrees of freedom.
+    """
+    N = len(counts)
+    p = n / N
+    q = p * (n - 1) / (N - 1)
+    return np.sum((np.asarray(counts) - draws * p) ** 2) / (draws * (p - q))
 
 
 class TestSubsets:
@@ -723,7 +842,7 @@ class TestSubsets:
         r = q * (n - 2) / (N - 2)
         s = r * (n - 3) / (N - 3)
         alpha = 5e-6
-        Q1 = np.sum((np.diag(C) - D * p) ** 2) / (D * (p - q))
+        Q1 = inclusion_score(np.diag(C), D, n)
         assert Q1 < chi2_bound(N - 1, alpha), Q1
         e = C - D * q
         np.fill_diagonal(e, 0.0)
