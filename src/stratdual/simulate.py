@@ -15,8 +15,10 @@ Reproducibility contract, for the fixed block size :data:`BLOCK`:
   larger study with the same seed;
 * it is parallel-safe per block: block ``b`` (replications
   ``b * BLOCK`` onwards) draws only from its own generator, built from
-  child ``b`` of ``SeedSequence(seed)``, so blocks can be evaluated in
-  any order, or concurrently, with identical output.
+  child ``b`` of ``SeedSequence(seed)``, and writes only its own columns
+  of the study's arrays.  :func:`monte_carlo` runs the blocks
+  concurrently on up to ``min(4, usable CPUs)`` threads, the calling
+  thread included, and its output does not depend on the thread count.
 
 Every block is drawn at full size and the last one is cut to the study's
 ``R``, which is what keeps a study prefix-stable.  A different
@@ -30,6 +32,8 @@ sharpens efficiency comparisons at equal cost.
 from __future__ import annotations
 
 import json
+import os
+import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -73,6 +77,9 @@ __all__ = [
 #: it is part of the reproducibility contract: another value gives other
 #: draws.
 BLOCK = 256
+
+#: Most threads a study runs its blocks on, the calling thread included.
+_MAX_THREADS = 4
 
 
 class AllDrawsRejectedError(RuntimeError):
@@ -159,8 +166,7 @@ class PopulationSpec:
         ids = [s.stratum_id for s in self.strata]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate stratum_id in {ids}")
-        object.__setattr__(self, "seed", int(self.seed))
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
     @property
     def design(self) -> tuple[int, ...]:
@@ -189,9 +195,11 @@ class PopulationSpec:
             raise ValueError(f"malformed population spec: {exc}") from exc
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+def _check_seed(seed) -> int:
+    """``seed`` as an int; a bool, a string or a fraction raises ``ValueError``."""
+    if not _is_whole(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 def _spec_integer(doc: dict, key: str) -> int:
@@ -267,16 +275,26 @@ def generate_population(spec: PopulationSpec) -> list[UnitFrame]:
     return frames
 
 
-def _check_design(frames: Sequence[UnitFrame], design: Sequence[int]) -> None:
-    """Raise ``ValueError`` unless ``design`` has one valid size per frame."""
+def _check_design(frames: Sequence[UnitFrame], design: Sequence[int]
+                  ) -> tuple[int, ...]:
+    """``design`` as ints, one sample size in ``1..N_h`` per frame.
+
+    Anything else raises ``ValueError``: a wrong length, or a size that
+    is out of range or not an integer (a bool, a string, a fraction).
+    """
+    design = tuple(design)
     if len(frames) != len(design):
         raise ValueError("design must provide one sample size per stratum")
     for frame, n in zip(frames, design):
+        if not _is_whole(n):
+            raise ValueError(f"design: sample size must be an integer, got "
+                             f"{n!r} in stratum {frame.stratum_id}")
         if not 1 <= n <= frame.size:
             raise ValueError(
                 f"sample size {n} out of range 1..{frame.size} "
                 f"in stratum {frame.stratum_id}"
             )
+    return tuple(map(int, design))
 
 
 def _subsets(rng: np.random.Generator, N: int, n: int, rows: int) -> np.ndarray:
@@ -306,12 +324,15 @@ def _subsets(rng: np.random.Generator, N: int, n: int, rows: int) -> np.ndarray:
     while True:
         repeat = block[:, 1:] == block[:, :-1]
         has_repeat = repeat.any(axis=1)
-        if not has_repeat.any():
-            return idx
-        todo, block, repeat = todo[has_repeat], block[has_repeat], repeat[has_repeat]
+        if not has_repeat.all():  # else redraw in place, copying nothing
+            if not has_repeat.any():
+                return idx
+            todo, block, repeat = (todo[has_repeat], block[has_repeat],
+                                   repeat[has_repeat])
         block[:, 1:][repeat] = rng.integers(N, size=np.count_nonzero(repeat))
         block.sort(axis=1)
-        idx[todo] = block
+        if block is not idx:
+            idx[todo] = block
 
 
 def _draw_block(
@@ -333,24 +354,90 @@ def _draw_block(
         units = _subsets(rng, frame.size, n, rows)[:keep]
         for v, column in enumerate((frame.y, frame.x, frame.z)):
             means[v, :, h] = column[units].mean(axis=1)
+        del units  # freed before the next stratum draws
     return means
 
 
-def _sample_blocks(
-    frames: Sequence[UnitFrame], design: Sequence[int], R: int, seed: int
-):
-    """Yield ``(start, means)`` for each block of an ``R``-draw study.
+def _block_seeds(seed: int, R: int) -> list[np.random.SeedSequence]:
+    """Child ``b`` of ``SeedSequence(seed)`` for each block ``b`` of an
+    ``R``-draw study."""
+    return np.random.SeedSequence(seed).spawn(-(-R // BLOCK))
 
-    ``means`` is :func:`_draw_block`'s output for replications
-    ``start`` to ``start + BLOCK - 1`` (fewer in the last block), drawn
-    from the generator of child ``start // BLOCK`` of
-    ``SeedSequence(seed)``.  The last block is drawn at full size and
-    cut, so a study is a prefix of any larger one.
+
+def _block_means(
+    frames: Sequence[UnitFrame],
+    design: Sequence[int],
+    R: int,
+    b: int,
+    child: np.random.SeedSequence,
+) -> np.ndarray:
+    """:func:`_draw_block`'s means of block ``b`` of an ``R``-draw study.
+
+    The block holds replications ``b * BLOCK`` to ``b * BLOCK + BLOCK - 1``
+    (fewer in the last block), drawn from the generator of ``child``,
+    which is child ``b`` of the study's seed (:func:`_block_seeds`).  The
+    last block is drawn at full size and cut, so a study is a prefix of
+    any larger one.
     """
-    root = np.random.SeedSequence(seed)
-    for start in range(0, R, BLOCK):
-        rng = np.random.default_rng(root.spawn(1)[0])
-        yield start, _draw_block(frames, design, rng, BLOCK, min(BLOCK, R - start))
+    return _draw_block(frames, design, np.random.default_rng(child), BLOCK,
+                       min(BLOCK, R - b * BLOCK))
+
+
+def _thread_count(blocks: int) -> int:
+    """Threads for a study of ``blocks`` blocks: at most :data:`_MAX_THREADS`,
+    the usable CPUs or ``blocks``, whichever is least."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(_MAX_THREADS, cpus, blocks)
+
+
+def _run_blocks(work, blocks: int) -> None:
+    """Call ``work(b)`` once for each block ``b`` in ``range(blocks)``.
+
+    The blocks run on :func:`_thread_count` threads, the calling thread
+    included: each takes the next block not yet taken until none is
+    left, under the caller's numpy floating-point error settings.  A
+    block must write only its own output, so the order does not matter.
+    A thread that cannot be started leaves its share to the others.  The
+    first exception a block raises, such as a ``MemoryError`` or a
+    warning turned into an error, stops the taking of blocks and is
+    raised here after every thread has been joined.
+    """
+    todo = iter(range(blocks))
+    lock = threading.Lock()
+    errors = []
+    settings = np.geterr()
+
+    def take():
+        with lock:
+            return None if errors else next(todo, None)
+
+    def run():
+        try:
+            with np.errstate(**settings):
+                while (b := take()) is not None:
+                    work(b)
+        except BaseException as exc:  # raised again in the calling thread
+            with lock:
+                errors.append(exc)
+
+    helpers = []
+    for _ in range(_thread_count(blocks) - 1):
+        thread = threading.Thread(target=run, daemon=True)
+        try:
+            thread.start()
+        except RuntimeError:  # the system has no thread to spare
+            break
+        helpers.append(thread)
+    try:
+        run()
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def draw_sample(
@@ -364,8 +451,7 @@ def draw_sample(
     over subsets; strata are independent.  Combined means use weights
     proportional to the frame sizes.
     """
-    design = tuple(int(n) for n in design)
-    _check_design(frames, design)
+    design = _check_design(frames, design)
     sizes = np.array([f.size for f in frames], dtype=float)
     ybar, xbar, zbar = _draw_block(frames, design, rng, 1, 1)
     return SampleMeans.from_stratum_means(
@@ -440,27 +526,31 @@ def monte_carlo(
     a pure function of ``(frames, design, specs, R, seed)`` and its
     draws are the first ``R`` of any larger study.  Every estimator in
     ``specs`` is evaluated on the same draws, one array operation per
-    block.  Draws that are degenerate for an estimator are
-    rejected-and-counted for that estimator only.  Theoretical
-    first-order MSEs are computed from the realized population summary
-    under the same design.
+    block.  The blocks run on up to ``min(4, usable CPUs)`` threads, the
+    calling thread included, with output that does not depend on their
+    number; a one-block study starts no thread.  Draws that are
+    degenerate for an estimator are rejected-and-counted for that
+    estimator only.  Theoretical first-order MSEs are computed from the
+    realized population summary under the same design.
 
     Raises
     ------
     AllDrawsRejectedError
         If some estimator rejects all ``R`` draws.
     ValueError
-        If ``R < 1`` or ``seed`` is negative, if a dual-transform
-        estimator is requested under a census design (the transform is
-        undefined there), or if an estimator is undefined on the
-        population whatever the draw; raised before any sampling.
+        If ``R`` is not an integer of at least 1, ``seed`` not a
+        non-negative integer or a sample size of ``design`` not an
+        integer in ``1..N_h`` (a bool is none of these), if a
+        dual-transform estimator is requested under a census design (the
+        transform is undefined there), or if an estimator is undefined
+        on the population whatever the draw; raised before any sampling
+        or thread.
     """
-    if R < 1:
-        raise ValueError("R must be at least 1")
-    _check_seed(seed)
-    design = tuple(int(n) for n in design)
+    if not _is_whole(R) or R < 1:
+        raise ValueError(f"R must be an integer of at least 1, got {R!r}")
+    R, seed = int(R), _check_seed(seed)
+    design = _check_design(frames, design)
     specs = tuple(specs)
-    _check_design(frames, design)
     pop = combine([summarize_stratum(f, n) for f, n in zip(frames, design)])
     m, md = _moment_sets(pop)
     for spec in specs:
@@ -469,14 +559,20 @@ def monte_carlo(
     plan = _plan(specs)
     estimates = np.empty((len(specs), R))
     stars = np.empty((2, R)) if md is not None else None  # xstar, zstar
-    for start, (ybar, xbar, zbar) in _sample_blocks(frames, design, R, seed):
-        rows = slice(start, start + len(ybar))
+    children = _block_seeds(seed, R)
+
+    def evaluate(b):
+        # Draws block b and fills its own columns of estimates and stars.
+        ybar, xbar, zbar = _block_means(frames, design, R, b, children[b])
+        rows = slice(b * BLOCK, b * BLOCK + len(ybar))
         ybar_st, *plain = (_weighted_sum(pop.w, v) for v in (ybar, xbar, zbar))
         if stars is not None:
             stars[:, rows] = _dual_means(pop, xbar, zbar)
         estimates[:, rows] = _estimate_block(
             plan, pop, ybar_st, np.array(plain),
             None if stars is None else stars[:, rows])[0]
+
+    _run_blocks(evaluate, len(children))
 
     # Every aggregate of every estimator at once; rejected draws add 0.
     ok = ~np.isnan(estimates)
@@ -507,6 +603,6 @@ def monte_carlo(
         star_se = (0.0, 0.0) if R == 1 else (
             stars.std(axis=1, ddof=1) / np.sqrt(R)).tolist()
     return SimResult(population=pop, true_mean_y=pop.mean_y, R=R,
-                     seed=int(seed), design=design, results=tuple(results),
+                     seed=seed, design=design, results=tuple(results),
                      xstar_mean=star_mean[0], xstar_se=star_se[0],
                      zstar_mean=star_mean[1], zstar_se=star_se[1])

@@ -1,7 +1,11 @@
 """Unit tests for the Monte Carlo validation harness."""
 
+import dataclasses
 import json
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +31,7 @@ from stratdual import (
     summarize_stratum,
 )
 from stratdual import simulate
-from stratdual.simulate import BLOCK, _sample_blocks
+from stratdual.simulate import BLOCK, _block_means, _block_seeds
 
 RHO = (0.7, 0.4, 0.3)
 
@@ -599,10 +603,37 @@ class TestMonteCarlo:
 
 
 def study_means(frames, design, R, seed):
-    """Per-stratum (y, x, z) means of every draw of a study, (3, R, L)."""
+    """Per-stratum (y, x, z) means of every draw of a study, (3, R, L).
+
+    Each block comes from the per-block function ``monte_carlo`` runs.
+    """
     return np.concatenate(
-        [means for _, means in _sample_blocks(frames, design, R, seed)],
-        axis=1)
+        [_block_means(frames, design, R, b, child)
+         for b, child in enumerate(_block_seeds(seed, R))], axis=1)
+
+
+def rejecting_study():
+    """``(frames, design, specs)`` of a study in which some draws are rejected.
+
+    Two small strata with high sampling fractions, as in the benchmark's
+    estimator grid.  The z-mean sits near zero against its spread, so the
+    fractional dual exponents reject some draws.
+    """
+    rho = (0.8, -0.5, -0.4)
+    spec = PopulationSpec(strata=(
+        StratumSpec(stratum_id="p", N=30, n=18, mu=(50.0, 100.0, 3.0),
+                    sigma=(10.0, 15.0, 10.0), rho=rho),
+        StratumSpec(stratum_id="q", N=20, n=12, mu=(60.0, 120.0, 2.5),
+                    sigma=(12.0, 18.0, 10.0), rho=rho)), seed=5)
+    frames = generate_population(spec)
+    mean_x = combine([summarize_stratum(f, n)
+                      for f, n in zip(frames, spec.design)]).mean_x
+    specs = ALL_KINDS_SPECS + (
+        EstimatorSpec(kind="tracy_product", A=2.0 * mean_x),
+        EstimatorSpec(kind="dual_family", alpha1=0.25, alpha2=0.75),
+        EstimatorSpec(kind="dual_family", alpha1=0.75, alpha2=-0.25),
+    )
+    return frames, spec.design, specs
 
 
 class TestBlockSampler:
@@ -661,23 +692,11 @@ class TestBlockSampler:
         The z-mean sits near zero against its spread, so the fractional
         dual exponents reject some draws.
         """
-        rho = (0.8, -0.5, -0.4)
-        spec = PopulationSpec(strata=(
-            StratumSpec(stratum_id="p", N=30, n=18, mu=(50.0, 100.0, 3.0),
-                        sigma=(10.0, 15.0, 10.0), rho=rho),
-            StratumSpec(stratum_id="q", N=20, n=12, mu=(60.0, 120.0, 2.5),
-                        sigma=(12.0, 18.0, 10.0), rho=rho)), seed=5)
-        frames = generate_population(spec)
-        pop = combine([summarize_stratum(f, n)
-                       for f, n in zip(frames, spec.design)])
-        specs = ALL_KINDS_SPECS + (
-            EstimatorSpec(kind="tracy_product", A=2.0 * pop.mean_x),
-            EstimatorSpec(kind="dual_family", alpha1=0.25, alpha2=0.75),
-            EstimatorSpec(kind="dual_family", alpha1=0.75, alpha2=-0.25),
-        )
+        frames, design, specs = rejecting_study()
+        pop = combine([summarize_stratum(f, n) for f, n in zip(frames, design)])
         R, seed = BLOCK + 40, 3
-        result = monte_carlo(frames, spec.design, specs, R=R, seed=seed)
-        ybar, xbar, zbar = study_means(frames, spec.design, R, seed)
+        result = monte_carlo(frames, design, specs, R=R, seed=seed)
+        ybar, xbar, zbar = study_means(frames, design, R, seed)
         samples = [SampleMeans.from_stratum_means(
             pop.stratum_ids, ybar[r], xbar[r], zbar[r], pop.w)
             for r in range(R)]
@@ -850,15 +869,16 @@ class TestSubsets:
         Q2 = (np.sum(e**2) / 2 - np.sum(d**2) / (N - 2)) / (D * (q - 2 * r + s))
         assert Q2 < chi2_bound(N * (N - 3) // 2, alpha), Q2
 
-    def test_large_stratum_study_memory_is_bounded(self):
+    def test_large_stratum_study_memory_is_bounded(self, monkeypatch):
         """Sampling memory follows the index block, not the stratum size.
 
         One stratum of N = 20,000 units at n = 200 takes the redraw
         sampler, whose arrays are a few ``(BLOCK, n)`` blocks of 400 KiB.
         Ranking uniform keys instead would hold two ``(BLOCK, N)``
-        arrays, 78 MiB.  The traced peak of a two-block study must stay
-        under 4 MiB.
+        arrays, 78 MiB.  The traced peak of a two-block study, its blocks
+        run on two threads, must stay under 4 MiB.
         """
+        force_threads(monkeypatch, 2)
         values = np.random.default_rng(5).normal(100.0, 10.0, (3, 20_000))
         frame = UnitFrame(stratum_id="big", y=values[0], x=values[1],
                           z=values[2])
@@ -870,3 +890,172 @@ class TestSubsets:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20, peak
+
+
+def force_threads(monkeypatch, count):
+    """Run the blocks of every study on ``count`` threads, whatever its size."""
+    monkeypatch.setattr(simulate, "_thread_count", lambda blocks: count)
+
+
+class TestThreadedBlocks:
+    @pytest.mark.parametrize("R", [1, BLOCK - 1, BLOCK + 1, 5 * BLOCK + 3])
+    def test_results_do_not_depend_on_the_thread_count(self, monkeypatch, R):
+        # Every field of the result, bit for bit, with some draws rejected
+        # by the fractional dual exponents (at R = 1, perhaps all of them).
+        # Threads switch every microsecond, so that they interleave.
+        frames, design, specs = rejecting_study()
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (1, 2, 3):
+                force_threads(monkeypatch, threads)
+                try:
+                    result = monte_carlo(frames, design, specs, R=R, seed=11)
+                    results.append(dataclasses.asdict(result))
+                except AllDrawsRejectedError as exc:
+                    results.append(str(exc))
+        finally:
+            sys.setswitchinterval(interval)
+        for other in results[1:]:
+            np.testing.assert_equal(other, results[0])
+        if R > 1:
+            rows = results[0]["results"]
+            assert any(0 < row["rejected"] < R for row in rows)
+
+    def test_all_draws_rejected_raises_the_same_way(self, monkeypatch):
+        # As in TestMonteCarlo.test_all_draws_rejected_raises: at R = 1 a
+        # study raises with probability 1/2 per seed.
+        frames = [negative_base_frame()]
+        specs = [EstimatorSpec(kind="dual_family", alpha1=0.5, alpha2=0.5)]
+        raised = 0
+        for seed in range(40):
+            for R in (1, 3, BLOCK + 1):
+                outcomes = []
+                for threads in (1, 2):
+                    force_threads(monkeypatch, threads)
+                    try:
+                        outcomes.append(monte_carlo(frames, (1,), specs, R=R,
+                                                    seed=seed).rows())
+                    except AllDrawsRejectedError as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1], (seed, R)
+                raised += isinstance(outcomes[0], str)
+        assert raised > 0
+
+    @pytest.mark.parametrize("where", ["caller", "helper"])
+    @pytest.mark.parametrize("error, settings", [
+        (MemoryError, {}),
+        (RuntimeWarning, {}),                    # turned into an error
+        (FloatingPointError, {"over": "raise"}),  # the caller's settings
+    ])
+    def test_a_failing_block_fails_the_study_and_leaves_no_thread(
+            self, monkeypatch, tiny_frames, where, error, settings):
+        # The thread named by ``where`` fails on its first block; the other
+        # one holds its block until then, so both threads take a block.
+        force_threads(monkeypatch, 2)
+        caller = threading.get_ident()
+        failed = threading.Event()
+        draw = simulate._draw_block
+
+        def failing_draw(*args):
+            if (threading.get_ident() == caller) == (where == "caller"):
+                failed.set()
+                if error is MemoryError:
+                    raise MemoryError("block failed")
+                np.float64(1e308) * 10.0  # overflows
+            failed.wait(timeout=30)
+            return draw(*args)
+
+        monkeypatch.setattr(simulate, "_draw_block", failing_draw)
+        before = threading.active_count()
+        with warnings.catch_warnings(), np.errstate(**settings):
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(error):
+                monte_carlo(tiny_frames, (2, 3), ALL_KINDS_SPECS,
+                            R=4 * BLOCK, seed=1)
+        assert failed.is_set()
+        assert threading.active_count() == before
+
+    def test_threads_that_cannot_start_leave_their_blocks_to_the_caller(
+            self, monkeypatch, tiny_frames):
+        R = 3 * BLOCK + 5
+        serial = monte_carlo(tiny_frames, (2, 3), ALL_KINDS_SPECS, R=R, seed=4)
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        force_threads(monkeypatch, 3)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        alone = monte_carlo(tiny_frames, (2, 3), ALL_KINDS_SPECS, R=R, seed=4)
+        np.testing.assert_equal(dataclasses.asdict(alone),
+                                dataclasses.asdict(serial))
+
+    def test_one_block_study_starts_no_thread(self, monkeypatch, tiny_frames):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", started.append)
+        monte_carlo(tiny_frames, (2, 3), ALL_KINDS_SPECS, R=BLOCK, seed=3)
+        assert started == []
+
+    @pytest.mark.parametrize("cpus, expected", [
+        (1, {1: 1, 2: 1, 9: 1}),
+        (2, {1: 1, 2: 2, 9: 2}),
+        (3, {1: 1, 2: 2, 9: 3}),
+        (64, {1: 1, 2: 2, 3: 3, 9: 4, 10_000: 4}),
+    ])
+    def test_thread_count_is_the_least_of_four_cpus_and_blocks(
+            self, monkeypatch, cpus, expected):
+        # Computed only: no thread is started.
+        monkeypatch.setattr(simulate.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        assert {b: simulate._thread_count(b) for b in expected} == expected
+        # Without CPU affinity the CPU count is used, and 1 if unknown.
+        monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+        assert {b: simulate._thread_count(b) for b in expected} == expected
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+        assert simulate._thread_count(9) == 1
+
+
+class TestCountArguments:
+    """``R``, ``seed`` and every ``n_h`` must be integers; a bool is not one."""
+
+    classical = [EstimatorSpec(kind="classical")]
+
+    @pytest.mark.parametrize("R", [-2, 10.5, "10", True, None])
+    def test_bad_replication_count(self, tiny_frames, R):
+        with pytest.raises(ValueError) as info:
+            monte_carlo(tiny_frames, (2, 3), self.classical, R=R, seed=1)
+        assert str(info.value) == f"R must be an integer of at least 1, got {R!r}"
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "5", True, None])
+    def test_bad_seed(self, tiny_frames, seed):
+        with pytest.raises(ValueError) as info:
+            monte_carlo(tiny_frames, (2, 3), self.classical, R=4, seed=seed)
+        assert str(info.value) == (f"seed must be a non-negative integer, "
+                                   f"got {seed!r}")
+        with pytest.raises(ValueError, match="seed must be a non-negative"):
+            PopulationSpec(strata=(make_stratum_spec(),), seed=seed)
+
+    @pytest.mark.parametrize("design, stratum, n", [
+        ((5.5, 3), "a", 5.5), (("2", 3), "a", "2"), ((2, True), "b", True),
+        ((2, None), "b", None),
+    ])
+    def test_bad_sample_size(self, tiny_frames, design, stratum, n):
+        message = (f"design: sample size must be an integer, got {n!r} "
+                   f"in stratum {stratum}")
+        with pytest.raises(ValueError) as info:
+            monte_carlo(tiny_frames, design, self.classical, R=4, seed=1)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            draw_sample(tiny_frames, design, np.random.default_rng(0))
+        assert str(info.value) == message
+
+    def test_integral_floats_are_counts(self, tiny_frames):
+        exact = monte_carlo(tiny_frames, (2, 3), ALL_KINDS_SPECS, R=40, seed=6)
+        floats = monte_carlo(tiny_frames, (2.0, np.float64(3.0)),
+                             ALL_KINDS_SPECS, R=40.0, seed=6.0)
+        np.testing.assert_equal(dataclasses.asdict(floats),
+                                dataclasses.asdict(exact))
+        assert (type(floats.R), type(floats.seed)) == (int, int)
+        assert all(type(n) is int for n in floats.design)
