@@ -40,6 +40,7 @@ from .domain import (
     StratumSummary,
     ValidationReport,
     _is_number,
+    _read_json,
     combine,
     neyman_allocation,
     read_summary_csv,
@@ -451,9 +452,7 @@ def _load_for_command(config: RunConfig):
     dual set or ``None``.
     """
     if config.moments is not None:
-        with config.moments.open() as fh:
-            doc = json.load(fh)
-        m, md, means = moments_from_dict(doc)
+        m, md, means = moments_from_dict(_read_json(config.moments))
         shell = StratumSummary(
             stratum_id="(moments)",
             N=2,
@@ -752,8 +751,8 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
     """
     file_values = {}
     if getattr(args, "config", None) is not None:
-        with args.config.open() as fh:
-            doc = _json_object(json.load(fh), f"config file {args.config}")
+        doc = _json_object(_read_json(args.config),
+                           f"config file {args.config}")
         file_values = _config_values(doc)
     options = {}
     for name, flag, key, meta in _OPTIONS:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import json
 import math
 import numbers
 import sys
@@ -123,7 +124,7 @@ class StratumSummary:
         object.__setattr__(self, "stratum_id", str(self.stratum_id))
         for name in SUMMARY_COLUMNS[1:3]:  # N, n
             value = getattr(self, name)
-            if int(value) != value:
+            if not _is_whole(value):
                 raise ValueError(f"{name} must be an integer count")
             object.__setattr__(self, name, int(value))
         if self.N < 1:
@@ -476,6 +477,15 @@ def _is_whole(value) -> bool:
     if isinstance(value, numbers.Integral):
         return True
     return isinstance(value, float) and value.is_integer()
+
+
+def _read_json(path: str | Path):
+    """The JSON document at ``path``; a syntax error names the file."""
+    with Path(path).open() as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def neyman_allocation(

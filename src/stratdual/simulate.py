@@ -31,7 +31,6 @@ sharpens efficiency comparisons at equal cost.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from dataclasses import dataclass, fields
@@ -45,6 +44,7 @@ from .domain import (
     UnitFrame,
     _is_number,
     _is_whole,
+    _read_json,
     _weighted_sum,
     combine,
     summarize_stratum,
@@ -65,6 +65,7 @@ __all__ = [
     "PopulationSpec",
     "EstimatorResult",
     "SimResult",
+    "AllDrawsRejectedError",
     "load_population_spec",
     "generate_population",
     "draw_sample",
@@ -133,6 +134,13 @@ class StratumSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stratum_id", str(self.stratum_id))
+        for name in ("N", "n"):
+            value = getattr(self, name)
+            if name == "n" and value is None:
+                continue
+            if not _is_whole(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.N < 1:
             raise ValueError("N must be at least 1")
         mu = tuple(float(v) for v in self.mu)
@@ -146,10 +154,8 @@ class StratumSpec:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "rho", rho)
-        if self.n is not None:
-            if not 1 <= int(self.n) <= self.N:
-                raise ValueError(f"design n={self.n} out of range 1..{self.N}")
-            object.__setattr__(self, "n", int(self.n))
+        if self.n is not None and not 1 <= self.n <= self.N:
+            raise ValueError(f"design n={self.n} out of range 1..{self.N}")
 
 
 @dataclass(frozen=True)
@@ -238,8 +244,7 @@ def _spec_rho(rho) -> tuple[float, ...]:
 
 def load_population_spec(path: str | Path) -> PopulationSpec:
     """Read a :class:`PopulationSpec` from a JSON document."""
-    with Path(path).open() as fh:
-        return PopulationSpec.from_dict(json.load(fh))
+    return PopulationSpec.from_dict(_read_json(path))
 
 
 def _covariance_factor(sigma: tuple[float, float, float], R: np.ndarray) -> np.ndarray:

@@ -56,6 +56,22 @@ def units_csv(tmp_path):
 
 
 @pytest.fixture()
+def census_csv(tmp_path):
+    """A summary CSV whose second stratum is a census (n = N)."""
+    path = tmp_path / "census.csv"
+    write_summary_csv(path, [make_summary(stratum_id="1"),
+                             make_summary(stratum_id="2", n=20)])
+    return str(path)
+
+
+def moments_file(tmp_path, **moments):
+    """A bare moments document holding ``moments``."""
+    path = tmp_path / "moments.json"
+    path.write_text(json.dumps(moments))
+    return str(path)
+
+
+@pytest.fixture()
 def population_json(tmp_path):
     doc = {
         "seed": 7,
@@ -166,11 +182,8 @@ class TestMse:
         assert rows[0]["mse"] == pytest.approx(rows[1]["mse"], rel=1e-15)
         assert rows[0]["mse"] == pytest.approx(1858.8863086336705, rel=1e-12)
 
-    def test_census_input_drops_dual_estimators(self, capsys, tmp_path):
-        path = tmp_path / "census.csv"
-        write_summary_csv(path, [make_summary(stratum_id="1"),
-                                 make_summary(stratum_id="2", n=20)])
-        code, out, err = run(capsys, "mse", "--input", str(path),
+    def test_census_input_drops_dual_estimators(self, capsys, census_csv):
+        code, out, err = run(capsys, "mse", "--input", census_csv,
                              "--format", "json")
         assert code == 0
         kinds = [r["estimator"] for r in json_rows(out)]
@@ -181,17 +194,42 @@ class TestMse:
 
     @pytest.mark.parametrize("text", [" plikusas_dual", "dual_family:opt ",
                                       " dual_family:opt"])
-    def test_census_input_skips_padded_dual_specs(self, capsys, tmp_path, text):
-        path = tmp_path / "census.csv"
-        write_summary_csv(path, [make_summary(stratum_id="1"),
-                                 make_summary(stratum_id="2", n=20)])
-        code, out, err = run(capsys, "mse", "--input", str(path),
+    def test_census_input_skips_padded_dual_specs(self, capsys, census_csv,
+                                                  text):
+        code, out, err = run(capsys, "mse", "--input", census_csv,
                              "--estimator", "classical", "--estimator", text,
                              "--format", "json")
         assert code == 0
         assert [r["estimator"] for r in json_rows(out)] == ["classical"]
         assert err == ("skipping dual estimators (no dual moments): "
                        f"[{text.strip()!r}]\n")
+
+    def test_blocking_finding_stops_the_command(self, capsys):
+        code, out, err = run(capsys, "mse", "--input", PRINTED)
+        assert (code, out) == (1, "")
+        assert err.endswith(
+            "error: validation found 1 blocking error(s); rerun with "
+            "--corrections auto or fix the input\n")
+
+    def test_opt_without_a_closed_form_is_an_error(self, capsys):
+        code, out, err = run(capsys, "mse", "--input", CORRECTED,
+                             "--estimator", "classical:opt")
+        assert (code, out) == (1, "")
+        assert err.endswith(
+            "error: no closed-form optimum implemented for 'classical'\n")
+
+    def test_inconsistent_moments_warn_of_a_nonpositive_mse(self, capsys,
+                                                            tmp_path):
+        # |v110| > sqrt(v200 v020): no population has these moments.
+        doc = moments_file(tmp_path, v200=1.0, v020=1.0, v002=1.0, v110=2.0,
+                           v101=0.0, v011=0.0)
+        code, out, err = run(capsys, "mse", "--moments", doc, "--estimator",
+                             "combined_ratio", "--format", "csv")
+        assert code == 0
+        assert out == "estimator,params,mse,pre\ncombined_ratio,,-2,\n"
+        assert err == ("warning: first-order MSE of combined_ratio is "
+                       "nonpositive (-2.0); the supplied moments are "
+                       "internally inconsistent at this order\n")
 
     def test_unknown_estimator_is_an_error(self, capsys):
         code, out, err = run(capsys, "mse", "--input", CORRECTED,
@@ -223,6 +261,14 @@ class TestPre:
         assert opt["alpha1"] == pytest.approx(0.6088536732633183, rel=1e-12)
         assert opt["alpha2"] == pytest.approx(-3.922981837318862, rel=1e-12)
         assert opt["pre"] == pytest.approx(833.1505432902786, rel=1e-12)
+
+    def test_census_input_leaves_out_the_dual_rows(self, capsys, census_csv):
+        code, out, err = run(capsys, "pre", "--input", census_csv,
+                             "--format", "json")
+        assert code == 0
+        assert [r["estimator"] for r in json_rows(out)] == [
+            "classical", "combined_ratio", "ratio_cum_product"]
+        assert err == "skipping dual rows (no dual moments available)\n"
 
     def test_moments_document_round_trip(self, capsys, tmp_path):
         # The pre table computed from an exported moments document must
@@ -287,6 +333,28 @@ class TestSweep:
                              "--grid", "0.0:1.0:0.5")
         assert code == 1
         assert "theta = 0" in err
+
+    @pytest.mark.parametrize("grid, message", [
+        ("1:2", "bad grid '1:2'; expected START:STOP:STEP"),
+        ("1:2:3:4", "bad grid '1:2:3:4'; expected START:STOP:STEP"),
+        ("1:2:0", "sweep step must be positive"),
+        ("1:2:-0.5", "sweep step must be positive"),
+    ])
+    def test_rejects_malformed_range_grid(self, capsys, grid, message):
+        code, out, err = run(capsys, "sweep", "--input", CORRECTED,
+                             "--grid", grid)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_moments_without_an_optimum_give_no_optimum_row(self, capsys,
+                                                           tmp_path):
+        doc = moments_file(tmp_path, v200=1.0, v020=0.0, v002=1.0, v110=0.0,
+                           v101=0.0, v011=0.0)
+        code, out, err = run(capsys, "sweep", "--moments", doc,
+                             "--grid", "1,2", "--format", "json")
+        assert code == 0
+        assert [r["note"] for r in json_rows(out)] == ["", ""]
+        assert err == ("no optimum row: v020 must be positive to optimize "
+                       "theta\n")
 
     def test_rejects_backwards_range(self, capsys):
         code, out, err = run(capsys, "sweep", "--input", CORRECTED,
@@ -381,6 +449,16 @@ class TestOptimize:
         }
         for key, want in expected.items():
             assert values[key] == pytest.approx(want, rel=1e-12), key
+
+    def test_census_input_leaves_out_the_dual_optimum(self, capsys,
+                                                      census_csv):
+        code, out, err = run(capsys, "optimize", "--input", census_csv,
+                             "--format", "json")
+        assert code == 0
+        assert [r["parameter"] for r in json_rows(out)] == [
+            "var_classical", "theta_opt", "A_opt", "mse_tracy_product_min",
+            "pre_tracy_product_opt"]
+        assert err == "skipping dual optimum (no dual moments available)\n"
 
 
 class TestOptimumRowsAgree:
@@ -627,6 +705,13 @@ class TestFormatsAndConfig:
          "config key 'sweep': unknown keys ['stpe']"),
         ("simulate", {"simulate": {"sead": 3}},
          "config key 'simulate.sead': unknown key"),
+        ("sweep", {"sweep": 5},
+         "config key 'sweep' must hold a JSON object, not 5"),
+        ("sweep", {"sweep": {"start": 1, "stop": 2}},
+         "sweep grid missing keys ['step']"),
+        ("sweep", {"sweep": {}},
+         "sweep grid missing keys ['start', 'stop', 'step']"),
+        ("sweep", {"sweep": {"values": []}}, "empty sweep grid"),
     ])
     def test_config_value_of_the_wrong_type_is_an_error(self, capsys,
                                                         tmp_path, command,
@@ -683,6 +768,25 @@ class TestFormatsAndConfig:
         code, out, err = run(capsys, "pre")
         assert code == 1
         assert "no input" in err
+
+    def test_bad_integer_flag_is_an_error(self, capsys):
+        code, out, err = run(capsys, "mse", "--input", CORRECTED,
+                             "--allocate", "abc")
+        assert (code, out, err) == (
+            1, "", "error: argument --allocate: 'abc' is not an integer\n")
+
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--population"), ("mse", "--moments"),
+        ("mse", "--config"),
+    ])
+    def test_malformed_json_names_its_file(self, capsys, tmp_path, command,
+                                           flag):
+        doc = tmp_path / "truncated.json"
+        doc.write_text('{"seed": 7,\n')
+        code, out, err = run(capsys, command, flag, str(doc))
+        assert (code, out) == (1, "")
+        assert err == (f"error: {doc}: Expecting property name enclosed in "
+                       "double quotes: line 2 column 1 (char 12)\n")
 
     def test_bad_flag_value_exits_via_argparse(self):
         with pytest.raises(SystemExit):

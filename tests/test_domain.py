@@ -70,6 +70,24 @@ class TestUnitFrame:
         assert str(info.value) == message
 
 
+class TestStratumSummary:
+    @pytest.mark.parametrize("field, value", [
+        ("N", 20.5), ("N", "20"), ("N", True),
+        ("n", 5.5), ("n", "5"), ("n", True),
+    ])
+    def test_count_that_is_not_an_integer_is_rejected(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be an integer count$"):
+            make_summary(**{field: value})
+
+    @pytest.mark.parametrize("N, n", [(20.0, 5.0),
+                                      (np.int64(20), np.int64(5))])
+    def test_integral_counts_are_stored_as_int(self, N, n):
+        s = make_summary(N=N, n=n)
+        assert (s.N, s.n) == (20, 5)
+        assert type(s.N) is int and type(s.n) is int
+
+
 class TestSummarizeStratum:
     def test_matches_loop_oracle(self, tiny_frames):
         for frame, n in zip(tiny_frames, (2, 3)):

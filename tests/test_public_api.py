@@ -12,6 +12,9 @@ import stratdual
 
 MODULES = ("cli", "datasets", "domain", "estimators", "moments",
            "mse_theory", "simulate")
+#: The modules whose ``__all__`` the package re-exports, in order.
+LIBRARY_MODULES = ("domain", "estimators", "moments", "mse_theory",
+                   "simulate")
 
 
 def test_package_exports():
@@ -20,12 +23,13 @@ def test_package_exports():
         "UnitFrame", "StratumSummary", "PopulationSummary", "Finding",
         "ValidationReport", "summarize_stratum", "combine", "validate",
         "neyman_allocation", "read_summary_csv", "write_summary_csv",
-        "read_units_csv",
+        "read_units_csv", "SUMMARY_COLUMNS", "SUMMARY_RHO_COLUMNS",
+        "UNITS_COLUMNS",
         "MomentSet", "DualMomentSet", "compute_moments",
         "compute_dual_moments", "moments_to_json", "moments_from_dict",
-        "KINDS", "DUAL_KINDS", "EstimatorSpec", "SampleMeans",
-        "DegenerateSampleError", "parse_estimator", "dual_transform_means",
-        "estimate",
+        "KINDS", "DUAL_KINDS", "TRANSFORM_KINDS", "EstimatorSpec",
+        "SampleMeans", "DegenerateSampleError", "parse_estimator",
+        "dual_transform_means", "estimate",
         "MseReport", "EfficiencyVerdict", "var_yst", "theta_of_A",
         "A_of_theta", "mse_first_order", "optimize_theta", "optimize_alphas",
         "bias_first_order_dual", "efficiency_conditions",
@@ -38,6 +42,34 @@ def test_package_exports():
         assert hasattr(stratdual, export), export
 
 
+def test_package_reexports_each_library_module():
+    # Each public name is declared once, in its module's __all__; the
+    # package re-exports those lists and binds each name to its module's
+    # object, which is what lets the benchmark's tracer rebind it.
+    homes = {name: importlib.import_module(f"stratdual.{name}")
+             for name in LIBRARY_MODULES}
+    declared = [export for home in homes.values() for export in home.__all__]
+    assert len(declared) == len(set(declared))
+    assert stratdual.__all__ == ["__version__", *declared]
+    for home in homes.values():
+        for export in home.__all__:
+            assert getattr(stratdual, export) is getattr(home, export), export
+    # With the tracer installed, each traced name the package exports is
+    # still its module's object: the wrapper.
+    tracing = benchmark_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for module, names in tracing.TRACED.items():
+            home = importlib.import_module(f"stratdual.{module}")
+            for name in set(stratdual.__all__).intersection(names):
+                assert getattr(stratdual, name) is getattr(home, name), \
+                    f"{module}.{name}"
+                assert hasattr(getattr(stratdual, name), "__wrapped__"), name
+    finally:
+        tracer.remove()
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"stratdual.{name}")
@@ -45,17 +77,18 @@ def test_every_exported_name_resolves(name):
         assert hasattr(module, export), f"stratdual.{name}.{export}"
 
 
-def benchmark_traced():
-    """The benchmark's TRACED table: functions traced, by module.
-
-    The table is read, not imported as a package, from the benchmark's
-    file.
-    """
+def benchmark_tracing():
+    """The benchmark's tracing module, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
     spec = importlib.util.spec_from_file_location("_benchmark_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing.TRACED
+    return tracing
+
+
+def benchmark_traced():
+    """The benchmark's TRACED table: functions traced, by module."""
+    return benchmark_tracing().TRACED
 
 
 def test_benchmark_traced_names_resolve():

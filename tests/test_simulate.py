@@ -96,6 +96,24 @@ class TestStratumSpec:
         with pytest.raises(ValueError, match="out of range"):
             make_stratum_spec(n=31)
 
+    @pytest.mark.parametrize("field, value, shown", [
+        ("N", 30.5, "30.5"), ("N", "30", "'30'"), ("N", True, "True"),
+        ("N", None, "None"),
+        ("n", 5.5, "5.5"), ("n", "5", "'5'"), ("n", True, "True"),
+    ])
+    def test_count_that_is_not_an_integer_is_rejected(self, field, value,
+                                                      shown):
+        with pytest.raises(ValueError) as error:
+            make_stratum_spec(**{field: value})
+        assert str(error.value) == f"{field} must be an integer, got {shown}"
+
+    def test_integral_counts_are_stored_as_int(self):
+        spec = make_stratum_spec(N=30.0, n=np.int64(6))
+        assert (spec.N, spec.n) == (30, 6)
+        assert type(spec.N) is int and type(spec.n) is int
+        frame, = generate_population(PopulationSpec(strata=(spec,), seed=1))
+        assert frame.size == 30
+
 
 class TestPopulationSpec:
     def test_requires_at_least_one_stratum(self):
