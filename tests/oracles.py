@@ -301,6 +301,29 @@ def enumerate_srswor(frame, n):
     return list(itertools.combinations(range(len(frame.y)), n))
 
 
+def redraw_subsets(rng, N, n, rows):
+    """``rows`` uniform ``n``-subsets of ``range(N)``, drawn with replacement
+    and topped up, as sorted lists.
+
+    One ``rng.integers(N, size=(rows, n))`` call fills every row; each row
+    keeps the set of its values.  Then, round after round, the rows still
+    short of ``n`` units are topped up from one ``rng.integers(N, size=t)``
+    call, ``t`` their total shortfall: the values are handed out in order,
+    row by row, each row taking as many as it lacks.  The rounds end when
+    no row is short.
+    """
+    subsets = [set(row) for row in rng.integers(N, size=(rows, n)).tolist()]
+    while True:
+        short = [(units, n - len(units)) for units in subsets if len(units) < n]
+        total = sum(lack for _, lack in short)
+        if total == 0:
+            return [sorted(units) for units in subsets]
+        values = iter(rng.integers(N, size=total).tolist())
+        for units, lack in short:
+            for _ in range(lack):
+                units.add(next(values))
+
+
 def enumeration_mean_var(values, n):
     """Exact mean and variance of a sample mean under SRSWOR enumeration."""
     means = [

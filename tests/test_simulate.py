@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import redraw_subsets
 from stratdual import (
     KINDS,
     AllDrawsRejectedError,
@@ -659,17 +660,24 @@ class TestBlockSampler:
         # Block b draws every stratum in turn, BLOCK rows each, from the
         # generator of child b; the last block is drawn at full size and
         # cut.  The tiny strata take the keys sampler: a row's sample is
-        # its n smallest of N uniform keys, its units averaged in index
-        # order.
-        R, seed, design = 2 * BLOCK + 3, 8, (2, 3)
-        means = study_means(tiny_frames, design, R, seed)
+        # its n smallest of N uniform keys.  The third stratum takes the
+        # redraw sampler, given by its oracle.  A sample's units are
+        # averaged in index order.
+        values = np.random.default_rng(3).normal(100.0, 10.0, (3, 200))
+        frames = tiny_frames + [UnitFrame(stratum_id="c", y=values[0],
+                                          x=values[1], z=values[2])]
+        R, seed, design = 2 * BLOCK + 3, 8, (2, 3, 20)
+        means = study_means(frames, design, R, seed)
         for b in range(3):
             child = np.random.SeedSequence(seed).spawn(b + 1)[b]
             rng = np.random.default_rng(child)
             kept = min(BLOCK, R - b * BLOCK)
-            for h, (frame, n) in enumerate(zip(tiny_frames, design)):
-                keys = rng.random((BLOCK, frame.size))
-                units = np.sort(np.argsort(keys, axis=1)[:kept, :n], axis=1)
+            for h, (frame, n) in enumerate(zip(frames, design)):
+                if frame.size == 200:
+                    units = redraw_subsets(rng, frame.size, n, BLOCK)[:kept]
+                else:
+                    keys = rng.random((BLOCK, frame.size))
+                    units = np.sort(np.argsort(keys, axis=1)[:kept, :n], axis=1)
                 for r, row in enumerate(units):
                     expected = [frame.y[row].mean(), frame.x[row].mean(),
                                 frame.z[row].mean()]
@@ -886,6 +894,32 @@ class TestSubsets:
         d = e.sum(axis=1)
         Q2 = (np.sum(e**2) / 2 - np.sum(d**2) / (N - 2)) / (D * (q - 2 * r + s))
         assert Q2 < chi2_bound(N * (N - 3) // 2, alpha), Q2
+
+    @pytest.mark.parametrize("N, n", [
+        (65, 8), (67, 22), (200, 20), (2000, 200), (20000, 200), (70000, 300),
+        (1000, 1),
+    ])
+    def test_redraw_sampler_matches_its_oracle(self, N, n):
+        """Large strata take exactly the draws of the redraw oracle.
+
+        Over three blocks from one generator, every row equals the
+        oracle's (``tests/oracles.py``: ``redraw_subsets``) and the two
+        generators end in the same state, so the sampler makes the same
+        calls for the same values.
+        """
+        rng, ref = np.random.default_rng(1016), np.random.default_rng(1016)
+        for _ in range(3):
+            units = simulate._subsets(rng, N, n, BLOCK)
+            np.testing.assert_array_equal(units, redraw_subsets(ref, N, n, BLOCK))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("N, n", [
+        (64, 8), (66, 22), (65, 8), (200, 20), (70000, 300), (1000, 1),
+    ])
+    def test_indices_are_intp(self, N, n):
+        # Both samplers hand back native indices, which the means gather.
+        units = simulate._subsets(np.random.default_rng(7), N, n, BLOCK)
+        assert units.dtype == np.intp
 
     def test_large_stratum_study_memory_is_bounded(self, monkeypatch):
         """Sampling memory follows the index block, not the stratum size.
