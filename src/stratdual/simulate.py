@@ -24,8 +24,10 @@ Every block is drawn at full size and the last one is cut to the study's
 ``R``, which is what keeps a study prefix-stable.  A different
 ``BLOCK`` gives different (equally valid) draws.  Within a block each
 stratum, in turn, fills its ``(BLOCK, n_h)`` index array with one of two
-samplers, chosen by the stratum's shape (:func:`_subsets`).  Every
-sample is shared across estimators (common random numbers), which
+samplers, chosen by the stratum's shape (:func:`_subsets`).  The shape
+rule and the order in which the redraw sampler consumes its generator
+are part of the contract too: another rule or order gives other draws.
+Every sample is shared across estimators (common random numbers), which
 sharpens efficiency comparisons at equal cost.
 """
 
@@ -305,36 +307,50 @@ def _check_design(frames: Sequence[UnitFrame], design: Sequence[int]
 def _subsets(rng: np.random.Generator, N: int, n: int, rows: int) -> np.ndarray:
     """``rows`` independent uniform ``n``-subsets of ``range(N)``, sorted.
 
-    Returns an index array of shape ``(rows, n)``, each row ascending.
-    Small or high-fraction strata (``N <= 64`` or ``3 n >= N``) rank
-    ``N`` iid uniform keys per row and keep the ``n`` smallest.  Larger
-    strata draw ``n`` units with replacement, sort, and redraw the extra
-    copies of any repeated unit until each row is distinct; only rows
-    that still hold a repeat are redrawn and re-sorted.  Which units
+    Returns an ``np.intp`` index array of shape ``(rows, n)``, each row
+    ascending.  Small or high-fraction strata (``N <= 64`` or
+    ``3 n >= N``) rank ``N`` iid uniform keys per row and keep the ``n``
+    smallest.  Larger strata draw ``n`` units per row with replacement,
+    sort each row, and redraw the extra copies of any repeated unit until
+    each row is distinct.  Each round draws all its replacements in one
+    call, handed out in row-major order of the copies they replace; only
+    rows that still hold a repeat are redrawn and re-sorted.  Which units
     survive depends only on their multiplicities, so the result is
     invariant under relabelling the units and is therefore a uniform
-    subset.  The keys sampler costs ``O(N)`` time and memory per row and
-    the redraw sampler about ``O(n log n)``, growing fast as ``n``
-    nears ``N``.  The rule picks the faster one from timings of both at
-    ``rows = 256``, and it bounds the keys sampler's two ``(rows, N)``
-    arrays by 256 KiB or by six times the index array.
+    subset.
+
+    The shape rule and the redraw order are part of the reproducibility
+    contract, like :data:`BLOCK`: another rule or order gives other
+    (equally valid) draws.  The rule bounds the keys sampler's two
+    ``(rows, N)`` arrays by 256 KiB or by six times the index array.
+    The redraw sampler draws ``int32`` values, which for ``N <= 2**31``
+    are those of the default ``int64`` draws, and sorts them as ``int16``
+    when ``N <= 2**15``, which is faster; indices are handed back as
+    ``np.intp`` because narrower ones make the gathers slower.
     """
     if N <= 64 or 3 * n >= N:
         keys = rng.random((rows, N))
         return np.sort(np.argpartition(keys, n - 1, axis=1)[:, :n], axis=1)
-    idx = rng.integers(N, size=(rows, n))
+    idx = rng.integers(N, size=(rows, n), dtype=np.int32)
+    if N <= 2**15:
+        idx = idx.astype(np.int16)
     idx.sort(axis=1)
-    todo = np.arange(rows)
-    block = idx
+    todo, block = np.arange(rows), idx
+    repeat = np.empty((rows, n), dtype=bool)
     while True:
-        repeat = block[:, 1:] == block[:, :-1]
-        has_repeat = repeat.any(axis=1)
-        if not has_repeat.all():  # else redraw in place, copying nothing
-            if not has_repeat.any():
-                return idx
-            todo, block, repeat = (todo[has_repeat], block[has_repeat],
-                                   repeat[has_repeat])
-        block[:, 1:][repeat] = rng.integers(N, size=np.count_nonzero(repeat))
+        # Compared along the flat block, which is contiguous; a row's
+        # first unit repeats nothing.
+        flat = block.reshape(-1)
+        np.equal(flat[1:], flat[:-1], out=repeat.reshape(-1)[1:])
+        repeat[:, 0] = False
+        count = np.count_nonzero(repeat)
+        if not count:
+            return idx.astype(np.intp)
+        left = np.flatnonzero(repeat.any(axis=1))
+        if left.size < len(block):  # else redraw in place, copying nothing
+            todo, block, repeat = (todo.take(left), block.take(left, axis=0),
+                                   repeat.take(left, axis=0))
+        block[repeat] = rng.integers(N, size=count, dtype=np.int32)
         block.sort(axis=1)
         if block is not idx:
             idx[todo] = block

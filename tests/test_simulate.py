@@ -925,7 +925,9 @@ class TestSubsets:
         """Sampling memory follows the index block, not the stratum size.
 
         One stratum of N = 20,000 units at n = 200 takes the redraw
-        sampler, whose arrays are a few ``(BLOCK, n)`` blocks of 400 KiB.
+        sampler, whose arrays are a few ``(BLOCK, n)`` blocks of at most
+        400 KiB: 200 KiB of int32 draws, sorted as 100 KiB of int16, and
+        400 KiB of ``np.intp`` indices handed back.
         Ranking uniform keys instead would hold two ``(BLOCK, N)``
         arrays, 78 MiB.  The traced peak of a two-block study, its blocks
         run on two threads, must stay under 4 MiB.
