@@ -323,10 +323,10 @@ def _subsets(rng: np.random.Generator, N: int, n: int, rows: int) -> np.ndarray:
     contract, like :data:`BLOCK`: another rule or order gives other
     (equally valid) draws.  The rule bounds the keys sampler's two
     ``(rows, N)`` arrays by 256 KiB or by six times the index array.
-    The redraw sampler draws ``int32`` values, which for ``N <= 2**31``
-    are those of the default ``int64`` draws, and sorts them as ``int16``
-    when ``N <= 2**15``, which is faster; indices are handed back as
-    ``np.intp`` because narrower ones make the gathers slower.
+    The redraw sampler draws ``int32`` values, so it needs ``N <= 2**31``,
+    where they equal the default ``int64`` draws.  It sorts them as
+    ``int16`` when ``N <= 2**15``, which is faster.  Both samplers hand
+    back ``np.intp`` indices, because narrower ones slow the gathers.
     """
     if N <= 64 or 3 * n >= N:
         keys = rng.random((rows, N))

@@ -927,10 +927,10 @@ class TestSubsets:
         One stratum of N = 20,000 units at n = 200 takes the redraw
         sampler, whose arrays are a few ``(BLOCK, n)`` blocks of at most
         400 KiB: 200 KiB of int32 draws, sorted as 100 KiB of int16, and
-        400 KiB of ``np.intp`` indices handed back.
-        Ranking uniform keys instead would hold two ``(BLOCK, N)``
-        arrays, 78 MiB.  The traced peak of a two-block study, its blocks
-        run on two threads, must stay under 4 MiB.
+        400 KiB of ``np.intp`` indices handed back.  Ranking uniform keys
+        instead would hold two ``(BLOCK, N)`` arrays, 78 MiB.  The traced
+        peak of a two-block study, its blocks run on two threads, must
+        stay under 4 MiB.
         """
         force_threads(monkeypatch, 2)
         values = np.random.default_rng(5).normal(100.0, 10.0, (3, 20_000))
