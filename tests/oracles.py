@@ -301,6 +301,23 @@ def enumerate_srswor(frame, n):
     return list(itertools.combinations(range(len(frame.y)), n))
 
 
+def keys_subsets(rng, N, n, rows):
+    """``rows`` uniform ``n``-subsets of ``range(N)`` by uniform keys, as
+    sorted lists.
+
+    One ``rng.random((rows, N))`` call gives every unit of every row a key.
+    Each row keeps the ``n`` units that come first when ``range(N)`` is
+    sorted by ``(key, index)``: the ``n`` smallest keys, and among equal
+    keys the lowest index.
+    """
+    subsets = []
+    for keys in rng.random((rows, N)).tolist():
+        # Python's sort is stable: equal keys keep their index order.
+        order = sorted(range(N), key=keys.__getitem__)
+        subsets.append(sorted(order[:n]))
+    return subsets
+
+
 def redraw_subsets(rng, N, n, rows):
     """``rows`` uniform ``n``-subsets of ``range(N)``, drawn with replacement
     and topped up, as sorted lists.

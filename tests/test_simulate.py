@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import redraw_subsets
+from oracles import keys_subsets, redraw_subsets
 from stratdual import (
     KINDS,
     AllDrawsRejectedError,
@@ -911,6 +911,24 @@ class TestSubsets:
         for _ in range(3):
             units = simulate._subsets(rng, N, n, BLOCK)
             np.testing.assert_array_equal(units, redraw_subsets(ref, N, n, BLOCK))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("N, n", [
+        (5, 2), (10, 10), (64, 8), (66, 22), (60, 40), (40, 30), (300, 100),
+        (3000, 1500),
+    ])
+    def test_keys_sampler_matches_its_oracle(self, N, n):
+        """Small and high-fraction strata take exactly the oracle's draws.
+
+        Over three blocks from one generator, every row equals the
+        oracle's (``tests/oracles.py``: ``keys_subsets``, the ``n`` units
+        first by ``(key, index)``) and the two generators end in the same
+        state, so the sampler makes the same calls for the same values.
+        """
+        rng, ref = np.random.default_rng(1017), np.random.default_rng(1017)
+        for _ in range(3):
+            units = simulate._subsets(rng, N, n, BLOCK)
+            np.testing.assert_array_equal(units, keys_subsets(ref, N, n, BLOCK))
         assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("N, n", [
