@@ -9,16 +9,18 @@ All estimators consume combined (population-weighted) sample means, so
 one :class:`SampleMeans` value drawn by the simulation harness can be
 evaluated under every estimator.  Each kind is one row of
 :data:`_TABLE`, which gives its two auxiliary factors; the coefficients
-of the first-order theory are read from the same rows.  One array kernel
-evaluates a list of estimators over a block of draws at once and marks
-degenerate draws with a rejection code instead of raising;
-:func:`estimate` is its one-row call.
+of the first-order theory are read from the same rows.  A list of
+estimators is resolved once into a plan of per-factor arrays
+(:func:`_plan`), which the theory reads too.  One array kernel evaluates
+a plan over a block of draws at once and marks degenerate draws with a
+rejection code instead of raising; :func:`estimate` is its one-row call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -276,14 +278,27 @@ _REJECTIONS = (
     "dual-transformed z ratio = {base} is negative under fractional exponent {exponent}",
 )
 
-def _plan(specs) -> tuple[np.ndarray, np.ndarray]:
-    """``(factors, dual)`` of the specs for :func:`_estimate_block`: the side,
-    shift and exponent of each x and z factor, shape ``(3, 2, S, 1)``, and
-    which specs read the dual means, shape ``(S, 1)``."""
+class _Plan(NamedTuple):
+    """A list of specs resolved once into arrays, which the block kernel and
+    the theory (``mse_theory._theoretical_mse``) both read.
+
+    ``side``, ``c`` and ``e`` hold each factor's side, shift and exponent,
+    shape ``(2, S)``: the x factors, then the z factors.  ``reads_dual``,
+    shape ``(S,)``, marks the specs that read the dual means.
+    """
+
+    side: np.ndarray
+    c: np.ndarray
+    e: np.ndarray
+    reads_dual: np.ndarray
+
+
+def _plan(specs) -> _Plan:
+    """The :class:`_Plan` of ``specs``, each resolved through :func:`_factors`."""
     factors = np.array([_factors(s.kind, s.A, s.alpha1, s.alpha2)
                         for s in specs], dtype=float).reshape(len(specs), 2, 3)
-    dual = np.array([_TABLE[s.kind][2] for s in specs])[:, None]
-    return factors.transpose(2, 1, 0)[..., None], dual
+    return _Plan(*factors.transpose(2, 1, 0),
+                 np.array([_TABLE[s.kind][2] for s in specs], dtype=bool))
 
 
 def _estimate_block(plan, pop: PopulationSummary, ybar_st: np.ndarray,
@@ -297,7 +312,7 @@ def _estimate_block(plan, pop: PopulationSummary, ybar_st: np.ndarray,
     nonzero, and ``ratios`` (``(2, S, rows)``) holds each factor's
     ``num/den``.  Configuration is checked by :func:`_check_estimator`.
     """
-    (side, c, e), reads_dual = plan
+    side, c, e, reads_dual = (a[..., None] for a in plan)
     u = plain[:, None] if dual is None else np.where(
         reads_dual, dual[:, None], plain[:, None])
     U = np.array([pop.mean_x, pop.mean_z])[:, None, None]
@@ -345,8 +360,6 @@ def estimate(
     code = int(codes[0, 0])
     if code:
         axis = 0 if code in (1, 3, 4) else 1  # the factor that failed
-        (_, _, exponents), _ = plan
         raise DegenerateSampleError(_REJECTIONS[code].format(
-            base=float(ratios[axis, 0, 0]),
-            exponent=float(exponents[axis, 0, 0])))
+            base=float(ratios[axis, 0, 0]), exponent=float(plan.e[axis, 0])))
     return float(values[0, 0])

@@ -10,6 +10,10 @@ b_z)`` and ``V`` the 3x3 matrix of the six relative moments of
 :mod:`stratdual.moments` (the dual moments for the dual-transformed
 kinds, whose errors are those of the transformed means), and the
 first-order bias of the dual family comes from the same ``b`` and ``q``.
+One elementwise function gives ``b`` and ``q`` (:func:`_coefficients`):
+for one kind's factors, and for every spec of a Monte Carlo study's
+compiled plan at once, whose MSEs are then one broadcast form
+(:func:`_theoretical_mse`).
 
 This module evaluates that form, provides the closed-form optimizers
 for the transform constant and for the dual-family exponents, the
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import PopulationSummary
-from .estimators import DUAL_KINDS, EstimatorSpec, _factors
+from .estimators import DUAL_KINDS, EstimatorSpec, _factors, _Plan
 from .moments import MomentSet
 
 __all__ = [
@@ -128,25 +132,49 @@ def A_of_theta(pop: PopulationSummary, theta: float) -> float:
     return pop.mean_x * (1.0 + theta) / theta
 
 
-def _linearisation(pop: PopulationSummary, kind: str, **params):
-    """``((b_x, q_x), (b_z, q_z))`` of the kind's factors; ``A`` may be an array.
+def _coefficients(U, side, c, e):
+    """``(b, q)`` of factors ``(side, c, e)`` about population means ``U``,
+    elementwise over arrays that broadcast, or of one scalar factor.
 
-    A factor ``(side, c, e)`` of the kind's table row is ``(1 +
-    a*e_u)**(s*e)`` in the relative error ``e_u`` of its mean, ``s = +1``
-    up and ``-1`` down, ``a = U/(U - c)``.  So ``b = s*e*a`` and ``q =
-    s*e*(s*e - 1)/2 * a**2``.
+    A factor is ``(1 + a*e_u)**(s*e)`` in the relative error ``e_u`` of
+    its mean, ``s`` its side (``+1`` up, ``-1`` down) and ``a = U/(U - c)``,
+    which is 1 where ``c = 0``.  So ``b = s*e*a`` and ``q = s*e*(s*e - 1)/2
+    * a**2``.  A zero ``U - c`` raises ``ValueError``, except in a scalar
+    factor with ``c = 0``, which takes ``a = 1`` without dividing.  Scalars
+    stay Python floats, which is several times faster than numpy on
+    scalars and gives the same bits.
     """
-    out = []
-    for (side, c, e), U in zip(_factors(kind, **params),
-                               (pop.mean_x, pop.mean_z)):
-        a = 1.0
-        if isinstance(c, np.ndarray) or c != 0:
-            if np.any(U - c == 0):
-                raise ValueError("A equals the population x-mean; theta undefined")
-            a = U / (U - c)
-        p = side * e
-        out.append((p * a, p * (p - 1.0) / 2.0 * (a * a)))
-    return tuple(out)
+    gap = U - c
+    a = 1.0
+    if isinstance(gap, np.ndarray) or c != 0:
+        if np.any(gap == 0):
+            raise ValueError("A equals the population x-mean; theta undefined")
+        a = U / gap
+    p = side * e
+    return p * a, p * (p - 1.0) / 2.0 * (a * a)
+
+
+def _linearisation(pop: PopulationSummary, kind: str, **params):
+    """``((b_x, q_x), (b_z, q_z))`` of the kind's factors (:func:`_coefficients`);
+    ``A`` may be an array, which makes the x factor's coefficients arrays."""
+    return tuple(_coefficients(U, *factor) for factor, U in
+                 zip(_factors(kind, **params), (pop.mean_x, pop.mean_z)))
+
+
+def _theoretical_mse(plan: _Plan, pop: PopulationSummary, m: MomentSet,
+                     md: MomentSet | None) -> np.ndarray:
+    """First-order MSE of every spec of a compiled plan, shape ``(S,)``.
+
+    One broadcast of :func:`mse_first_order`'s ``mean_y**2 * c' V c``,
+    with ``V`` the dual set ``md`` for the specs that read the dual means
+    and ``m`` for the others, and the same bits spec by spec.
+    """
+    U = np.array([[pop.mean_x], [pop.mean_z]])
+    (bx, bz), _ = _coefficients(U, plan.side, plan.c, plan.e)
+    form = _form(m, bx, bz)
+    if md is not None:
+        form = np.where(plan.reads_dual, _form(md, bx, bz), form)
+    return pop.mean_y**2 * form
 
 
 def _form(v: MomentSet, bx, bz):

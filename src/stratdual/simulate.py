@@ -24,9 +24,12 @@ Every block is drawn at full size and the last one is cut to the study's
 ``R``, which is what keeps a study prefix-stable.  A different
 ``BLOCK`` gives different (equally valid) draws.  Within a block each
 stratum, in turn, fills its ``(BLOCK, n_h)`` index array with one of two
-samplers, chosen by the stratum's shape (:func:`_subsets`).  The shape
-rule and the order in which the redraw sampler consumes its generator
-are part of the contract too: another rule or order gives other draws.
+samplers, chosen by the stratum's shape (:func:`_subsets`): small or
+high-fraction strata keep each row's units whose uniform key is at most
+its ``n_h``-th smallest (the lowest index wins a tie), larger ones draw
+with replacement and redraw repeats.  The shape rule, the tie rule and
+the order in which the redraw sampler consumes its generator are part of
+the contract too: another rule or order gives other draws.
 Every sample is shared across estimators (common random numbers), which
 sharpens efficiency comparisons at equal cost.
 """
@@ -60,7 +63,7 @@ from .estimators import (
     _plan,
 )
 from .moments import _moment_sets
-from .mse_theory import mse_first_order
+from .mse_theory import _theoretical_mse
 
 __all__ = [
     "StratumSpec",
@@ -309,8 +312,13 @@ def _subsets(rng: np.random.Generator, N: int, n: int, rows: int) -> np.ndarray:
 
     Returns an ``np.intp`` index array of shape ``(rows, n)``, each row
     ascending.  Small or high-fraction strata (``N <= 64`` or
-    ``3 n >= N``) rank ``N`` iid uniform keys per row and keep the ``n``
-    smallest.  Larger strata draw ``n`` units per row with replacement,
+    ``3 n >= N``) give each unit of a row an iid uniform key and keep the
+    units whose key is at most the row's ``n``-th smallest, a threshold
+    found by partitioning a copy of the keys; read off the mask in
+    order, the units come out ascending.  Should another key tie the
+    ``n``-th smallest (about ``N * 2**-53`` a row), the lowest indices
+    among the tied keys are kept.  Larger strata draw ``n`` units per row
+    with replacement,
     sort each row, and redraw the extra copies of any repeated unit until
     each row is distinct.  Each round draws all its replacements in one
     call, handed out in row-major order of the copies they replace; only
@@ -321,8 +329,10 @@ def _subsets(rng: np.random.Generator, N: int, n: int, rows: int) -> np.ndarray:
 
     The shape rule and the redraw order are part of the reproducibility
     contract, like :data:`BLOCK`: another rule or order gives other
-    (equally valid) draws.  The rule bounds the keys sampler's two
-    ``(rows, N)`` arrays by 256 KiB or by six times the index array.
+    (equally valid) draws.  The rule bounds what the keys sampler holds
+    at once, its ``(rows, N)`` keys and their partitioned copy, by
+    256 KiB or by six times the index array; the one-byte ``(rows, N)``
+    mask is made after the copy is freed.
     The redraw sampler draws ``int32`` values, so it needs ``N <= 2**31``,
     where they equal the default ``int64`` draws.  It sorts them as
     ``int16`` when ``N <= 2**15``, which is faster.  Both samplers hand
@@ -330,7 +340,17 @@ def _subsets(rng: np.random.Generator, N: int, n: int, rows: int) -> np.ndarray:
     """
     if N <= 64 or 3 * n >= N:
         keys = rng.random((rows, N))
-        return np.sort(np.argpartition(keys, n - 1, axis=1)[:, :n], axis=1)
+        kth = np.partition(keys, n - 1, axis=1)[:, [n - 1]]
+        chosen = keys <= kth
+        units = np.flatnonzero(chosen)
+        if units.size != rows * n:  # a key ties some row's n-th smallest
+            for r in np.flatnonzero(np.count_nonzero(chosen, axis=1) > n):
+                tied = np.flatnonzero(keys[r] == kth[r])
+                chosen[r, tied[n - np.count_nonzero(keys[r] < kth[r]):]] = False
+            units = np.flatnonzero(chosen)
+        units = units.reshape(rows, n)
+        units -= np.arange(0, rows * N, N)[:, None]  # flat to column index
+        return units
     idx = rng.integers(N, size=(rows, n), dtype=np.int32)
     if N <= 2**15:
         idx = idx.astype(np.int16)
@@ -608,10 +628,11 @@ def monte_carlo(
     means = accepted_mean(estimates)
     variances = accepted_mean((estimates - means[:, None]) ** 2)
     mses = accepted_mean((estimates - pop.mean_y) ** 2)
+    theory = _theoretical_mse(plan, pop, m, md)
     results = []
-    for spec, n, mean, var, mse in zip(specs, accepted.tolist(), means.tolist(),
-                                       variances.tolist(), mses.tolist()):
-        theo = mse_first_order(spec, pop, m, md).mse
+    for spec, n, mean, var, mse, theo in zip(
+            specs, accepted.tolist(), means.tolist(), variances.tolist(),
+            mses.tolist(), theory.tolist()):
         results.append(EstimatorResult(
             spec=spec, replications=R, accepted=n, rejected=R - n,
             empirical_mean=mean, empirical_bias=mean - pop.mean_y,

@@ -17,6 +17,7 @@ from stratdual import (
     parse_estimator,
     summarize_stratum,
 )
+from stratdual import estimators
 from stratdual.domain import _weighted_sum
 from stratdual.estimators import _dual_means, _estimate_block, _plan
 from test_domain import make_summary
@@ -353,6 +354,27 @@ class TestArrayKernel:
         assert kinds_seen == set(KINDS)
         if which == "half_pop":
             assert rejected > 0
+
+    def test_estimate_evaluates_a_one_row_plan(self, tiny_pop, tiny_sample,
+                                               monkeypatch):
+        # estimate() is the kernel's one-row call: one plan row, the spec's
+        # own, and the kernel's value unchanged.
+        calls = []
+
+        def spy(plan, *args):
+            out = _estimate_block(plan, *args)
+            calls.append((plan, float(out[0][0, 0])))
+            return out
+
+        monkeypatch.setattr(estimators, "_estimate_block", spy)
+        for spec in self.specs(tiny_pop):
+            calls.clear()
+            value = estimate(spec, tiny_sample, tiny_pop)
+            [(plan, kernel_value)] = calls
+            for got, want in zip(plan, _plan([spec])):
+                assert got.shape[-1] == 1
+                np.testing.assert_array_equal(got, want)
+            assert value == kernel_value, spec.label
 
     def test_edge_rows_get_the_documented_verdicts(self, half_pop, rng):
         # Rows 0-6 of half_pop: xbar_st = 0; xstar = 0; zstar = 0;

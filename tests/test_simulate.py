@@ -430,16 +430,35 @@ class TestMonteCarlo:
             assert (rejected > 0) == (len(frames) == 1)
 
     def test_theoretical_column_matches_direct_formula(self, tiny_frames):
-        design = (2, 3)
-        result = monte_carlo(tiny_frames, design, ALL_KINDS_SPECS,
-                             R=8, seed=1)
-        pop = combine([summarize_stratum(f, n)
-                       for f, n in zip(tiny_frames, design)])
-        m = compute_moments(pop)
-        md = compute_dual_moments(pop)
-        for spec, row in zip(ALL_KINDS_SPECS, result.results):
-            assert row.theoretical_mse == mse_first_order(
-                spec, pop, m, md).mse
+        # The column is one broadcast over the study's compiled plan; every
+        # entry has the bits of mse_first_order on its spec alone.  Cases:
+        # every kind; dual and plain specs interleaved, one repeated, with
+        # the fractional exponents of the benchmark's estimator grid; and
+        # a census design, which has no dual moment set.
+        dual_grid = [EstimatorSpec(kind="dual_family", alpha1=a1, alpha2=a2)
+                     for a1 in (0.25, 0.75)
+                     for a2 in (-0.75, -0.25, 0.25, 0.75, 1.25)]
+        plain = [EstimatorSpec(kind=kind) for kind in
+                 ("classical", "combined_ratio", "combined_product",
+                  "ratio_cum_product")] + [
+            EstimatorSpec(kind="transformed_product", A=500.0),
+            EstimatorSpec(kind="tracy_product", A=-300.0)]
+        mixed = [spec for pair in zip(dual_grid, plain + plain[:4])
+                 for spec in pair] + [
+            EstimatorSpec(kind="plikusas_dual"), plain[5], dual_grid[3]]
+        for design, specs in (((2, 3), ALL_KINDS_SPECS), ((2, 3), mixed),
+                              ((5, 3), plain)):
+            result = monte_carlo(tiny_frames, design, specs, R=8, seed=1)
+            pop = combine([summarize_stratum(f, n)
+                           for f, n in zip(tiny_frames, design)])
+            m = compute_moments(pop)
+            md = None if pop.has_census_stratum else compute_dual_moments(pop)
+            assert (result.xstar_mean is None) == (md is None)
+            assert len(result.results) == len(specs)
+            for spec, row in zip(specs, result.results):
+                assert row.spec == spec
+                assert row.theoretical_mse == mse_first_order(
+                    spec, pop, m, md).mse, spec.label
 
     def test_variance_decomposition(self, tiny_frames):
         result = monte_carlo(tiny_frames, (2, 3), ALL_KINDS_SPECS,
@@ -796,6 +815,17 @@ class RecordingGenerator:
         return self.rng.integers(*args, **kwargs)
 
 
+class FixedKeys:
+    """A ``Generator`` stand-in whose ``random`` hands back given keys."""
+
+    def __init__(self, keys):
+        self.keys = np.array(keys, dtype=float)
+
+    def random(self, shape):
+        assert shape == self.keys.shape
+        return self.keys.copy()
+
+
 def chi2_bound(k, alpha):
     """A ``t`` with ``P(chi2_k >= t) <= alpha``, from the Chernoff bound.
 
@@ -931,6 +961,24 @@ class TestSubsets:
             np.testing.assert_array_equal(units, keys_subsets(ref, N, n, BLOCK))
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("n, expected", [
+        (5, [[0, 1, 2, 3, 6], [3, 4, 5, 6, 7], [0, 1, 2, 3, 4]]),
+        (6, [[0, 1, 2, 3, 5, 6], [2, 3, 4, 5, 6, 7], [0, 1, 2, 3, 4, 5]]),
+    ])
+    def test_keys_tied_with_the_nth_smallest_keep_the_lowest_index(
+            self, n, expected):
+        # Row 0 ties 0.3 inside the n smallest keys and 0.5 across the
+        # n-th; row 1 has no tie; in row 2 every key ties.  A tie across
+        # the n-th key keeps the lowest indices among the tied keys.
+        keys = [[0.5, 0.1, 0.3, 0.3, 0.9, 0.5, 0.2, 0.5],
+                [0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1],
+                [0.25] * 8]
+        units = simulate._subsets(FixedKeys(keys), 8, n, 3)
+        assert units.dtype == np.intp
+        np.testing.assert_array_equal(units, expected)
+        np.testing.assert_array_equal(
+            units, keys_subsets(FixedKeys(keys), 8, n, 3))
+
     @pytest.mark.parametrize("N, n", [
         (64, 8), (66, 22), (65, 8), (200, 20), (70000, 300), (1000, 1),
     ])
@@ -945,10 +993,11 @@ class TestSubsets:
         One stratum of N = 20,000 units at n = 200 takes the redraw
         sampler, whose arrays are a few ``(BLOCK, n)`` blocks of at most
         400 KiB: 200 KiB of int32 draws, sorted as 100 KiB of int16, and
-        400 KiB of ``np.intp`` indices handed back.  Ranking uniform keys
-        instead would hold two ``(BLOCK, N)`` arrays, 78 MiB.  The traced
-        peak of a two-block study, its blocks run on two threads, must
-        stay under 4 MiB.
+        400 KiB of ``np.intp`` indices handed back.  Selecting by uniform
+        keys instead would hold the ``(BLOCK, N)`` keys and their
+        partitioned copy, 78 MiB, and then a one-byte mask of 4.9 MiB.
+        The traced peak of a two-block study, its blocks run on two
+        threads, must stay under 4 MiB.
         """
         force_threads(monkeypatch, 2)
         values = np.random.default_rng(5).normal(100.0, 10.0, (3, 20_000))
