@@ -314,26 +314,25 @@ def _subsets(rng: np.random.Generator, N: int, n: int, rows: int) -> np.ndarray:
     ascending.  Small or high-fraction strata (``N <= 64`` or
     ``3 n >= N``) give each unit of a row an iid uniform key and keep the
     units whose key is at most the row's ``n``-th smallest, a threshold
-    found by partitioning a copy of the keys; read off the mask in
-    order, the units come out ascending.  Should another key tie the
-    ``n``-th smallest (about ``N * 2**-53`` a row), the lowest indices
-    among the tied keys are kept.  Larger strata draw ``n`` units per row
-    with replacement,
-    sort each row, and redraw the extra copies of any repeated unit until
-    each row is distinct.  Each round draws all its replacements in one
-    call, handed out in row-major order of the copies they replace; only
-    rows that still hold a repeat are redrawn and re-sorted.  Which units
-    survive depends only on their multiplicities, so the result is
-    invariant under relabelling the units and is therefore a uniform
-    subset.
+    found by partitioning a copy of the keys; read off the mask in order,
+    the units come out ascending.  Should another key tie the ``n``-th
+    smallest (about ``N * 2**-53`` a row), the lowest indices among the
+    tied keys are kept.  Larger strata draw ``n`` units per row with
+    replacement, sort each row, and redraw the extra copies of any
+    repeated unit until each row is distinct.  Each round draws all its
+    replacements in one call, handed out in row-major order of the copies
+    they replace; only rows that still hold a repeat are redrawn and
+    re-sorted.  Which units survive depends only on their multiplicities,
+    so the result is invariant under relabelling the units and is
+    therefore a uniform subset.
 
-    The shape rule and the redraw order are part of the reproducibility
-    contract, like :data:`BLOCK`: another rule or order gives other
-    (equally valid) draws.  The rule bounds what the keys sampler holds
-    at once, its ``(rows, N)`` keys and their partitioned copy, by
-    256 KiB or by six times the index array; the one-byte ``(rows, N)``
-    mask is made after the copy is freed.
-    The redraw sampler draws ``int32`` values, so it needs ``N <= 2**31``,
+    The shape rule, the tie rule and the redraw order are part of the
+    reproducibility contract, like :data:`BLOCK`: another rule or order
+    gives other (equally valid) draws.  The shape rule bounds what the
+    keys sampler holds at once, its ``(rows, N)`` keys and their
+    partitioned copy, by 256 KiB or by six times the index array; its
+    one-byte ``(rows, N)`` mask is made after the copy is freed.  The
+    redraw sampler draws ``int32`` values, so it needs ``N <= 2**31``,
     where they equal the default ``int64`` draws.  It sorts them as
     ``int16`` when ``N <= 2**15``, which is faster.  Both samplers hand
     back ``np.intp`` indices, because narrower ones slow the gathers.
