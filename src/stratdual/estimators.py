@@ -74,9 +74,9 @@ TRANSFORM_KINDS = tuple(kind for kind, (x, _, _) in _TABLE.items()
 def _factors(kind: str, A=None, alpha1=None, alpha2=None):
     """The kind's x and z factors ``(side, c, e)``, names replaced by the
     parameters; ``A`` may be an array."""
-    params = {"A": A, "alpha1": alpha1, "alpha2": alpha2}
-    return tuple((side, params.get(c, c), params.get(e, e))
-                 for side, c, e in _TABLE[kind][:2])
+    value = {"A": A, "alpha1": alpha1, "alpha2": alpha2}.get
+    (xs, xc, xe), (zs, zc, ze), _ = _TABLE[kind]
+    return (xs, value(xc, xc), value(xe, xe)), (zs, value(zc, zc), value(ze, ze))
 
 
 class DegenerateSampleError(ValueError):
@@ -295,8 +295,9 @@ class _Plan(NamedTuple):
 
 def _plan(specs) -> _Plan:
     """The :class:`_Plan` of ``specs``, each resolved through :func:`_factors`."""
-    factors = np.array([_factors(s.kind, s.A, s.alpha1, s.alpha2)
-                        for s in specs], dtype=float).reshape(len(specs), 2, 3)
+    factors = np.array([value for s in specs
+                        for factor in _factors(s.kind, s.A, s.alpha1, s.alpha2)
+                        for value in factor], dtype=float).reshape(len(specs), 2, 3)
     return _Plan(*factors.transpose(2, 1, 0),
                  np.array([_TABLE[s.kind][2] for s in specs], dtype=bool))
 

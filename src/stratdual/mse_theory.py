@@ -157,8 +157,8 @@ def _coefficients(U, side, c, e):
 def _linearisation(pop: PopulationSummary, kind: str, **params):
     """``((b_x, q_x), (b_z, q_z))`` of the kind's factors (:func:`_coefficients`);
     ``A`` may be an array, which makes the x factor's coefficients arrays."""
-    return tuple(_coefficients(U, *factor) for factor, U in
-                 zip(_factors(kind, **params), (pop.mean_x, pop.mean_z)))
+    x, z = _factors(kind, **params)
+    return _coefficients(pop.mean_x, *x), _coefficients(pop.mean_z, *z)
 
 
 def _theoretical_mse(plan: _Plan, pop: PopulationSummary, m: MomentSet,
