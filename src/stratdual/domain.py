@@ -58,7 +58,10 @@ class UnitFrame:
     y, x, z : array_like
         Parallel sequences (study variable, first auxiliary, second
         auxiliary), one entry per population unit.  Must share the same
-        nonzero length and contain only finite values.
+        nonzero length and contain only finite values.  The frame holds
+        read-only float copies, so writing to the source arrays after
+        construction leaves it unchanged, and a frame can be recognised
+        by identity (:func:`stratdual.simulate.monte_carlo` does).
     """
 
     stratum_id: str
@@ -69,9 +72,10 @@ class UnitFrame:
     def __post_init__(self) -> None:
         object.__setattr__(self, "stratum_id", str(self.stratum_id))
         for name in UNITS_COLUMNS[1:]:
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be one-dimensional")
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if not (len(self.y) == len(self.x) == len(self.z)):
             raise ValueError("y, x, z must have identical lengths")
@@ -175,6 +179,7 @@ class PopulationSummary:
 
     and the combined means ``mean_y``, ``mean_x``, ``mean_z`` (weighted
     stratum means).  ``strata`` stays for validation and CSV output.
+    The arrays are read-only, so a summary can be shared freely.
     """
 
     strata: tuple[StratumSummary, ...]
@@ -346,6 +351,8 @@ def combine(strata: Sequence[StratumSummary]) -> PopulationSummary:
                     [s_xy, s_x**2, s_xz],
                     [s_yz, s_xz, s_z**2]])
     mean_y, mean_x, mean_z = (float(_weighted_sum(w, row)) for row in means)
+    for arr in (means, cov, w, f, gamma, g):  # a summary is shared freely
+        arr.flags.writeable = False
     return PopulationSummary(
         strata=strata, means=means, cov=cov, w=w, f=f, gamma=gamma, g=g,
         mean_y=mean_y, mean_x=mean_x, mean_z=mean_z)

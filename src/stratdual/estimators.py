@@ -327,10 +327,13 @@ def _estimate_block(plan, pop: PopulationSummary, ybar_st: np.ndarray,
     zero_den = (e != 0) & (den == 0)
     zero_ratio = (e < 0) & (ratios == 0)
     negative_ratio = (e != np.trunc(e)) & (ratios < 0)
-    # Codes 1 to 6 of _REJECTIONS, x before z; the lowest code wins.
-    codes = np.select([zero_den[0], zero_den[1], zero_ratio[0],
-                       negative_ratio[0], zero_ratio[1], negative_ratio[1]],
-                      [1, 2, 3, 4, 5, 6], 0)
+    # Codes 1 to 6 of _REJECTIONS, x before z, written from 6 down to 1
+    # so that the lowest code wins.
+    codes = np.zeros(values.shape, dtype=np.int64)
+    for code, rejected in ((6, negative_ratio[1]), (5, zero_ratio[1]),
+                           (4, negative_ratio[0]), (3, zero_ratio[0]),
+                           (2, zero_den[1]), (1, zero_den[0])):
+        codes[rejected] = code
     return np.where(codes == 0, values, np.nan), codes, ratios
 
 

@@ -78,6 +78,22 @@ def DualMomentSet(*args, **kwargs) -> MomentSet:
     return MomentSet(*args, **kwargs, dual=True)
 
 
+#: The combined means a moments document may carry.
+_MEANS = ("mean_y", "mean_x", "mean_z")
+
+
+def _check_means(means: dict) -> None:
+    """Raise ``ValueError`` naming ``means`` if any of them is zero.
+
+    Relative moments divide by the combined means, so they, and every
+    MSE or optimum scaled by them, are undefined at a zero mean.
+    """
+    if 0 in means.values():
+        raise ValueError(
+            "combined means must be nonzero to form relative moments ({})"
+            .format(", ".join(f"{k}={v}" for k, v in means.items())))
+
+
 def _moment_kernel(pop: PopulationSummary, k, dual: bool) -> MomentSet:
     """The six moments ``v_rs = (w^2 gamma c_r c_s) @ S_rs / scale``.
 
@@ -88,11 +104,7 @@ def _moment_kernel(pop: PopulationSummary, k, dual: bool) -> MomentSet:
     ``pop.cov[r, s]``, keep the bits of six separate per-field sums.
     """
     mu = (pop.mean_y, pop.mean_x, pop.mean_z)
-    if 0 in mu:
-        raise ValueError(
-            "combined means must be nonzero to form relative moments "
-            "(mean_y={}, mean_x={}, mean_z={})".format(*mu)
-        )
+    _check_means(dict(zip(_MEANS, mu)))
     w2g = pop.w**2 * pop.gamma
     c = (1.0, k, k)
 
@@ -148,7 +160,7 @@ def moments_to_json(
     doc: dict = {"moments": moments.as_dict()}
     if dual is not None:
         doc["dual_moments"] = dual.as_dict()
-    for key in ("mean_y", "mean_x", "mean_z"):
+    for key in _MEANS:
         if means and means.get(key) is not None:
             doc[key] = float(means[key])
     return json.dumps(doc, indent=2)
@@ -161,7 +173,9 @@ def moments_from_dict(
 
     Also accepts a bare flat (unprimed) moment object.  Returns the
     unprimed set, the dual set when present, and a dict of whichever
-    combined means the document carried.
+    combined means the document carried.  A zero mean raises
+    ``ValueError``, as in :func:`compute_moments`: the relative moments
+    divide by the combined means.
     """
     def number(obj: dict, key: str) -> float:
         value = obj[key]
@@ -187,11 +201,8 @@ def moments_from_dict(
         dual = None
         if "dual_moments" in doc:
             dual = parse_set(doc["dual_moments"], dual=True)
-        means = {
-            k: number(doc, k)
-            for k in ("mean_y", "mean_x", "mean_z")
-            if k in doc
-        }
+        means = {k: number(doc, k) for k in _MEANS if k in doc}
+        _check_means(means)
         return moments, dual, means
     if doc.get("dual"):
         raise ValueError(

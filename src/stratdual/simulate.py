@@ -36,11 +36,13 @@ sharpens efficiency comparisons at equal cost.
 
 from __future__ import annotations
 
+import operator
 import os
 import threading
+import weakref
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,8 +63,9 @@ from .estimators import (
     _dual_means,
     _estimate_block,
     _plan,
+    _Plan,
 )
-from .moments import _moment_sets
+from .moments import MomentSet, _moment_sets
 from .mse_theory import _theoretical_mse
 
 __all__ = [
@@ -552,6 +555,63 @@ class SimResult:
         return [r.as_row() for r in self.results]
 
 
+class _Prepared(NamedTuple):
+    """What a study needs of its population besides the draws.
+
+    The population summary under the design, its unprimed and dual
+    moment sets (no dual set with a census stratum), the compiled plan
+    of the specs and their theoretical MSEs, in spec order.
+    """
+
+    pop: PopulationSummary
+    m: MomentSet
+    md: MomentSet | None
+    plan: _Plan
+    theory: tuple[float, ...]
+
+
+#: The last study prepared: ``(frame refs, design, specs, prepared)``.
+#: Replaced in one assignment and never changed in place, so a thread
+#: reads either the old entry or the new one, each whole; when two
+#: threads replace it at once, one entry is lost and costs a later miss.
+_last = None
+
+
+def _prepare(frames: Sequence[UnitFrame], design: tuple[int, ...],
+             specs: tuple[EstimatorSpec, ...]) -> _Prepared:
+    """The :class:`_Prepared` set-up of a study, reused while the caller
+    passes the same objects.
+
+    The last set-up is kept with weak references to its frames, its
+    design and its specs.  It is reused when the same frame objects and
+    the same spec objects come in the same order with an equal design:
+    frames hold read-only arrays and specs are frozen, so identity stands
+    for content, at a cost of ``O(L + S)`` a study instead of the
+    ``O(N)`` of summarising the frames again.  Anything else prepares
+    the study afresh and replaces the kept one.  A set-up that raises,
+    such as a spec undefined on the population, is not kept.  Frames are
+    held only by weak references, so the kept set-up keeps none alive.
+    """
+    global _last
+    last = _last  # one read: another thread may replace it meanwhile
+    if last is not None:
+        refs, last_design, last_specs, prepared = last
+        # An equal design has one size per frame, so the zips are whole.
+        if (last_design == design and len(last_specs) == len(specs)
+                and all(map(operator.is_, last_specs, specs))
+                and all(ref() is frame for ref, frame in zip(refs, frames))):
+            return prepared
+    pop = combine([summarize_stratum(f, n) for f, n in zip(frames, design)])
+    m, md = _moment_sets(pop)
+    for spec in specs:
+        _check_estimator(spec, pop)
+    plan = _plan(specs)
+    theory = tuple(_theoretical_mse(plan, pop, m, md).tolist())
+    prepared = _Prepared(pop, m, md, plan, theory)
+    _last = (tuple(map(weakref.ref, frames)), design, specs, prepared)
+    return prepared
+
+
 def monte_carlo(
     frames: Sequence[UnitFrame],
     design: Sequence[int],
@@ -573,6 +633,15 @@ def monte_carlo(
     estimator only.  Theoretical first-order MSEs are computed from the
     realized population summary under the same design.
 
+    A study's set-up (the population summary, its moment sets, the
+    estimator checks, the compiled plan and the theoretical MSEs) is kept
+    for the next study and reused while the same frame objects and the
+    same spec objects come in the same order with an equal design, as
+    when a caller runs many seeds on one population.  Frames are
+    read-only, so the reused set-up is the one a fresh study computes;
+    the result is the same bit for bit either way, and ``population`` is
+    then the same (read-only) summary object across those studies.
+
     Raises
     ------
     AllDrawsRejectedError
@@ -591,12 +660,7 @@ def monte_carlo(
     R, seed = int(R), _check_seed(seed)
     design = _check_design(frames, design)
     specs = tuple(specs)
-    pop = combine([summarize_stratum(f, n) for f, n in zip(frames, design)])
-    m, md = _moment_sets(pop)
-    for spec in specs:
-        _check_estimator(spec, pop)
-
-    plan = _plan(specs)
+    pop, _, md, plan, theory = _prepare(frames, design, specs)
     estimates = np.empty((len(specs), R))
     stars = np.empty((2, R)) if md is not None else None  # xstar, zstar
     children = _block_seeds(seed, R)
@@ -627,11 +691,10 @@ def monte_carlo(
     means = accepted_mean(estimates)
     variances = accepted_mean((estimates - means[:, None]) ** 2)
     mses = accepted_mean((estimates - pop.mean_y) ** 2)
-    theory = _theoretical_mse(plan, pop, m, md)
     results = []
     for spec, n, mean, var, mse, theo in zip(
             specs, accepted.tolist(), means.tolist(), variances.tolist(),
-            mses.tolist(), theory.tolist()):
+            mses.tolist(), theory):
         results.append(EstimatorResult(
             spec=spec, replications=R, accepted=n, rejected=R - n,
             empirical_mean=mean, empirical_bias=mean - pop.mean_y,

@@ -291,6 +291,27 @@ class TestPre:
             assert a["pre"] == pytest.approx(b["pre"], rel=1e-12)
 
 
+class TestZeroMeanMomentsDocument:
+    @pytest.mark.parametrize("command",
+                             ["mse", "pre", "optimize", "sweep", "moments"])
+    def test_every_command_refuses_it_with_one_message(self, capsys, tmp_path,
+                                                       command):
+        # A zero combined mean leaves the relative moments undefined, and
+        # with them the transform constant: no command may resolve an
+        # optimum or print an MSE from such a document.
+        m = dict(v200=0.02, v020=0.03, v002=0.01, v110=0.015, v101=-0.004,
+                 v011=-0.006)
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({
+            "moments": m, "dual_moments": dict(m, dual=True),
+            "mean_y": 5, "mean_x": 0, "mean_z": 2}))
+        code, out, err = run(capsys, command, "--moments", str(path))
+        assert (code, out) == (1, "")
+        assert err == ("error: combined means must be nonzero to form "
+                       "relative moments (mean_y=5.0, mean_x=0.0, "
+                       "mean_z=2.0)\n")
+
+
 class TestSweep:
     def test_default_grid_with_optimum_row(self, capsys):
         code, out, err = run(capsys, "sweep", "--input", CORRECTED,

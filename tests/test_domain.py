@@ -70,6 +70,27 @@ class TestUnitFrame:
         assert str(info.value) == message
 
 
+    def test_holds_read_only_copies(self):
+        # Columns of a (units, 3) block, as generate_population passes
+        # them: the frame copies each into its own array, so writing to
+        # the block afterwards leaves the frame as it was built.
+        block = np.arange(12.0).reshape(4, 3)
+        frame = UnitFrame(stratum_id="a", y=block[:, 0], x=block[:, 1],
+                          z=block[:, 2])
+        block[:] = -1.0
+        assert frame.y.tolist() == [0.0, 3.0, 6.0, 9.0]
+        assert frame.z.tolist() == [2.0, 5.0, 8.0, 11.0]
+        for column in (frame.y, frame.x, frame.z):
+            assert column.dtype == float and column.flags.c_contiguous
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+        source = np.array([1.0, 2.0])
+        copy = UnitFrame(stratum_id="b", y=source, x=source, z=source)
+        source[0] = 5.0
+        assert copy.y.tolist() == copy.x.tolist() == [1.0, 2.0]
+
+
 class TestStratumSummary:
     @pytest.mark.parametrize("field, value", [
         ("N", 20.5), ("N", "20"), ("N", True),
@@ -185,6 +206,14 @@ class TestCombine:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             combine([])
+
+    def test_arrays_are_read_only(self, tiny_frames):
+        pop = combine([summarize_stratum(f, 2) for f in tiny_frames])
+        for name in ("means", "cov", "w", "f", "gamma", "g"):
+            array = getattr(pop, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
 
     def test_gamma_times_n_is_one_minus_f_exactly(self):
         # Exactly representable sampling fractions make the identity exact.

@@ -19,7 +19,9 @@ from stratdual import (
 )
 from stratdual import estimators
 from stratdual.domain import _weighted_sum
-from stratdual.estimators import _dual_means, _estimate_block, _plan
+from stratdual.estimators import (
+    _REJECTIONS, _Plan, _dual_means, _estimate_block, _plan,
+)
 from test_domain import make_summary
 
 
@@ -406,6 +408,78 @@ class TestArrayKernel:
                                         alpha2=0.0))
         assert list(free_z != 0) == [False, False, False, True, False, False,
                                      True]
+
+    def test_the_lowest_code_wins_where_rejections_overlap(self, half_pop):
+        # Every pair of x and z factors (both sides, exponents whole,
+        # fractional, negative and zero), reading the plain or the dual
+        # means, on rows where each mean is zero, the population mean,
+        # its negative or twice it.  Each code is checked against the
+        # first condition that holds, in _REJECTIONS order, found in plain
+        # Python from the kernel's own ratios.
+        factors = [(side, 0.0, e) for side in (1.0, -1.0)
+                   for e in (1.0, -1.0, 0.5, -0.5, 0.0)]
+        specs = [(fx, fz, dual) for fx in factors for fz in factors
+                 for dual in (False, True)]
+        plan = _Plan(*(np.array([[fx[k] for fx, _, _ in specs],
+                                 [fz[k] for _, fz, _ in specs]])
+                       for k in range(3)),
+                     np.array([dual for _, _, dual in specs]))
+        U = (half_pop.mean_x, half_pop.mean_z)
+        levels = [(0.0, 1.0, -1.0, 2.0)] * 2
+        rows = np.array([(a * U[0], b * U[1]) for a in levels[0]
+                         for b in levels[1]]).T
+        dual = rows[:, ::-1].copy()  # other pairs of the same levels
+        ybar_st = np.full(rows.shape[1], half_pop.mean_y)
+        _, codes, ratios = _estimate_block(plan, half_pop, ybar_st, rows,
+                                           dual)
+        overlaps = set()
+        for j, (fx, fz, reads_dual) in enumerate(specs):
+            for r in range(rows.shape[1]):
+                u = (dual if reads_dual else rows)[:, r]
+                held = []
+                for axis, (side, c, e) in enumerate((fx, fz)):
+                    den = c - U[axis] if side > 0 else c - u[axis]
+                    ratio = ratios[axis, j, r]
+                    held.append((e != 0 and den == 0, e < 0 and ratio == 0,
+                                 e != int(e) and ratio < 0))
+                conditions = [held[0][0], held[1][0], held[0][1], held[0][2],
+                              held[1][1], held[1][2]]
+                want = [k + 1 for k, hit in enumerate(conditions) if hit]
+                assert codes[j, r] == (want[0] if want else 0), (j, r)
+                if len(want) > 1:
+                    overlaps.add(tuple(want))
+        assert {(1, 4), (1, 6), (2, 4), (3, 6), (4, 6), (1, 2)} <= {
+            pair for want in overlaps for pair in
+            ((want[a], want[b]) for a in range(len(want))
+             for b in range(a + 1, len(want)))}
+
+    def test_estimate_reports_the_lowest_code_where_rejections_overlap(
+            self, half_pop):
+        # Table kinds on half_pop (x* = 2X - xbar, z* = 2Z - zbar): each
+        # sample meets two rejections, and the message is the lower one's.
+        X, Z = half_pop.mean_x, half_pop.mean_z
+        cases = [
+            # x* = 0 under alpha1 < 0 (3), z ratio -1 under 0.5 (6)
+            (-0.5, 0.5, 2 * X, 3 * Z, 3),
+            # x ratio -1 under 0.5 (4), z* = 0 (2)
+            (0.5, 0.5, 3 * X, 2 * Z, 2),
+            # x* = 0 under alpha1 < 0 (3), z* = 0 (2)
+            (-0.5, 0.5, 2 * X, 2 * Z, 2),
+            # x ratio -1 under 0.5 (4), z ratio -1 under 0.25 (6)
+            (0.5, 0.25, 3 * X, 3 * Z, 4),
+        ]
+        y = (half_pop.mean_y,)
+        for alpha1, alpha2, xbar, zbar, code in cases:
+            spec = EstimatorSpec(kind="dual_family", alpha1=alpha1,
+                                 alpha2=alpha2)
+            sample = sample_for(half_pop, y, (xbar,), (zbar,))
+            with pytest.raises(DegenerateSampleError) as info:
+                estimate(spec, sample, half_pop)
+            assert str(info.value) == _REJECTIONS[code].format(
+                base=-1.0, exponent=alpha1), (alpha1, alpha2, xbar, zbar)
+            _, codes = block_estimates(spec, half_pop, np.array([y]),
+                                       np.array([[xbar]]), np.array([[zbar]]))
+            assert codes.tolist() == [code]
 
     def test_scalar_messages_name_the_degeneracy(self, half_pop):
         X, Z = half_pop.mean_x, half_pop.mean_z

@@ -256,6 +256,32 @@ class TestMomentSerialization:
                            match=f"moments key '{key}' must be a JSON number"):
             moments_from_dict(doc)
 
+    @pytest.mark.parametrize("key", ["mean_y", "mean_x", "mean_z"])
+    def test_zero_mean_is_rejected_as_compute_moments_rejects_it(
+            self, corrected_pop, corrected_m, key):
+        # Relative moments divide by the combined means, so a document
+        # with a zero mean is refused by the rule and message of
+        # compute_moments, naming every mean the document carries.
+        means = {"mean_y": 5.0, "mean_x": 3.0, "mean_z": 2.0, key: 0.0}
+        doc = json.loads(moments_to_json(corrected_m, None, means))
+        with pytest.raises(ValueError) as info:
+            moments_from_dict(doc)
+        assert str(info.value) == (
+            "combined means must be nonzero to form relative moments "
+            "(mean_y={mean_y}, mean_x={mean_x}, mean_z={mean_z})".format(
+                **means))
+        zeroed = dataclasses.replace(corrected_pop, **means)
+        with pytest.raises(ValueError) as direct:
+            compute_moments(zeroed)
+        assert str(direct.value) == str(info.value)
+        # A document that leaves a mean out is checked on the others.
+        absent = "mean_z" if key == "mean_y" else "mean_y"
+        del doc[absent], means[absent]
+        with pytest.raises(ValueError) as partial:
+            moments_from_dict(doc)
+        assert str(partial.value).endswith(
+            "({})".format(", ".join(f"{k}={v}" for k, v in means.items())))
+
     def test_bare_dual_object_rejected(self, corrected_md):
         with pytest.raises(ValueError, match="dual"):
             moments_from_dict(corrected_md.as_dict())

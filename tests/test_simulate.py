@@ -1,11 +1,14 @@
 """Unit tests for the Monte Carlo validation harness."""
 
+import collections
 import dataclasses
+import gc
 import json
 import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -1136,6 +1139,135 @@ class TestThreadedBlocks:
         assert {b: simulate._thread_count(b) for b in expected} == expected
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
         assert simulate._thread_count(9) == 1
+
+
+class TestPreparedStudy:
+    """A study's set-up is prepared once and reused while the caller passes
+    the same frame and spec objects (``simulate._prepare``)."""
+
+    def test_warm_and_cold_studies_are_equal_bit_for_bit(self, monkeypatch,
+                                                         tiny_frames):
+        # Warm: after a study on the same objects.  Cold: after a study on
+        # another population.  Fresh: with nothing kept.  Some draws are
+        # rejected, and the study spans several blocks.
+        frames, design, specs = rejecting_study()
+        R = 2 * BLOCK + 7
+        monte_carlo(tiny_frames, (2, 3), ALL_KINDS_SPECS, R=8, seed=1)
+        cold = monte_carlo(frames, design, specs, R=R, seed=4)
+        monte_carlo(frames, design, specs, R=8, seed=5)
+        warm = monte_carlo(frames, design, specs, R=R, seed=4)
+        monkeypatch.setattr(simulate, "_last", None)
+        fresh = monte_carlo(frames, design, specs, R=R, seed=4)
+        assert warm.population is cold.population  # the set-up was reused
+        assert fresh.population is not cold.population
+        for result in (warm, fresh):
+            np.testing.assert_equal(dataclasses.asdict(result),
+                                    dataclasses.asdict(cold))
+            assert repr(dataclasses.asdict(result)) == repr(
+                dataclasses.asdict(cold))
+        assert any(0 < row.rejected < R for row in cold.results)
+
+    def test_set_up_runs_once_for_many_seeds(self, monkeypatch):
+        # Three studies on one population summarise each frame once, and
+        # combine, compute the moments, compile the plan and the theory
+        # once; a fourth with other spec objects prepares afresh.
+        frames, design, specs = rejecting_study()
+        calls = collections.Counter()
+
+        def counting(name):
+            original = getattr(simulate, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        names = ("summarize_stratum", "combine", "_moment_sets", "_plan",
+                 "_theoretical_mse")
+        for name in names:
+            monkeypatch.setattr(simulate, name, counting(name))
+        for seed in range(3):
+            monte_carlo(frames, design, specs, R=16, seed=seed)
+        assert calls == {"summarize_stratum": len(frames),
+                         **{name: 1 for name in names[1:]}}
+        monte_carlo(frames, design, list(map(dataclasses.replace, specs)),
+                    R=16, seed=0)
+        assert calls["summarize_stratum"] == 2 * len(frames)
+
+    def test_a_replaced_frame_is_prepared_afresh(self):
+        frames, design, specs = rejecting_study()
+        first = monte_carlo(frames, design, specs, R=64, seed=3)
+        moved = [dataclasses.replace(frames[0], z=frames[0].z + 40.0),
+                 frames[1]]
+        second = monte_carlo(moved, design, specs, R=64, seed=3)
+        pop = combine([summarize_stratum(f, n) for f, n in zip(moved, design)])
+        m, md = compute_moments(pop), compute_dual_moments(pop)
+        assert second.population.mean_z == pop.mean_z
+        assert pop.mean_z != first.population.mean_z
+        for spec, row in zip(specs, second.results):
+            assert row.theoretical_mse == mse_first_order(spec, pop, m,
+                                                          md).mse, spec.label
+
+    def test_the_kept_set_up_keeps_no_frame_alive(self):
+        frames, design, specs = rejecting_study()
+        monte_carlo(frames, design, specs, R=8, seed=1)
+        refs = [weakref.ref(frame) for frame in frames]
+        del frames
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_a_failing_set_up_is_not_kept(self, tiny_frames):
+        # A census design with a dual spec raises on every call, and the
+        # set-up kept from the last good study stays as it was.
+        monte_carlo(tiny_frames, (2, 3), ALL_KINDS_SPECS, R=8, seed=1)
+        kept = simulate._last
+        specs = [EstimatorSpec(kind="classical"),
+                 EstimatorSpec(kind="plikusas_dual")]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="census"):
+                monte_carlo(tiny_frames, (5, 3), specs, R=8, seed=1)
+            assert simulate._last is kept
+
+    def test_concurrent_studies_on_two_populations_match_serial(
+            self, tiny_frames):
+        # Four threads, two on each population, more than the cores of a
+        # small host; each study replaces the set-up another thread keeps,
+        # and the threads switch every microsecond.
+        studies = {"rejecting": rejecting_study(),
+                   "tiny": (tiny_frames, (2, 3), ALL_KINDS_SPECS)}
+        seeds = range(12)
+
+        def run(study):
+            return [dataclasses.asdict(monte_carlo(*study, R=40, seed=seed))
+                    for seed in seeds]
+
+        serial = {name: run(study) for name, study in studies.items()}
+        workers = [(name, copy) for name in studies for copy in range(2)]
+        got, errors = {}, []
+        barrier = threading.Barrier(len(workers))
+
+        def worker(name, copy):
+            try:
+                barrier.wait(timeout=60)
+                got[name, copy] = run(studies[name])
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=key, daemon=True)
+                   for key in workers]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        np.testing.assert_equal(
+            got, {(name, copy): serial[name] for name, copy in workers})
 
 
 class TestCountArguments:
