@@ -384,6 +384,7 @@ def _draw_block(
     rng: np.random.Generator,
     rows: int,
     keep: int,
+    scratch: threading.local,
 ) -> np.ndarray:
     """Per-stratum sample means of the first ``keep`` of ``rows`` draws.
 
@@ -391,12 +392,30 @@ def _draw_block(
     stratum in turn; the means of the first ``keep`` rows are returned
     as an array of shape ``(3, keep, L)``: the y, x and z means of each
     draw and stratum, with the units of a sample added in index order.
+
+    Each variable's sample values are gathered into a ``(keep, n_h)``
+    view of one float64 buffer, ``scratch.buffer``, before they are
+    averaged.  ``scratch`` is a :class:`threading.local` that
+    :func:`monte_carlo` makes for one study (:func:`draw_sample` passes a
+    fresh one), so each thread keeps one buffer for the whole study,
+    grown to the largest ``keep * n_h`` it meets; a fresh gather array
+    per variable, stratum and block would be handed back to the system
+    and faulted in again each time.  The means are those of the gathered
+    array, bit for bit.
     """
     means = np.empty((3, keep, len(frames)))
     for h, (frame, n) in enumerate(zip(frames, design)):
         units = _subsets(rng, frame.size, n, rows)[:keep]
+        buffer = getattr(scratch, "buffer", None)
+        if buffer is None or buffer.size < keep * n:
+            buffer = scratch.buffer = np.empty(keep * n)
+        values = buffer[:keep * n].reshape(keep, n)
         for v, column in enumerate((frame.y, frame.x, frame.z)):
-            means[v, :, h] = column[units].mean(axis=1)
+            # The samplers hand back indices in range(N_h), so "wrap"
+            # never wraps; unlike "raise", it writes straight into values
+            # instead of through a buffer numpy allocates.
+            means[v, :, h] = column.take(units, out=values,
+                                         mode="wrap").mean(axis=1)
         del units  # freed before the next stratum draws
     return means
 
@@ -413,6 +432,7 @@ def _block_means(
     R: int,
     b: int,
     child: np.random.SeedSequence,
+    scratch: threading.local,
 ) -> np.ndarray:
     """:func:`_draw_block`'s means of block ``b`` of an ``R``-draw study.
 
@@ -420,10 +440,11 @@ def _block_means(
     (fewer in the last block), drawn from the generator of ``child``,
     which is child ``b`` of the study's seed (:func:`_block_seeds`).  The
     last block is drawn at full size and cut, so a study is a prefix of
-    any larger one.
+    any larger one.  ``scratch`` holds the study's per-thread gather buffer
+    (see :func:`_draw_block`).
     """
     return _draw_block(frames, design, np.random.default_rng(child), BLOCK,
-                       min(BLOCK, R - b * BLOCK))
+                       min(BLOCK, R - b * BLOCK), scratch)
 
 
 def _thread_count(blocks: int) -> int:
@@ -496,7 +517,9 @@ def draw_sample(
     """
     design = _check_design(frames, design)
     sizes = np.array([f.size for f in frames], dtype=float)
-    ybar, xbar, zbar = _draw_block(frames, design, rng, 1, 1)
+    # A fresh gather buffer: nothing of this draw is kept.
+    ybar, xbar, zbar = _draw_block(frames, design, rng, 1, 1,
+                                   threading.local())
     return SampleMeans.from_stratum_means(
         [f.stratum_id for f in frames], ybar[0], xbar[0], zbar[0],
         sizes / sizes.sum()
@@ -664,10 +687,12 @@ def monte_carlo(
     estimates = np.empty((len(specs), R))
     stars = np.empty((2, R)) if md is not None else None  # xstar, zstar
     children = _block_seeds(seed, R)
+    scratch = threading.local()  # each thread's gather buffer, this study only
 
     def evaluate(b):
         # Draws block b and fills its own columns of estimates and stars.
-        ybar, xbar, zbar = _block_means(frames, design, R, b, children[b])
+        ybar, xbar, zbar = _block_means(frames, design, R, b, children[b],
+                                        scratch)
         rows = slice(b * BLOCK, b * BLOCK + len(ybar))
         ybar_st, *plain = (_weighted_sum(pop.w, v) for v in (ybar, xbar, zbar))
         if stars is not None:

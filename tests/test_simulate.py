@@ -646,10 +646,12 @@ class TestMonteCarlo:
 def study_means(frames, design, R, seed):
     """Per-stratum (y, x, z) means of every draw of a study, (3, R, L).
 
-    Each block comes from the per-block function ``monte_carlo`` runs.
+    Each block comes from the per-block function ``monte_carlo`` runs,
+    all of them gathered, as in a one-thread study, through one buffer.
     """
+    scratch = threading.local()
     return np.concatenate(
-        [_block_means(frames, design, R, b, child)
+        [_block_means(frames, design, R, b, child, scratch)
          for b, child in enumerate(_block_seeds(seed, R))], axis=1)
 
 
@@ -675,6 +677,20 @@ def rejecting_study():
         EstimatorSpec(kind="dual_family", alpha1=0.75, alpha2=-0.25),
     )
     return frames, spec.design, specs
+
+
+def mixed_shape_study():
+    """``(frames, design)`` whose sample sizes go down, up and down again.
+
+    Four strata of ``n_h`` = 30, 10, 60 and 45, taking the redraw, keys,
+    redraw and keys samplers in turn, so one gather buffer is viewed at
+    a smaller shape after a larger one and must then grow.
+    """
+    spec = PopulationSpec(strata=tuple(
+        make_stratum_spec(stratum_id=sid, N=N, n=n)
+        for sid, N, n in (("a", 200, 30), ("b", 40, 10), ("c", 500, 60),
+                          ("d", 90, 45))), seed=12)
+    return generate_population(spec), spec.design
 
 
 class TestBlockSampler:
@@ -705,6 +721,26 @@ class TestBlockSampler:
                                 frame.z[row].mean()]
                     np.testing.assert_array_equal(
                         means[:, b * BLOCK + r, h], expected)
+
+    def test_means_are_exact_through_a_buffer_reused_at_other_shapes(self):
+        # One buffer serves every stratum and block: first cut blocks
+        # (keep < BLOCK), then a full one that grows it, then a short one.
+        # Each mean equals that of the gathered array, column[units], on
+        # the oracle's units, and the generators end in the same state.
+        frames, design = mixed_shape_study()
+        scratch = threading.local()
+        for seed, keep in ((1, BLOCK - 57), (2, BLOCK - 1), (3, BLOCK), (4, 3)):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            means = simulate._draw_block(frames, design, rng, BLOCK, keep,
+                                         scratch)
+            for h, (frame, n) in enumerate(zip(frames, design)):
+                oracle = keys_subsets if frame.size in (40, 90) else redraw_subsets
+                units = np.array(oracle(ref, frame.size, n, BLOCK))[:keep]
+                for v, column in enumerate((frame.y, frame.x, frame.z)):
+                    np.testing.assert_array_equal(
+                        means[v, :, h], column[units].mean(axis=1))
+            assert rng.bit_generator.state == ref.bit_generator.state
+        assert scratch.buffer.size == BLOCK * max(design)
 
     def test_study_is_a_prefix_of_any_larger_study(self, tiny_frames):
         # The short study ends inside a block, the long one runs on.
@@ -999,8 +1035,10 @@ class TestSubsets:
         400 KiB of ``np.intp`` indices handed back.  Selecting by uniform
         keys instead would hold the ``(BLOCK, N)`` keys and their
         partitioned copy, 78 MiB, and then a one-byte mask of 4.9 MiB.
-        The traced peak of a two-block study, its blocks run on two
-        threads, must stay under 4 MiB.
+        Each thread also keeps, for the whole study, one float64 gather
+        buffer of ``BLOCK * n`` values, 400 KiB.  The traced peak of a
+        two-block study, its blocks run on two threads, must stay under
+        4 MiB.
         """
         force_threads(monkeypatch, 2)
         values = np.random.default_rng(5).normal(100.0, 10.0, (3, 20_000))
@@ -1019,6 +1057,88 @@ class TestSubsets:
 def force_threads(monkeypatch, count):
     """Run the blocks of every study on ``count`` threads, whatever its size."""
     monkeypatch.setattr(simulate, "_thread_count", lambda blocks: count)
+
+
+def spy_buffers(monkeypatch):
+    """Record the study's gather buffer as each block's strata are drawn.
+
+    ``_subsets`` records the buffer before each stratum draws, and
+    ``_draw_block`` after its block; ``None`` before the first gather.
+    After a block, ``gathered`` records whether the buffer's leading
+    ``(keep, n_h)`` values are those whose means are the block's z means
+    of its last stratum, the last gather.
+    """
+    seen, gathered = [], []
+    draws, subsets = simulate._draw_block, simulate._subsets
+    held = threading.local()
+
+    def draw_block(frames, design, rng, rows, keep, scratch):
+        held.scratch = scratch
+        means = draws(frames, design, rng, rows, keep, scratch)
+        seen.append(scratch.buffer)
+        last = scratch.buffer[:keep * design[-1]].reshape(keep, design[-1])
+        gathered.append(np.array_equal(last.mean(axis=1), means[2, :, -1]))
+        return means
+
+    def record_subsets(*args):
+        seen.append(getattr(held.scratch, "buffer", None))
+        return subsets(*args)
+
+    monkeypatch.setattr(simulate, "_draw_block", draw_block)
+    monkeypatch.setattr(simulate, "_subsets", record_subsets)
+    return seen, gathered
+
+
+class TestGatherBuffer:
+    """Each thread gathers a study's samples into one buffer of its own."""
+
+    @pytest.mark.parametrize("strata, replaced", [
+        (((2000, 200),), 0),
+        (((2000, 100), (3000, 200)), 1),  # a larger second stratum
+        (((3000, 200), (2000, 100)), 0),  # a smaller one
+    ])
+    def test_a_study_gathers_every_block_into_one_buffer(
+            self, monkeypatch, strata, replaced):
+        # Six blocks on one thread, the last one cut, on redraw strata.
+        # The first gather makes the buffer; only a larger stratum later
+        # in the first block may replace it, and only once.  Every block
+        # gathers into it.
+        force_threads(monkeypatch, 1)
+        seen, gathered = spy_buffers(monkeypatch)
+        spec = PopulationSpec(strata=tuple(
+            make_stratum_spec(stratum_id=str(h), N=N, n=n)
+            for h, (N, n) in enumerate(strata)), seed=3)
+        R = 5 * BLOCK + 3
+        monte_carlo(generate_population(spec), spec.design,
+                    [EstimatorSpec(kind="classical")], R=R, seed=1)
+        assert len(seen) == 6 * (len(strata) + 1)
+        assert seen[0] is None
+        buffers = seen[1:]
+        assert all(isinstance(b, np.ndarray) for b in buffers)
+        changes = sum(b is not a for a, b in zip(buffers, buffers[1:]))
+        assert changes == replaced
+        assert gathered == [True] * 6
+        assert buffers[-1].size == BLOCK * max(n for _, n in strata)
+
+    def test_nothing_outlives_a_study_or_a_draw(self, monkeypatch):
+        # Weak references to each thread's buffer holder and buffer, on
+        # two threads and in draw_sample, are dead once the call returns.
+        force_threads(monkeypatch, 2)
+        refs = []
+        draw = simulate._draw_block
+
+        def record(*args):
+            means = draw(*args)
+            refs.extend((weakref.ref(args[-1]), weakref.ref(args[-1].buffer)))
+            return means
+
+        monkeypatch.setattr(simulate, "_draw_block", record)
+        frames, design = mixed_shape_study()
+        monte_carlo(frames, design, ALL_KINDS_SPECS, R=4 * BLOCK, seed=5)
+        draw_sample(frames, design, np.random.default_rng(5))
+        gc.collect()
+        assert len(refs) == 2 * 5
+        assert [ref() for ref in refs] == [None] * len(refs)
 
 
 class TestThreadedBlocks:
@@ -1046,6 +1166,24 @@ class TestThreadedBlocks:
         if R > 1:
             rows = results[0]["results"]
             assert any(0 < row["rejected"] < R for row in rows)
+
+    def test_shared_buffers_do_not_depend_on_the_thread_count(
+            self, monkeypatch):
+        # Strata of different n_h, so each thread views its buffer at
+        # several shapes; four threads switching every microsecond give
+        # every field of the one-thread result, bit for bit.
+        frames, design = mixed_shape_study()
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (1, 4):
+                force_threads(monkeypatch, threads)
+                results.append(dataclasses.asdict(monte_carlo(
+                    frames, design, ALL_KINDS_SPECS, R=7 * BLOCK + 3, seed=13)))
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_equal(results[1], results[0])
 
     def test_all_draws_rejected_raises_the_same_way(self, monkeypatch):
         # As in TestMonteCarlo.test_all_draws_rejected_raises: at R = 1 a
