@@ -127,6 +127,16 @@ def _integer(value, where: str) -> int:
     raise ValueError(f"{where}: {value!r:.40} is not an integer")
 
 
+def _at_least(low: int):
+    """The converter of integers of at least ``low``."""
+    def convert(value, where: str) -> int:
+        number = _integer(value, where)
+        if number < low:
+            raise ValueError(f"{where}: must be at least {low}, got {number}")
+        return number
+    return convert
+
+
 def _boolean(value, where: str) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"{where}: {value!r:.40} is not true or false")
@@ -252,7 +262,7 @@ class RunConfig:
     moments: Path | None = _option(
         None, _path, "moments JSON document replacing --input")
     allocate: int | None = _option(
-        None, _integer, "total sample size for unit-level input "
+        None, _at_least(1), "total sample size for unit-level input "
                         "(Neyman-allocated across strata)")
     corrections: str = _option("off", choices=("off", "auto"),
                                help="validation repair policy")
@@ -269,10 +279,11 @@ class RunConfig:
         None, _path, "population spec JSON", commands=("simulate",),
         key=("simulate", "population"))
     replications: int = _option(
-        DEFAULT_REPLICATIONS, _integer, "number of Monte Carlo replications",
+        DEFAULT_REPLICATIONS, _at_least(1),
+        "number of Monte Carlo replications",
         commands=("simulate",), key=("simulate", "replications"))
     seed: int | None = _option(
-        None, _integer, "override the population spec's seed",
+        None, _at_least(0), "override the population spec's seed",
         commands=("simulate",), key=("simulate", "seed"))
     output_dir: Path | None = _option(
         None, _path, "directory for rendered artifacts")

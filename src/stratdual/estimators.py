@@ -11,9 +11,11 @@ evaluated under every estimator.  Each kind is one row of
 :data:`_TABLE`, which gives its two auxiliary factors; the coefficients
 of the first-order theory are read from the same rows.  A list of
 estimators is resolved once into a plan of per-factor arrays
-(:func:`_plan`), which the theory reads too.  One array kernel evaluates
-a plan over a block of draws at once and marks degenerate draws with a
-rejection code instead of raising; :func:`estimate` is its one-row call.
+(:func:`_plan`), which the theory reads too.  On a population, a plan
+compiles into the constants of one array kernel (:func:`_kernel`), which
+evaluates every spec over a block of draws at once and marks degenerate
+draws with a rejection code instead of raising; :func:`estimate` is its
+one-row call.
 """
 
 from __future__ import annotations
@@ -221,16 +223,15 @@ def _check_alignment(sample: SampleMeans, pop: PopulationSummary) -> None:
         )
 
 
-def _dual_means(pop: PopulationSummary, xbar: np.ndarray, zbar: np.ndarray):
-    """Combined dual-transformed means of per-stratum sample means.
+def _dual_means(pop: PopulationSummary, xz: np.ndarray) -> np.ndarray:
+    """Combined dual-transformed x and z means of a block of draws.
 
-    ``xbar`` and ``zbar`` hold one draw (shape ``(L,)``) or a block of
-    draws (shape ``(c, L)``); the results have the leading shape.
+    ``xz`` holds the draws' per-stratum x and z sample means, shape
+    ``(2, rows, L)``; the result, shape ``(2, rows)``, holds their
+    combined ``xstar`` and ``zstar`` means.
     """
     g = pop.g
-    xstar = _weighted_sum(pop.w, (1.0 + g) * pop.means[1] - g * xbar)
-    zstar = _weighted_sum(pop.w, (1.0 + g) * pop.means[2] - g * zbar)
-    return xstar, zstar
+    return _weighted_sum(pop.w, (1.0 + g) * pop.means[1:, None] - g * xz)
 
 
 def dual_transform_means(
@@ -245,8 +246,8 @@ def dual_transform_means(
     """
     _check_alignment(sample, pop)
     pop.require_no_census("the dual transform")
-    xstar, zstar = _dual_means(pop, sample.xbar, sample.zbar)
-    return float(xstar), float(zstar)
+    xstar, zstar = _dual_means(pop, np.array([[sample.xbar], [sample.zbar]]))
+    return float(xstar[0]), float(zstar[0])
 
 
 def _check_estimator(spec: EstimatorSpec, pop: PopulationSummary) -> None:
@@ -302,31 +303,66 @@ def _plan(specs) -> _Plan:
                  np.array([_TABLE[s.kind][2] for s in specs], dtype=bool))
 
 
-def _estimate_block(plan, pop: PopulationSummary, ybar_st: np.ndarray,
-                    plain: np.ndarray, dual: np.ndarray | None = None):
-    """Evaluate the ``S`` specs of a :func:`_plan` on a block of draws.
+class _Kernel(NamedTuple):
+    """The constants of the block kernel: a :class:`_Plan` on one population.
+
+    Each array has a trailing draw axis of length 1.  ``up`` (``side >
+    0``), ``c``, ``e`` and ``population_side`` (``c - U``, ``U`` the
+    population mean the factor reads) have shape ``(2, S, 1)``, the x
+    factors then the z factors; so do the masks of the exponents under
+    which a draw can be rejected: ``divides`` (``e != 0``), ``negative``
+    (``e < 0``) and ``fractional`` (``e`` not whole).  ``reads_dual`` has
+    shape ``(S, 1)``.
+    """
+
+    up: np.ndarray
+    c: np.ndarray
+    e: np.ndarray
+    population_side: np.ndarray
+    divides: np.ndarray
+    negative: np.ndarray
+    fractional: np.ndarray
+    reads_dual: np.ndarray
+
+
+def _kernel(plan: _Plan, pop: PopulationSummary) -> _Kernel:
+    """The :class:`_Kernel` of ``plan`` on ``pop``, compiled once per set-up
+    so that no block of draws rebuilds it."""
+    side, c, e, reads_dual = (a[..., None] for a in plan)
+    U = np.array([pop.mean_x, pop.mean_z])[:, None, None]
+    return _Kernel(up=side > 0, c=c, e=e, population_side=c - U,
+                   divides=e != 0, negative=e < 0, fractional=e != np.trunc(e),
+                   reads_dual=reads_dual)
+
+
+def _estimate_block(kernel: _Kernel, ybar_st: np.ndarray, plain: np.ndarray,
+                    dual: np.ndarray | None = None):
+    """Evaluate the ``S`` specs of a compiled :func:`_kernel` on a block of
+    draws.
 
     Takes the draws' combined y means, their x and z means ``plain``
     (shape ``(2, rows)``) and, for a plan with dual kinds, their dual means.
-    Returns ``(values, codes, ratios)``: ``codes[j, r]`` indexes
-    :data:`_REJECTIONS` (0 accepts), ``values`` is ``NaN`` where it is
-    nonzero, and ``ratios`` (``(2, S, rows)``) holds each factor's
-    ``num/den``.  Configuration is checked by :func:`_check_estimator`.
+    The kernel is compiled once per set-up, so a block computes only what
+    depends on its draws.  Returns ``(values, codes, ratios)``:
+    ``codes[j, r]`` indexes :data:`_REJECTIONS` (0 accepts), ``values`` is
+    ``NaN`` where it is nonzero, and ``ratios`` (``(2, S, rows)``) holds
+    each factor's ``num/den``.  Configuration is checked by
+    :func:`_check_estimator`.
     """
-    side, c, e, reads_dual = (a[..., None] for a in plan)
+    (up, c, e, population_side, divides, negative, fractional,
+     reads_dual) = kernel
     u = plain[:, None] if dual is None else np.where(
         reads_dual, dual[:, None], plain[:, None])
-    U = np.array([pop.mean_x, pop.mean_z])[:, None, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        sample_side, population_side = c - u, c - U
-        den = np.where(side > 0, population_side, sample_side)
-        ratios = np.where(side > 0, sample_side, population_side) / den
+        sample_side = c - u
+        den = np.where(up, population_side, sample_side)
+        ratios = np.where(up, sample_side, population_side) / den
         # e = 1 keeps the ratio's bits; e = 0 gives 1, even at infinity.
         factors = ratios**e
         values = ybar_st * factors[0] * factors[1]
-    zero_den = (e != 0) & (den == 0)
-    zero_ratio = (e < 0) & (ratios == 0)
-    negative_ratio = (e != np.trunc(e)) & (ratios < 0)
+    zero_den = divides & (den == 0)
+    zero_ratio = negative & (ratios == 0)
+    negative_ratio = fractional & (ratios < 0)
     # Codes 1 to 6 of _REJECTIONS, x before z, written from 6 down to 1
     # so that the lowest code wins.
     codes = np.zeros(values.shape, dtype=np.int64)
@@ -355,15 +391,16 @@ def estimate(
     """
     _check_alignment(sample, pop)
     _check_estimator(spec, pop)
-    plan = _plan([spec])
+    kernel = _kernel(_plan([spec]), pop)
     dual = (np.array(dual_transform_means(sample, pop))[:, None]
             if spec.kind in DUAL_KINDS else None)
     values, codes, ratios = _estimate_block(
-        plan, pop, np.array([sample.ybar_st]),
+        kernel, np.array([sample.ybar_st]),
         np.array([[sample.xbar_st], [sample.zbar_st]]), dual)
     code = int(codes[0, 0])
     if code:
         axis = 0 if code in (1, 3, 4) else 1  # the factor that failed
         raise DegenerateSampleError(_REJECTIONS[code].format(
-            base=float(ratios[axis, 0, 0]), exponent=float(plan.e[axis, 0])))
+            base=float(ratios[axis, 0, 0]),
+            exponent=float(kernel.e[axis, 0, 0])))
     return float(values[0, 0])

@@ -19,10 +19,13 @@ Reproducibility contract, for the fixed block size :data:`BLOCK`:
   of the study's arrays.  :func:`monte_carlo` runs the blocks
   concurrently on up to ``min(4, usable CPUs)`` threads, the calling
   thread included, and its output does not depend on the thread count.
+  A study on one usable CPU, or of one block, starts no thread: the
+  calling thread runs its blocks in order.
 
 Every block is drawn at full size and the last one is cut to the study's
-``R``, which is what keeps a study prefix-stable.  A different
-``BLOCK`` gives different (equally valid) draws.  Within a block each
+``R``, which is what keeps a study prefix-stable; the keys sampler draws
+the keys of every row but sorts out the units of the kept rows only.  A
+different ``BLOCK`` gives different (equally valid) draws.  Within a block each
 stratum, in turn, fills its ``(BLOCK, n_h)`` index array with one of two
 samplers, chosen by the stratum's shape (:func:`_subsets`): small or
 high-fraction strata keep each row's units whose uniform key is at most
@@ -31,7 +34,9 @@ with replacement and redraw repeats.  The shape rule, the tie rule and
 the order in which the redraw sampler consumes its generator are part of
 the contract too: another rule or order gives other draws.
 Every sample is shared across estimators (common random numbers), which
-sharpens efficiency comparisons at equal cost.
+sharpens efficiency comparisons at equal cost.  The estimators' kernel
+constants are compiled once per set-up, with the population summary and
+the theory, and every block reads them.
 """
 
 from __future__ import annotations
@@ -62,8 +67,9 @@ from .estimators import (
     _check_estimator,
     _dual_means,
     _estimate_block,
+    _kernel,
+    _Kernel,
     _plan,
-    _Plan,
 )
 from .moments import MomentSet, _moment_sets
 from .mse_theory import _theoretical_mse
@@ -130,7 +136,9 @@ class StratumSpec:
     ``mu`` and ``sigma`` are the (y, x, z) means and standard
     deviations; ``rho`` holds ``(rho_xy, rho_yz, rho_xz)``.  ``n`` is
     the design sample size used by the sampling stage (optional at
-    generation time).
+    generation time).  A value out of its range raises ``ValueError``
+    naming the stratum, as in ``stratum a: design n=20 out of range
+    1..10``.
     """
 
     stratum_id: str
@@ -142,6 +150,7 @@ class StratumSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stratum_id", str(self.stratum_id))
+        where = f"stratum {self.stratum_id}"
         for name in ("N", "n"):
             value = getattr(self, name)
             if name == "n" and value is None:
@@ -150,20 +159,25 @@ class StratumSpec:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.N < 1:
-            raise ValueError("N must be at least 1")
+            raise ValueError(f"{where}: N must be at least 1, got {self.N}")
         mu = tuple(float(v) for v in self.mu)
         sigma = tuple(float(v) for v in self.sigma)
         rho = tuple(float(v) for v in self.rho)
         if len(mu) != 3 or len(sigma) != 3 or len(rho) != 3:
             raise ValueError("mu, sigma, rho must each have three entries")
         if any(s < 0 for s in sigma):
-            raise ValueError("standard deviations must be nonnegative")
-        _check_correlation_psd(*rho)
+            raise ValueError(f"{where}: standard deviations must be "
+                             f"nonnegative, got {sigma}")
+        try:
+            _check_correlation_psd(*rho)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "rho", rho)
         if self.n is not None and not 1 <= self.n <= self.N:
-            raise ValueError(f"design n={self.n} out of range 1..{self.N}")
+            raise ValueError(f"{where}: design n={self.n} out of range "
+                             f"1..{self.N}")
 
 
 @dataclass(frozen=True)
@@ -310,48 +324,56 @@ def _check_design(frames: Sequence[UnitFrame], design: Sequence[int]
     return tuple(map(int, design))
 
 
-def _subsets(rng: np.random.Generator, N: int, n: int, rows: int) -> np.ndarray:
-    """``rows`` independent uniform ``n``-subsets of ``range(N)``, sorted.
+def _subsets(rng: np.random.Generator, N: int, n: int, rows: int,
+             keep: int) -> np.ndarray:
+    """The first ``keep`` of ``rows`` independent uniform ``n``-subsets of
+    ``range(N)``, sorted.
 
-    Returns an ``np.intp`` index array of shape ``(rows, n)``, each row
-    ascending.  Small or high-fraction strata (``N <= 64`` or
+    Returns an ``np.intp`` index array of shape ``(keep, n)``, each row
+    ascending.  Every one of the ``rows`` subsets is drawn whatever
+    ``keep`` is, so the kept rows and the generator's end state do not
+    depend on ``keep``.  Small or high-fraction strata (``N <= 64`` or
     ``3 n >= N``) give each unit of a row an iid uniform key and keep the
     units whose key is at most the row's ``n``-th smallest, a threshold
     found by partitioning a copy of the keys; read off the mask in order,
-    the units come out ascending.  Should another key tie the ``n``-th
-    smallest (about ``N * 2**-53`` a row), the lowest indices among the
-    tied keys are kept.  Larger strata draw ``n`` units per row with
-    replacement, sort each row, and redraw the extra copies of any
-    repeated unit until each row is distinct.  Each round draws all its
-    replacements in one call, handed out in row-major order of the copies
-    they replace; only rows that still hold a repeat are redrawn and
-    re-sorted.  Which units survive depends only on their multiplicities,
-    so the result is invariant under relabelling the units and is
-    therefore a uniform subset.
+    the units come out ascending.  All ``rows`` rows of keys are drawn,
+    but only the kept rows are partitioned, compared and read off.  Should
+    another key tie the ``n``-th smallest (about ``N * 2**-53`` a row),
+    the lowest indices among the tied keys are kept.  Larger strata draw
+    ``n`` units per row with replacement, sort each row, and redraw the
+    extra copies of any repeated unit until each row is distinct.  Each
+    round draws all its replacements in one call, handed out in row-major
+    order of the copies they replace; only rows that still hold a repeat
+    are redrawn and re-sorted.  A round's draws depend on every row's
+    repeats, so every row is redrawn, and only the kept rows are cast to
+    ``np.intp``.  Which units survive depends only on their
+    multiplicities, so the result is invariant under relabelling the
+    units and is therefore a uniform subset.
 
     The shape rule, the tie rule and the redraw order are part of the
     reproducibility contract, like :data:`BLOCK`: another rule or order
     gives other (equally valid) draws.  The shape rule bounds what the
-    keys sampler holds at once, its ``(rows, N)`` keys and their
-    partitioned copy, by 256 KiB or by six times the index array; its
-    one-byte ``(rows, N)`` mask is made after the copy is freed.  The
-    redraw sampler draws ``int32`` values, so it needs ``N <= 2**31``,
-    where they equal the default ``int64`` draws.  It sorts them as
-    ``int16`` when ``N <= 2**15``, which is faster.  Both samplers hand
-    back ``np.intp`` indices, because narrower ones slow the gathers.
+    keys sampler holds at once, its ``(rows, N)`` keys and the
+    partitioned copy of the kept rows, by 256 KiB or by six times the
+    index array; its one-byte ``(keep, N)`` mask is made after the copy
+    is freed.  The redraw sampler draws ``int32`` values, so it needs
+    ``N <= 2**31``, where they equal the default ``int64`` draws.  It
+    sorts them as ``int16`` when ``N <= 2**15``, which is faster.  Both
+    samplers hand back ``np.intp`` indices, because narrower ones slow the
+    gathers.
     """
     if N <= 64 or 3 * n >= N:
-        keys = rng.random((rows, N))
+        keys = rng.random((rows, N))[:keep]
         kth = np.partition(keys, n - 1, axis=1)[:, [n - 1]]
         chosen = keys <= kth
         units = np.flatnonzero(chosen)
-        if units.size != rows * n:  # a key ties some row's n-th smallest
+        if units.size != keep * n:  # a key ties some row's n-th smallest
             for r in np.flatnonzero(np.count_nonzero(chosen, axis=1) > n):
                 tied = np.flatnonzero(keys[r] == kth[r])
                 chosen[r, tied[n - np.count_nonzero(keys[r] < kth[r]):]] = False
             units = np.flatnonzero(chosen)
-        units = units.reshape(rows, n)
-        units -= np.arange(0, rows * N, N)[:, None]  # flat to column index
+        units = units.reshape(keep, n)
+        units -= np.arange(0, keep * N, N)[:, None]  # flat to column index
         return units
     idx = rng.integers(N, size=(rows, n), dtype=np.int32)
     if N <= 2**15:
@@ -367,7 +389,7 @@ def _subsets(rng: np.random.Generator, N: int, n: int, rows: int) -> np.ndarray:
         repeat[:, 0] = False
         count = np.count_nonzero(repeat)
         if not count:
-            return idx.astype(np.intp)
+            return idx[:keep].astype(np.intp)
         left = np.flatnonzero(repeat.any(axis=1))
         if left.size < len(block):  # else redraw in place, copying nothing
             todo, block, repeat = (todo.take(left), block.take(left, axis=0),
@@ -405,7 +427,7 @@ def _draw_block(
     """
     means = np.empty((3, keep, len(frames)))
     for h, (frame, n) in enumerate(zip(frames, design)):
-        units = _subsets(rng, frame.size, n, rows)[:keep]
+        units = _subsets(rng, frame.size, n, rows, keep)
         buffer = getattr(scratch, "buffer", None)
         if buffer is None or buffer.size < keep * n:
             buffer = scratch.buffer = np.empty(keep * n)
@@ -468,7 +490,15 @@ def _run_blocks(work, blocks: int) -> None:
     first exception a block raises, such as a ``MemoryError`` or a
     warning turned into an error, stops the taking of blocks and is
     raised here after every thread has been joined.
+
+    With one thread, as for a one-block study or on one usable CPU, the
+    calling thread runs the blocks in order itself: it starts no thread,
+    takes no lock, and the first exception propagates at once.
     """
+    if _thread_count(blocks) == 1:
+        for b in range(blocks):
+            work(b)
+        return
     todo = iter(range(blocks))
     lock = threading.Lock()
     errors = []
@@ -582,14 +612,16 @@ class _Prepared(NamedTuple):
     """What a study needs of its population besides the draws.
 
     The population summary under the design, its unprimed and dual
-    moment sets (no dual set with a census stratum), the compiled plan
-    of the specs and their theoretical MSEs, in spec order.
+    moment sets (no dual set with a census stratum), the estimator
+    kernel's constants compiled from the specs' plan on the population
+    (:func:`~stratdual.estimators._kernel`) and the specs' theoretical
+    MSEs, in spec order.
     """
 
     pop: PopulationSummary
     m: MomentSet
     md: MomentSet | None
-    plan: _Plan
+    kernel: _Kernel
     theory: tuple[float, ...]
 
 
@@ -630,7 +662,7 @@ def _prepare(frames: Sequence[UnitFrame], design: tuple[int, ...],
         _check_estimator(spec, pop)
     plan = _plan(specs)
     theory = tuple(_theoretical_mse(plan, pop, m, md).tolist())
-    prepared = _Prepared(pop, m, md, plan, theory)
+    prepared = _Prepared(pop, m, md, _kernel(plan, pop), theory)
     _last = (tuple(map(weakref.ref, frames)), design, specs, prepared)
     return prepared
 
@@ -651,16 +683,17 @@ def monte_carlo(
     ``specs`` is evaluated on the same draws, one array operation per
     block.  The blocks run on up to ``min(4, usable CPUs)`` threads, the
     calling thread included, with output that does not depend on their
-    number; a one-block study starts no thread.  Draws that are
-    degenerate for an estimator are rejected-and-counted for that
-    estimator only.  Theoretical first-order MSEs are computed from the
-    realized population summary under the same design.
+    number; a study of one block, or on one usable CPU, starts no thread.
+    Draws that are degenerate for an estimator are rejected-and-counted
+    for that estimator only.  Theoretical first-order MSEs are computed
+    from the realized population summary under the same design.
 
     A study's set-up (the population summary, its moment sets, the
-    estimator checks, the compiled plan and the theoretical MSEs) is kept
-    for the next study and reused while the same frame objects and the
-    same spec objects come in the same order with an equal design, as
-    when a caller runs many seeds on one population.  Frames are
+    estimator checks, the estimator kernel's compiled constants and the
+    theoretical MSEs) is kept for the next study and reused while the
+    same frame objects and the same spec objects come in the same order
+    with an equal design, as when a caller runs many seeds on one
+    population.  Frames are
     read-only, so the reused set-up is the one a fresh study computes;
     the result is the same bit for bit either way, and ``population`` is
     then the same (read-only) summary object across those studies.
@@ -683,7 +716,7 @@ def monte_carlo(
     R, seed = int(R), _check_seed(seed)
     design = _check_design(frames, design)
     specs = tuple(specs)
-    pop, _, md, plan, theory = _prepare(frames, design, specs)
+    pop, _, md, kernel, theory = _prepare(frames, design, specs)
     estimates = np.empty((len(specs), R))
     stars = np.empty((2, R)) if md is not None else None  # xstar, zstar
     children = _block_seeds(seed, R)
@@ -691,15 +724,14 @@ def monte_carlo(
 
     def evaluate(b):
         # Draws block b and fills its own columns of estimates and stars.
-        ybar, xbar, zbar = _block_means(frames, design, R, b, children[b],
-                                        scratch)
-        rows = slice(b * BLOCK, b * BLOCK + len(ybar))
-        ybar_st, *plain = (_weighted_sum(pop.w, v) for v in (ybar, xbar, zbar))
+        means = _block_means(frames, design, R, b, children[b], scratch)
+        rows = slice(b * BLOCK, b * BLOCK + means.shape[1])
+        combined = _weighted_sum(pop.w, means)  # y, x and z, (3, keep)
+        dual = None
         if stars is not None:
-            stars[:, rows] = _dual_means(pop, xbar, zbar)
-        estimates[:, rows] = _estimate_block(
-            plan, pop, ybar_st, np.array(plain),
-            None if stars is None else stars[:, rows])[0]
+            dual = stars[:, rows] = _dual_means(pop, means[1:])
+        estimates[:, rows] = _estimate_block(kernel, combined[0],
+                                             combined[1:], dual)[0]
 
     _run_blocks(evaluate, len(children))
 

@@ -548,7 +548,19 @@ class TestSimulate:
                              "--replications", "10", "--seed", "-1")
         assert code == 1
         assert out == ""
-        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert err == "error: argument --seed: must be at least 0, got -1\n"
+
+    def test_sample_size_out_of_range_names_the_stratum(self, capsys,
+                                                        tmp_path,
+                                                        population_json):
+        spec = json.loads((tmp_path / "pop.json").read_text())
+        spec["strata"][1].update(N=10, n=20)
+        path = tmp_path / "too_large.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "simulate", "--population", str(path),
+                             "--replications", "10")
+        assert (code, out) == (1, "")
+        assert err == "error: stratum b: design n=20 out of range 1..10\n"
 
     def test_census_run_without_estimators_prints_the_header(
             self, capsys, tmp_path, population_json):
@@ -795,6 +807,43 @@ class TestFormatsAndConfig:
                              "--allocate", "abc")
         assert (code, out, err) == (
             1, "", "error: argument --allocate: 'abc' is not an integer\n")
+
+    @pytest.mark.parametrize("command, flags, doc, message", [
+        ("simulate", ["--replications", "0"], {},
+         "argument --replications: must be at least 1, got 0"),
+        ("simulate", [], {"simulate": {"replications": -5}},
+         "config key 'simulate.replications': must be at least 1, got -5"),
+        ("simulate", ["--seed", "-1"], {},
+         "argument --seed: must be at least 0, got -1"),
+        ("simulate", [], {"simulate": {"seed": -1}},
+         "config key 'simulate.seed': must be at least 0, got -1"),
+        ("mse", ["--allocate", "0"], {},
+         "argument --allocate: must be at least 1, got 0"),
+        ("mse", [], {"allocate": -3},
+         "config key 'allocate': must be at least 1, got -3"),
+    ])
+    def test_count_out_of_range_names_its_flag_or_config_key(
+            self, capsys, tmp_path, population_json, units_csv, command,
+            flags, doc, message):
+        # Rejected with the rest of the options, before any input is read.
+        inputs = {"simulate": ["--population", population_json],
+                  "mse": ["--input", units_csv, "--schema", "units"]}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, *inputs[command], *flags,
+                             "--config", str(cfg))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command, flags", [
+        ("simulate", ["--replications", "1", "--seed", "0"]),
+        ("mse", ["--allocate", "4"]),
+    ])
+    def test_smallest_counts_in_range_are_accepted(
+            self, capsys, population_json, units_csv, command, flags):
+        inputs = {"simulate": ["--population", population_json],
+                  "mse": ["--input", units_csv, "--schema", "units"]}
+        code, _, err = run(capsys, command, *inputs[command], *flags)
+        assert code == 0, err
 
     @pytest.mark.parametrize("command, flag", [
         ("simulate", "--population"), ("mse", "--moments"),

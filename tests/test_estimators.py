@@ -20,7 +20,7 @@ from stratdual import (
 from stratdual import estimators
 from stratdual.domain import _weighted_sum
 from stratdual.estimators import (
-    _REJECTIONS, _Plan, _dual_means, _estimate_block, _plan,
+    _REJECTIONS, _Plan, _dual_means, _estimate_block, _kernel, _plan,
 )
 from test_domain import make_summary
 
@@ -270,8 +270,8 @@ def block_estimates(spec, pop, ybar, xbar, zbar):
     ybar_st, *plain = (_weighted_sum(pop.w, v) for v in (ybar, xbar, zbar))
     dual = None
     if spec.kind in DUAL_KINDS:
-        dual = np.array(_dual_means(pop, xbar, zbar))
-    values, codes, _ = _estimate_block(_plan([spec]), pop, ybar_st,
+        dual = _dual_means(pop, np.array([xbar, zbar]))
+    values, codes, _ = _estimate_block(_kernel(_plan([spec]), pop), ybar_st,
                                        np.array(plain), dual)
     return values[0], codes[0]
 
@@ -359,24 +359,56 @@ class TestArrayKernel:
 
     def test_estimate_evaluates_a_one_row_plan(self, tiny_pop, tiny_sample,
                                                monkeypatch):
-        # estimate() is the kernel's one-row call: one plan row, the spec's
-        # own, and the kernel's value unchanged.
+        # estimate() is the kernel's one-row call: the spec's own plan row
+        # compiled on the population, and the kernel's value unchanged.
         calls = []
 
-        def spy(plan, *args):
-            out = _estimate_block(plan, *args)
-            calls.append((plan, float(out[0][0, 0])))
+        def spy(kernel, *args):
+            out = _estimate_block(kernel, *args)
+            calls.append((kernel, float(out[0][0, 0])))
             return out
 
         monkeypatch.setattr(estimators, "_estimate_block", spy)
         for spec in self.specs(tiny_pop):
             calls.clear()
             value = estimate(spec, tiny_sample, tiny_pop)
-            [(plan, kernel_value)] = calls
-            for got, want in zip(plan, _plan([spec])):
-                assert got.shape[-1] == 1
+            [(kernel, kernel_value)] = calls
+            for got, want in zip(kernel, _kernel(_plan([spec]), tiny_pop)):
+                assert got.shape[-2:] == (1, 1)
                 np.testing.assert_array_equal(got, want)
             assert value == kernel_value, spec.label
+
+    @pytest.mark.parametrize("which", ["tiny_pop", "half_pop"])
+    def test_estimate_equals_one_kernel_over_every_spec(self, which,
+                                                        request, rng):
+        # Every spec compiled into one kernel and evaluated on a block, as
+        # a Monte Carlo study does, against estimate() on each row: the
+        # same value, bit for bit, or the same rejection and message.
+        pop = request.getfixturevalue(which)
+        specs = self.specs(pop)
+        means = np.array(self.rows(pop, rng))
+        combined = _weighted_sum(pop.w, means)
+        kernel = _kernel(_plan(specs), pop)
+        values, codes, ratios = _estimate_block(
+            kernel, combined[0], combined[1:], _dual_means(pop, means[1:]))
+        assert {spec.kind for spec in specs} == set(KINDS)
+        for r in range(means.shape[1]):
+            sample = sample_for(pop, *means[:, r])
+            for j, spec in enumerate(specs):
+                code = int(codes[j, r])
+                if not code:
+                    assert estimate(spec, sample, pop) == values[j, r]
+                    continue
+                axis = 0 if code in (1, 3, 4) else 1
+                with pytest.raises(DegenerateSampleError) as info:
+                    estimate(spec, sample, pop)
+                assert str(info.value) == _REJECTIONS[code].format(
+                    base=float(ratios[axis, j, r]),
+                    exponent=float(kernel.e[axis, j, 0])), (spec.label, r)
+        if which == "half_pop":
+            # Code 5 needs a zero z ratio; every table kind's z factor has
+            # the population mean on top.
+            assert set(np.unique(codes).tolist()) == {0, 1, 2, 3, 4, 6}
 
     def test_edge_rows_get_the_documented_verdicts(self, half_pop, rng):
         # Rows 0-6 of half_pop: xbar_st = 0; xstar = 0; zstar = 0;
@@ -430,8 +462,8 @@ class TestArrayKernel:
                          for b in levels[1]]).T
         dual = rows[:, ::-1].copy()  # other pairs of the same levels
         ybar_st = np.full(rows.shape[1], half_pop.mean_y)
-        _, codes, ratios = _estimate_block(plan, half_pop, ybar_st, rows,
-                                           dual)
+        _, codes, ratios = _estimate_block(_kernel(plan, half_pop), ybar_st,
+                                           rows, dual)
         overlaps = set()
         for j, (fx, fz, reads_dual) in enumerate(specs):
             for r in range(rows.shape[1]):

@@ -35,6 +35,7 @@ from stratdual import (
     summarize_stratum,
 )
 from stratdual import simulate
+from stratdual.estimators import _kernel, _plan
 from stratdual.simulate import BLOCK, _block_means, _block_seeds
 
 RHO = (0.7, 0.4, 0.3)
@@ -99,6 +100,24 @@ class TestStratumSpec:
             make_stratum_spec(n=0)
         with pytest.raises(ValueError, match="out of range"):
             make_stratum_spec(n=31)
+
+    @pytest.mark.parametrize("over, message", [
+        (dict(N=0), "N must be at least 1, got 0"),
+        (dict(N=10, n=20), "design n=20 out of range 1..10"),
+        (dict(n=0), "design n=0 out of range 1..30"),
+        (dict(sigma=(1.0, -2.0, 3.0)),
+         "standard deviations must be nonnegative, got (1.0, -2.0, 3.0)"),
+        (dict(rho=(0.0, 1.5, 0.0)), "rho_yz=1.5 outside [-1, 1]"),
+    ])
+    def test_range_errors_name_the_stratum(self, over, message):
+        with pytest.raises(ValueError) as error:
+            make_stratum_spec(stratum_id="north", **over)
+        assert str(error.value) == f"stratum north: {message}"
+
+    def test_non_psd_error_names_the_stratum(self):
+        with pytest.raises(ValueError, match="^stratum north: correlation "
+                                             "matrix is not positive"):
+            make_stratum_spec(stratum_id="north", rho=(0.9, 0.9, -0.9))
 
     @pytest.mark.parametrize("field, value, shown", [
         ("N", 30.5, "30.5"), ("N", "30", "'30'"), ("N", True, "True"),
@@ -693,6 +712,120 @@ def mixed_shape_study():
     return generate_population(spec), spec.design
 
 
+def whole_number_frames(sizes, seed):
+    """Frames of whole numbers whose column means are whole too.
+
+    Every deviation from a mean is then a whole number, so the
+    population's sums of squares are exact in any order of addition.
+    """
+    rng = np.random.default_rng(seed)
+    frames = []
+    for h, N in enumerate(sizes):
+        y, x, z = (rng.integers(low, low + 41, N) for low in (80, 130, 40))
+        columns = [y, x + y // 2, z - y // 4]
+        for column in columns:
+            column[-1] -= column.sum() % N
+        frames.append(UnitFrame(str(h), *columns))
+    return frames
+
+
+#: Every kind with whole exponents only: ``pow`` at a fractional exponent
+#: may round differently on another CPU.
+PINNED_SPECS = (
+    EstimatorSpec(kind="classical"),
+    EstimatorSpec(kind="combined_ratio"),
+    EstimatorSpec(kind="combined_product"),
+    EstimatorSpec(kind="ratio_cum_product"),
+    EstimatorSpec(kind="plikusas_dual"),
+    EstimatorSpec(kind="transformed_product", A=400.0),
+    EstimatorSpec(kind="tracy_product", A=400.0),
+    EstimatorSpec(kind="dual_family", alpha1=1.0, alpha2=0.0),
+)
+
+#: ``(true_mean_y, xstar_mean, xstar_se, zstar_mean, zstar_se)``, then one
+#: ``(accepted, mean, bias, variance, mse, theoretical_mse, ratio)`` per
+#: spec of :data:`PINNED_SPECS`, of a ``2 * BLOCK - 3`` draw study at seed
+#: 2101 on each population of :class:`TestPinnedStudies`.
+PINNED_RESULTS = {
+    "keys": (
+        (101.4, 197.98927083918048, 0.04351400242602694, 34.45159360089813,
+         0.04448435593226584),
+        (509, 101.39597249508842, -0.00402750491159054, 1.482311861718922,
+         1.482328082514735, 1.435457957214499, 1.0326516879610932),
+        (509, 101.39216832397761, -0.00783167602239132, 1.1315504191357337,
+         1.1316117542850535, 1.1025675033723372, 1.0263423788782826),
+        (509, 101.20343985196692, -0.19656014803308608, 16.498736269193586,
+         16.537372160988376, 15.113260994576672, 1.0942292445636146),
+        (509, 101.1987820850177, -0.20121791498230834, 15.97184487712164,
+         16.01233352643147, 14.519132859011012, 1.1028436533999846),
+        (509, 101.32237256474274, -0.0776274352572699, 10.01226880300733,
+         10.018294821711953, 9.093980005150225, 1.1016402956723301),
+        (509, 101.38802570588807, -0.011974294111936956, 1.1301793250522987,
+         1.1303227087717775, 1.100771291984704, 1.026846100549908),
+        (509, 101.19466904943899, -0.20533095056102013, 15.973875569805928,
+         16.01603636906422, 14.522509671023844, 1.1028421899432677),
+        (509, 101.38755750576776, -0.012442494232246304, 1.1431266690102628,
+         1.1432814846729824, 1.1075017164984116, 1.0323067383477254),
+    ),
+    "redraw": (
+        (99.38461538461539, 199.02157274988915, 0.007717829982496884,
+         34.77458147807511, 0.009715093856228822),
+        (509, 99.22814971537959, -0.15646566923579996, 7.66755085337403,
+         7.6920323590234405, 7.3455322701135115, 1.047171542669511),
+        (509, 99.3484162700235, -0.03619911459188074, 5.388162360539552,
+         5.3894727364367885, 4.835809738914607, 1.114492303753549),
+        (509, 99.1538957416566, -0.230719642958789, 81.0170484330814,
+         81.07027998672844, 79.03441775989619, 1.02575918548571),
+        (509, 99.24949658052661, -0.1351188040887763, 75.12244622531311,
+         75.14070331653147, 71.3071347170651, 1.053761360832648),
+        (509, 99.23488703363465, -0.14972835098073745, 9.409725403519618,
+         9.432143982607034, 8.98941056412413, 1.0492505504476357),
+        (509, 99.33648842368437, -0.04812696093101465, 5.4141321101684845,
+         5.4164483145369395, 4.849348638117952, 1.1169434740083115),
+        (509, 99.23823160701674, -0.1463837775986434, 75.23705570332547,
+         75.25848391366952, 71.37258964125981, 1.0544451909611434),
+        (509, 99.23746294604739, -0.14715243856799987, 7.39682952681779,
+         7.418483366994298, 7.046301037945768, 1.0528195328363423),
+    ),
+}
+
+
+class TestPinnedStudies:
+    """One study per sampler, every float of its result pinned bit for bit.
+
+    The values were recorded before the sampler's cut rows, the one-thread
+    block loop and the compiled kernel constants were introduced; a
+    faster path must give the same draws and the same arithmetic.
+    """
+
+    @pytest.mark.parametrize("sampler, sizes, design", [
+        ("keys", (60, 90), (25, 40)),       # N <= 64, and 3 n >= N
+        ("redraw", (400, 250), (30, 20)),
+    ])
+    def test_study_equals_its_recorded_values(self, monkeypatch, sampler,
+                                              sizes, design):
+        frames = whole_number_frames(sizes, 21)
+        called = set()
+        for N, n in zip(sizes, design):
+            rng = RecordingGenerator(0)
+            simulate._subsets(rng, N, n, 1, 1)
+            called |= rng.called
+        assert called == {sampler}
+        stars, *rows = PINNED_RESULTS[sampler]
+        for threads in (1, 2):
+            force_threads(monkeypatch, threads)
+            result = monte_carlo(frames, design, PINNED_SPECS,
+                                 R=2 * BLOCK - 3, seed=2101)
+            assert (result.true_mean_y, result.xstar_mean, result.xstar_se,
+                    result.zstar_mean, result.zstar_se) == stars
+            assert [(r.accepted, r.empirical_mean, r.empirical_bias,
+                     r.empirical_variance, r.empirical_mse,
+                     r.theoretical_mse, r.ratio)
+                    for r in result.results] == rows
+            assert all(r.spec is s for r, s in zip(result.results,
+                                                    PINNED_SPECS))
+
+
 class TestBlockSampler:
     def test_block_b_comes_from_child_b_of_the_seed(self, tiny_frames):
         # Block b draws every stratum in turn, BLOCK rows each, from the
@@ -941,7 +1074,7 @@ class TestSubsets:
         D = blocks * BLOCK
         C = np.zeros((N, N))
         for _ in range(blocks):
-            units = simulate._subsets(rng, N, n, BLOCK)
+            units = simulate._subsets(rng, N, n, BLOCK, BLOCK)
             assert units.shape == (BLOCK, n)
             assert np.all(np.diff(units, axis=1) > 0)
             assert units.min() >= 0 and units.max() < N
@@ -978,7 +1111,7 @@ class TestSubsets:
         """
         rng, ref = np.random.default_rng(1016), np.random.default_rng(1016)
         for _ in range(3):
-            units = simulate._subsets(rng, N, n, BLOCK)
+            units = simulate._subsets(rng, N, n, BLOCK, BLOCK)
             np.testing.assert_array_equal(units, redraw_subsets(ref, N, n, BLOCK))
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -996,7 +1129,7 @@ class TestSubsets:
         """
         rng, ref = np.random.default_rng(1017), np.random.default_rng(1017)
         for _ in range(3):
-            units = simulate._subsets(rng, N, n, BLOCK)
+            units = simulate._subsets(rng, N, n, BLOCK, BLOCK)
             np.testing.assert_array_equal(units, keys_subsets(ref, N, n, BLOCK))
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -1012,18 +1145,48 @@ class TestSubsets:
         keys = [[0.5, 0.1, 0.3, 0.3, 0.9, 0.5, 0.2, 0.5],
                 [0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1],
                 [0.25] * 8]
-        units = simulate._subsets(FixedKeys(keys), 8, n, 3)
+        units = simulate._subsets(FixedKeys(keys), 8, n, 3, 3)
         assert units.dtype == np.intp
         np.testing.assert_array_equal(units, expected)
         np.testing.assert_array_equal(
             units, keys_subsets(FixedKeys(keys), 8, n, 3))
+
+    @pytest.mark.parametrize("keep", [1, 57, 200, 255, 256])
+    @pytest.mark.parametrize("N, n", [(40, 30), (300, 100)])
+    def test_a_cut_keys_block_is_the_oracles_first_rows(self, N, n, keep):
+        """Cut to ``keep`` rows, the keys sampler still draws every row.
+
+        Over two blocks from one generator, the kept rows equal the
+        oracle's first ``keep`` and the generators end in the same state.
+        Then keys tie across the ``n``-th smallest in the last kept row
+        and in the first dropped one (if any): the kept tie keeps the
+        lowest indices, and the dropped one changes nothing.
+        """
+        rng, ref = np.random.default_rng(1021), np.random.default_rng(1021)
+        for _ in range(2):
+            units = simulate._subsets(rng, N, n, BLOCK, keep)
+            assert units.shape == (keep, n) and units.dtype == np.intp
+            np.testing.assert_array_equal(
+                units, keys_subsets(ref, N, n, BLOCK)[:keep])
+        assert rng.bit_generator.state == ref.bit_generator.state
+        keys = np.random.default_rng(keep).random((BLOCK, N))
+        for r in {keep - 1, min(keep, BLOCK - 1)}:
+            order = np.argsort(keys[r])
+            keys[r, order[n]] = keys[r, order[n - 1]]
+        kth = np.sort(keys, axis=1)[:, [n - 1]]
+        tied = np.flatnonzero(np.count_nonzero(keys <= kth, axis=1) > n)
+        assert tied.tolist() == sorted({keep - 1, min(keep, BLOCK - 1)})
+        units = simulate._subsets(FixedKeys(keys), N, n, BLOCK, keep)
+        np.testing.assert_array_equal(
+            units, keys_subsets(FixedKeys(keys), N, n, BLOCK)[:keep])
 
     @pytest.mark.parametrize("N, n", [
         (64, 8), (66, 22), (65, 8), (200, 20), (70000, 300), (1000, 1),
     ])
     def test_indices_are_intp(self, N, n):
         # Both samplers hand back native indices, which the means gather.
-        units = simulate._subsets(np.random.default_rng(7), N, n, BLOCK)
+        units = simulate._subsets(np.random.default_rng(7), N, n, BLOCK,
+                                 BLOCK)
         assert units.dtype == np.intp
 
     def test_large_stratum_study_memory_is_bounded(self, monkeypatch):
@@ -1259,6 +1422,30 @@ class TestThreadedBlocks:
         monte_carlo(tiny_frames, (2, 3), ALL_KINDS_SPECS, R=BLOCK, seed=3)
         assert started == []
 
+    def test_one_thread_runs_the_blocks_in_order_on_the_caller(
+            self, monkeypatch):
+        # No Thread and no Lock is made; the caller's floating-point
+        # settings hold in every block; block 4 overflows, and its error
+        # is raised at once, with no later block run.
+        force_threads(monkeypatch, 1)
+        caller, ran = threading.get_ident(), []
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("made with one thread")
+
+        def work(b):
+            ran.append((b, threading.get_ident(), np.geterr()["over"]))
+            if b == 4:
+                np.float64(1e308) * 10.0
+
+        with monkeypatch.context() as patch, np.errstate(all="raise"):
+            patch.setattr(threading, "Thread", refuse)
+            patch.setattr(threading, "Lock", refuse)
+            simulate._run_blocks(work, 3)
+            with pytest.raises(FloatingPointError):
+                simulate._run_blocks(work, 7)
+        assert ran == [(b, caller, "raise") for b in (0, 1, 2, 0, 1, 2, 3, 4)]
+
     @pytest.mark.parametrize("cpus, expected", [
         (1, {1: 1, 2: 1, 9: 1}),
         (2, {1: 1, 2: 2, 9: 2}),
@@ -1345,6 +1532,12 @@ class TestPreparedStudy:
         for spec, row in zip(specs, second.results):
             assert row.theoretical_mse == mse_first_order(spec, pop, m,
                                                           md).mse, spec.label
+        # The kernel constants were compiled again, on the new population.
+        kernel = simulate._last[-1].kernel
+        for got, want in zip(kernel, _kernel(_plan(specs), pop)):
+            np.testing.assert_array_equal(got, want)
+        U = np.array([pop.mean_x, pop.mean_z])[:, None, None]
+        np.testing.assert_array_equal(kernel.population_side, kernel.c - U)
 
     def test_the_kept_set_up_keeps_no_frame_alive(self):
         frames, design, specs = rejecting_study()
