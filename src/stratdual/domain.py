@@ -479,6 +479,8 @@ def _is_number(value) -> bool:
 
 def _is_whole(value) -> bool:
     """True for an integer or an integral float; a bool or a string is not one."""
+    if type(value) is int:  # the common case, before the ABC check
+        return True
     if isinstance(value, bool):
         return False
     if isinstance(value, numbers.Integral):

@@ -14,8 +14,8 @@ estimators is resolved once into a plan of per-factor arrays
 (:func:`_plan`), which the theory reads too.  On a population, a plan
 compiles into the constants of one array kernel (:func:`_kernel`), which
 evaluates every spec over a block of draws at once and marks degenerate
-draws with a rejection code instead of raising; :func:`estimate` is its
-one-row call.
+draws ``NaN`` instead of raising; :func:`_rejection_codes` says why, on
+demand.  :func:`estimate` is the kernel's one-row call.
 """
 
 from __future__ import annotations
@@ -343,11 +343,12 @@ def _estimate_block(kernel: _Kernel, ybar_st: np.ndarray, plain: np.ndarray,
     Takes the draws' combined y means, their x and z means ``plain``
     (shape ``(2, rows)``) and, for a plan with dual kinds, their dual means.
     The kernel is compiled once per set-up, so a block computes only what
-    depends on its draws.  Returns ``(values, codes, ratios)``:
-    ``codes[j, r]`` indexes :data:`_REJECTIONS` (0 accepts), ``values`` is
-    ``NaN`` where it is nonzero, and ``ratios`` (``(2, S, rows)``) holds
-    each factor's ``num/den``.  Configuration is checked by
-    :func:`_check_estimator`.
+    depends on its draws.  Returns ``(values, ratios, den)``: ``values``,
+    shape ``(S, rows)``, is ``NaN`` where some factor rejects the draw, and
+    ``ratios`` and ``den`` (``(2, S, rows)``) hold each factor's ``num/den``
+    and ``den``, all that :func:`_rejection_codes` needs to say why.  No
+    code is built here: a Monte Carlo study reads only the values.
+    Configuration is checked by :func:`_check_estimator`.
     """
     (up, c, e, population_side, divides, negative, fractional,
      reads_dual) = kernel
@@ -360,17 +361,40 @@ def _estimate_block(kernel: _Kernel, ybar_st: np.ndarray, plain: np.ndarray,
         # e = 1 keeps the ratio's bits; e = 0 gives 1, even at infinity.
         factors = ratios**e
         values = ybar_st * factors[0] * factors[1]
-    zero_den = divides & (den == 0)
-    zero_ratio = negative & (ratios == 0)
-    negative_ratio = fractional & (ratios < 0)
+    zero_den, zero_ratio, negative_ratio = _rejections(kernel, ratios, den)
+    rejected = zero_den | zero_ratio
+    rejected |= negative_ratio
+    np.copyto(values, np.nan, where=rejected[0] | rejected[1])
+    return values, ratios, den
+
+
+def _rejections(kernel: _Kernel, ratios: np.ndarray, den: np.ndarray):
+    """The draws each factor rejects, as three ``(2, S, rows)`` masks: a
+    zero ``den`` under ``e != 0``, a zero ratio under ``e < 0`` and a
+    negative ratio under a fractional ``e``."""
+    return (kernel.divides & (den == 0), kernel.negative & (ratios == 0),
+            kernel.fractional & (ratios < 0))
+
+
+def _rejection_codes(kernel: _Kernel, ratios: np.ndarray,
+                     den: np.ndarray) -> np.ndarray:
+    """Why :func:`_estimate_block` rejected each draw, from its ``ratios``
+    and ``den``.
+
+    Returns an ``int64`` array of shape ``(S, rows)`` indexing
+    :data:`_REJECTIONS`: 0 where the value was accepted, else the lowest
+    code whose condition holds, so it is nonzero exactly where the value
+    is ``NaN``.
+    """
+    zero_den, zero_ratio, negative_ratio = _rejections(kernel, ratios, den)
     # Codes 1 to 6 of _REJECTIONS, x before z, written from 6 down to 1
     # so that the lowest code wins.
-    codes = np.zeros(values.shape, dtype=np.int64)
+    codes = np.zeros(den.shape[1:], dtype=np.int64)
     for code, rejected in ((6, negative_ratio[1]), (5, zero_ratio[1]),
                            (4, negative_ratio[0]), (3, zero_ratio[0]),
                            (2, zero_den[1]), (1, zero_den[0])):
         codes[rejected] = code
-    return np.where(codes == 0, values, np.nan), codes, ratios
+    return codes
 
 
 def estimate(
@@ -394,10 +418,10 @@ def estimate(
     kernel = _kernel(_plan([spec]), pop)
     dual = (np.array(dual_transform_means(sample, pop))[:, None]
             if spec.kind in DUAL_KINDS else None)
-    values, codes, ratios = _estimate_block(
+    values, ratios, den = _estimate_block(
         kernel, np.array([sample.ybar_st]),
         np.array([[sample.xbar_st], [sample.zbar_st]]), dual)
-    code = int(codes[0, 0])
+    code = int(_rejection_codes(kernel, ratios, den)[0, 0])
     if code:
         axis = 0 if code in (1, 3, 4) else 1  # the factor that failed
         raise DegenerateSampleError(_REJECTIONS[code].format(

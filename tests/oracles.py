@@ -341,6 +341,36 @@ def redraw_subsets(rng, N, n, rows):
                 units.add(next(values))
 
 
+def aggregate(estimates, stars, mean_y):
+    """A Monte Carlo study's aggregates from every draw's estimates.
+
+    ``estimates`` has one row of ``R`` draws per estimator, ``NaN`` where
+    a draw was rejected; ``stars`` holds the draws' dual-transformed x and
+    z means, shape ``(2, R)``.  The formulas are numpy's plain ones:
+    rejected draws count 0 in each sum over a row, which is then divided
+    by the row's accepted draws, and ``mean``/``std`` give the x* and z*
+    means and standard errors.  Returns one ``(accepted, mean, variance,
+    mse)`` per estimator, then ``(xstar_mean, xstar_se, zstar_mean,
+    zstar_se)``.
+    """
+    ok = ~np.isnan(estimates)
+    accepted = ok.sum(axis=1)
+
+    def accepted_mean(values):
+        return np.where(ok, values, 0).sum(axis=1) / accepted
+
+    means = accepted_mean(estimates)
+    variances = accepted_mean((estimates - means[:, None]) ** 2)
+    mses = accepted_mean((estimates - mean_y) ** 2)
+    R = estimates.shape[1]
+    star_mean = stars.mean(axis=1)
+    star_se = stars.std(axis=1, ddof=1) / np.sqrt(R)
+    rows = list(zip(accepted.tolist(), means.tolist(), variances.tolist(),
+                    mses.tolist()))
+    return rows, (float(star_mean[0]), float(star_se[0]),
+                  float(star_mean[1]), float(star_se[1]))
+
+
 def enumeration_mean_var(values, n):
     """Exact mean and variance of a sample mean under SRSWOR enumeration."""
     means = [

@@ -21,6 +21,7 @@ from stratdual import estimators
 from stratdual.domain import _weighted_sum
 from stratdual.estimators import (
     _REJECTIONS, _Plan, _dual_means, _estimate_block, _kernel, _plan,
+    _rejection_codes,
 )
 from test_domain import make_summary
 
@@ -265,15 +266,16 @@ def test_kind_registry_is_complete():
 
 
 def block_estimates(spec, pop, ybar, xbar, zbar):
-    """The array kernel's ``(values, codes)`` for one spec on a block of
-    per-stratum sample means (c x L)."""
+    """The array kernel's values for one spec on a block of per-stratum
+    sample means (c x L), and their rejection codes."""
     ybar_st, *plain = (_weighted_sum(pop.w, v) for v in (ybar, xbar, zbar))
     dual = None
     if spec.kind in DUAL_KINDS:
         dual = _dual_means(pop, np.array([xbar, zbar]))
-    values, codes, _ = _estimate_block(_kernel(_plan([spec]), pop), ybar_st,
-                                       np.array(plain), dual)
-    return values[0], codes[0]
+    kernel = _kernel(_plan([spec]), pop)
+    values, ratios, den = _estimate_block(kernel, ybar_st, np.array(plain),
+                                          dual)
+    return values[0], _rejection_codes(kernel, ratios, den)[0]
 
 
 @pytest.fixture
@@ -389,8 +391,10 @@ class TestArrayKernel:
         means = np.array(self.rows(pop, rng))
         combined = _weighted_sum(pop.w, means)
         kernel = _kernel(_plan(specs), pop)
-        values, codes, ratios = _estimate_block(
+        values, ratios, den = _estimate_block(
             kernel, combined[0], combined[1:], _dual_means(pop, means[1:]))
+        codes = _rejection_codes(kernel, ratios, den)
+        np.testing.assert_array_equal(codes != 0, np.isnan(values))
         assert {spec.kind for spec in specs} == set(KINDS)
         for r in range(means.shape[1]):
             sample = sample_for(pop, *means[:, r])
@@ -462,8 +466,11 @@ class TestArrayKernel:
                          for b in levels[1]]).T
         dual = rows[:, ::-1].copy()  # other pairs of the same levels
         ybar_st = np.full(rows.shape[1], half_pop.mean_y)
-        _, codes, ratios = _estimate_block(_kernel(plan, half_pop), ybar_st,
-                                           rows, dual)
+        kernel = _kernel(plan, half_pop)
+        values, ratios, den = _estimate_block(kernel, ybar_st, rows, dual)
+        codes = _rejection_codes(kernel, ratios, den)
+        # The kernel marks its rejections itself; the codes say why.
+        np.testing.assert_array_equal(codes != 0, np.isnan(values))
         overlaps = set()
         for j, (fx, fz, reads_dual) in enumerate(specs):
             for r in range(rows.shape[1]):

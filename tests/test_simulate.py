@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import keys_subsets, redraw_subsets
+from oracles import aggregate, keys_subsets, redraw_subsets
 from stratdual import (
     KINDS,
     AllDrawsRejectedError,
@@ -35,7 +35,9 @@ from stratdual import (
     summarize_stratum,
 )
 from stratdual import simulate
-from stratdual.estimators import _kernel, _plan
+from stratdual import estimators
+from stratdual.domain import _weighted_sum
+from stratdual.estimators import _dual_means, _estimate_block, _kernel, _plan
 from stratdual.simulate import BLOCK, _block_means, _block_seeds
 
 RHO = (0.7, 0.4, 0.3)
@@ -936,6 +938,41 @@ class TestBlockSampler:
                 assert got == want, estimator.label
         assert partly_rejected > 0
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_aggregates_of_a_rejecting_study_equal_the_oracle(
+            self, monkeypatch, threads):
+        """Every aggregate, bit for bit, of the study's own block estimates.
+
+        Each block is drawn and evaluated as the study does, and
+        :func:`oracles.aggregate` sums it up with numpy's plain formulas.
+        Some draws are rejected for the fractional dual exponents, so the
+        zeroed sums over the accepted draws are checked too.
+        """
+        frames, design, specs = rejecting_study()
+        pop = combine([summarize_stratum(f, n) for f, n in zip(frames, design)])
+        kernel = _kernel(_plan(specs), pop)
+        R, seed = 2 * BLOCK - 3, 8
+        estimates, stars = [], []
+        scratch = threading.local()
+        for b, child in enumerate(_block_seeds(seed, R)):
+            means = _block_means(frames, design, R, b, child, scratch)
+            combined = _weighted_sum(pop.w, means)
+            stars.append(_dual_means(pop, means[1:]))
+            estimates.append(_estimate_block(kernel, combined[0],
+                                             combined[1:], stars[-1])[0])
+        rows, star = aggregate(np.concatenate(estimates, axis=1),
+                               np.concatenate(stars, axis=1), pop.mean_y)
+        assert any(0 < R - accepted < R for accepted, *_ in rows)
+        force_threads(monkeypatch, threads)
+        result = monte_carlo(frames, design, specs, R=R, seed=seed)
+        assert [(r.accepted, r.empirical_mean, r.empirical_variance,
+                 r.empirical_mse) for r in result.results] == rows
+        assert all(r.rejected == R - r.accepted and
+                   r.empirical_bias == r.empirical_mean - pop.mean_y
+                   for r in result.results)
+        assert (result.xstar_mean, result.xstar_se, result.zstar_mean,
+                result.zstar_se) == star
+
     def test_study_equals_itself_when_run_again(self, tiny_frames):
         R = 2 * BLOCK + 9
         first = monte_carlo(tiny_frames, (2, 3), ALL_KINDS_SPECS, R=R, seed=6)
@@ -1445,6 +1482,61 @@ class TestThreadedBlocks:
             with pytest.raises(FloatingPointError):
                 simulate._run_blocks(work, 7)
         assert ran == [(b, caller, "raise") for b in (0, 1, 2, 0, 1, 2, 3, 4)]
+
+    def test_one_block_counts_no_cpus(self, monkeypatch, tiny_frames):
+        # os.sched_getaffinity is a system call, which a one-block study
+        # does without: with it failing, such a study still runs.
+        def refuse(pid):
+            raise AssertionError("CPUs counted")
+
+        want = monte_carlo(tiny_frames, (2, 3), ALL_KINDS_SPECS, R=BLOCK,
+                           seed=3)
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", refuse,
+                            raising=False)
+        assert simulate._thread_count(1) == 1
+        with pytest.raises(AssertionError, match="CPUs counted"):
+            simulate._thread_count(2)
+        got = monte_carlo(tiny_frames, (2, 3), ALL_KINDS_SPECS, R=BLOCK,
+                          seed=3)
+        np.testing.assert_equal(dataclasses.asdict(got),
+                                dataclasses.asdict(want))
+
+    def test_a_study_builds_no_codes_and_no_numpy_statistics(
+            self, monkeypatch):
+        # A study with rejected draws reads only the kernel's values: it
+        # never derives rejection codes, and it aggregates without
+        # ndarray.mean or ndarray.std.  Its set-up, which does call them,
+        # is prepared beforehand.  Calls are counted by a profiler,
+        # on the helper threads too: ndarray.mean reaches
+        # numpy._core._methods._mean through a reference numpy caches,
+        # which a patched module attribute would not intercept.
+        from numpy._core import _methods
+
+        watched = {_methods._mean.__code__: "_mean",
+                   _methods._var.__code__: "_var",
+                   estimators._rejection_codes.__code__: "_rejection_codes",
+                   estimators._estimate_block.__code__: "_estimate_block"}
+        calls = collections.Counter()
+        lock = threading.Lock()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                with lock:
+                    calls[watched[frame.f_code]] += 1
+
+        frames, design, specs = rejecting_study()
+        simulate._prepare(frames, design, specs)
+        force_threads(monkeypatch, 2)
+        threading.setprofile(profile)
+        sys.setprofile(profile)
+        try:
+            result = monte_carlo(frames, design, specs, R=2 * BLOCK - 3,
+                                 seed=8)
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
+        assert any(r.rejected for r in result.results)
+        assert calls == {"_estimate_block": 2}
 
     @pytest.mark.parametrize("cpus, expected", [
         (1, {1: 1, 2: 1, 9: 1}),
