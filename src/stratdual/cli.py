@@ -165,13 +165,20 @@ def _sweep_grid(grid, where: str) -> array.array:
     with ``values`` or with ``start``, ``stop`` and ``step``.  A range
     grid may have at most :data:`MAX_SWEEP_POINTS` points.
     """
+    def number(text):
+        try:
+            return float(text)
+        except ValueError:
+            raise ValueError(f"{where}: grid entry {text!r:.40} "
+                             "is not a number") from None
+
     if isinstance(grid, str) and ":" in grid:
         parts = grid.split(":")
         if len(parts) != 3:
             raise ValueError(f"bad grid {grid!r}; expected START:STOP:STEP")
-        grid = dict(zip(("start", "stop", "step"), map(float, parts)))
+        grid = dict(zip(("start", "stop", "step"), map(number, parts)))
     elif isinstance(grid, str):
-        grid = {"values": [float(p) for p in grid.split(",")]}
+        grid = {"values": list(map(number, grid.split(",")))}
     elif not isinstance(grid, dict):
         raise ValueError(f"{where} must hold a JSON object, not {grid!r:.40}")
     else:

@@ -11,11 +11,10 @@ evaluated under every estimator.  Each kind is one row of
 :data:`_TABLE`, which gives its two auxiliary factors; the coefficients
 of the first-order theory are read from the same rows.  A list of
 estimators is resolved once into a plan of per-factor arrays
-(:func:`_plan`), which the theory reads too.  On a population, a plan
-compiles into the constants of one array kernel (:func:`_kernel`), which
-evaluates every spec over a block of draws at once and marks degenerate
-draws ``NaN`` instead of raising; :func:`_rejection_codes` says why, on
-demand.  :func:`estimate` is the kernel's one-row call.
+(:func:`_plan`).  On a population, a plan compiles into the constants of
+one array kernel (:func:`_kernel`), which evaluates every spec over a
+block of draws at once and marks degenerate draws ``NaN`` instead of
+raising; :func:`_rejection_codes` says why, on demand.  :func:`estimate` is the kernel's one-row call.
 """
 
 from __future__ import annotations
@@ -280,8 +279,8 @@ _REJECTIONS = (
 )
 
 class _Plan(NamedTuple):
-    """A list of specs resolved once into arrays, which the block kernel and
-    the theory (``mse_theory._theoretical_mse``) both read.
+    """A list of specs resolved once into arrays, which the block kernel
+    reads (:func:`_kernel`).
 
     ``side``, ``c`` and ``e`` hold each factor's side, shift and exponent,
     shape ``(2, S)``: the x factors, then the z factors.  ``reads_dual``,

@@ -10,10 +10,9 @@ b_z)`` and ``V`` the 3x3 matrix of the six relative moments of
 :mod:`stratdual.moments` (the dual moments for the dual-transformed
 kinds, whose errors are those of the transformed means), and the
 first-order bias of the dual family comes from the same ``b`` and ``q``.
-One elementwise function gives ``b`` and ``q`` (:func:`_coefficients`):
-for one kind's factors, and for every spec of a Monte Carlo study's
-compiled plan at once, whose MSEs are then one broadcast form
-(:func:`_theoretical_mse`).
+One elementwise function gives ``b`` and ``q`` (:func:`_coefficients`)
+and one function evaluates the form (:func:`_form`); the MSEs, optima
+and efficiency margins below all read them.
 
 This module evaluates that form, provides the closed-form optimizers
 for the transform constant and for the dual-family exponents, the
@@ -33,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import PopulationSummary
-from .estimators import DUAL_KINDS, EstimatorSpec, _factors, _Plan
+from .estimators import DUAL_KINDS, EstimatorSpec, _factors
 from .moments import MomentSet
 
 __all__ = [
@@ -87,24 +86,18 @@ class MseReport:
 class EfficiencyVerdict:
     """The two beats-classical conditions with their signed margins.
 
-    ``condition21`` holds iff ``margin21 = B1 - 2*B2 < 0``, which is
-    algebraically the statement that the transformed product estimator
-    has smaller first-order MSE than the classical mean; components
-    ``B1 = theta^2*v020 + v002`` and ``B2 = theta*v110 - v101 +
-    theta*v011`` use unprimed moments.  ``condition22`` holds iff
-    ``margin22 = C - 2*D < 0`` with ``C = a1^2*v020' + a2^2*v002' -
-    2*a1*a2*v011'`` and ``D = a2*v101' - a1*v110'`` in dual moments,
-    equivalent to the dual family beating the classical mean.
+    ``margin21`` is the quadratic form of ``tracy_product`` (the
+    transformed product with z) at ``theta`` minus ``v200``, in unprimed
+    moments; ``margin22`` that of the dual family at ``(alpha1, alpha2)``
+    minus ``v200'``, in dual moments.  ``condition21`` and ``condition22``
+    hold iff their margin is negative, that is iff the estimator beats
+    the classical mean at first order.
     """
 
     condition21: bool
     margin21: float
     condition22: bool
     margin22: float
-    B1: float
-    B2: float
-    C: float
-    D: float
 
 
 def var_yst(pop: PopulationSummary, m: MomentSet) -> float:
@@ -133,8 +126,9 @@ def A_of_theta(pop: PopulationSummary, theta: float) -> float:
 
 
 def _coefficients(U, side, c, e):
-    """``(b, q)`` of factors ``(side, c, e)`` about population means ``U``,
-    elementwise over arrays that broadcast, or of one scalar factor.
+    """``(b, q)`` of a factor ``(side, c, e)`` about population mean ``U``,
+    or elementwise of the factors of an array ``c``, such as the ``sweep``
+    command's grid of ``A``.
 
     A factor is ``(1 + a*e_u)**(s*e)`` in the relative error ``e_u`` of
     its mean, ``s`` its side (``+1`` up, ``-1`` down) and ``a = U/(U - c)``,
@@ -159,22 +153,6 @@ def _linearisation(pop: PopulationSummary, kind: str, **params):
     ``A`` may be an array, which makes the x factor's coefficients arrays."""
     x, z = _factors(kind, **params)
     return _coefficients(pop.mean_x, *x), _coefficients(pop.mean_z, *z)
-
-
-def _theoretical_mse(plan: _Plan, pop: PopulationSummary, m: MomentSet,
-                     md: MomentSet | None) -> np.ndarray:
-    """First-order MSE of every spec of a compiled plan, shape ``(S,)``.
-
-    One broadcast of :func:`mse_first_order`'s ``mean_y**2 * c' V c``,
-    with ``V`` the dual set ``md`` for the specs that read the dual means
-    and ``m`` for the others, and the same bits spec by spec.
-    """
-    U = np.array([[pop.mean_x], [pop.mean_z]])
-    (bx, bz), _ = _coefficients(U, plan.side, plan.c, plan.e)
-    form = _form(m, bx, bz)
-    if md is not None:
-        form = np.where(plan.reads_dual, _form(md, bx, bz), form)
-    return pop.mean_y**2 * form
 
 
 def _form(v: MomentSet, bx, bz):
@@ -311,31 +289,19 @@ def efficiency_conditions(
 ) -> EfficiencyVerdict:
     """Evaluate both beats-classical conditions at the given parameters.
 
-    Both are strict inequalities expressed in subtraction form so the
-    sign conventions cannot flip: the transformed-product condition
-    compares ``B1 = theta^2*v020 + v002`` against ``2*B2`` with
-    ``B2 = theta*v110 - v101 + theta*v011`` (unprimed moments), and the
-    dual-family condition compares ``C = a1^2*v020' + a2^2*v002' -
-    2*a1*a2*v011'`` against ``2*D`` with ``D = a2*v101' - a1*v110'``
-    (dual moments).  Each margin is exactly the estimator's quadratic
-    form minus ``v200``, so a negative margin is equivalent to
-    ``MSE < Var(classical)`` at first order.
+    Each margin is the estimator's quadratic form minus ``v200``: with
+    ``c = (1, -theta, 1)`` on the unprimed moments for ``tracy_product``,
+    and ``c = (1, alpha1, -alpha2)`` on the dual moments for the dual
+    family.  So a negative margin is equivalent to ``MSE <
+    Var(classical)`` at first order.
     """
     _require(m, False, "m")
     _require(md, True, "md")
-    B1 = theta**2 * m.v020 + m.v002
-    B2 = theta * m.v110 - m.v101 + theta * m.v011
-    margin21 = B1 - 2.0 * B2
-    C = alpha1**2 * md.v020 + alpha2**2 * md.v002 - 2.0 * alpha1 * alpha2 * md.v011
-    D = alpha2 * md.v101 - alpha1 * md.v110
-    margin22 = C - 2.0 * D
+    margin21 = _form(m, -theta, 1.0) - m.v200
+    margin22 = _form(md, alpha1, -alpha2) - md.v200
     return EfficiencyVerdict(
         condition21=margin21 < 0,
         margin21=margin21,
         condition22=margin22 < 0,
         margin22=margin22,
-        B1=B1,
-        B2=B2,
-        C=C,
-        D=D,
     )

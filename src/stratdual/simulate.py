@@ -72,7 +72,7 @@ from .estimators import (
     _plan,
 )
 from .moments import MomentSet, _moment_sets
-from .mse_theory import _theoretical_mse
+from .mse_theory import mse_first_order
 
 __all__ = [
     "StratumSpec",
@@ -633,8 +633,8 @@ class _Prepared(NamedTuple):
     The population summary under the design, its unprimed and dual
     moment sets (no dual set with a census stratum), the estimator
     kernel's constants compiled from the specs' plan on the population
-    (:func:`~stratdual.estimators._kernel`) and the specs' theoretical
-    MSEs, in spec order.
+    (:func:`~stratdual.estimators._kernel`) and each spec's
+    :func:`~stratdual.mse_theory.mse_first_order`, in spec order.
     """
 
     pop: PopulationSummary
@@ -679,9 +679,8 @@ def _prepare(frames: Sequence[UnitFrame], design: tuple[int, ...],
     m, md = _moment_sets(pop)
     for spec in specs:
         _check_estimator(spec, pop)
-    plan = _plan(specs)
-    theory = tuple(_theoretical_mse(plan, pop, m, md).tolist())
-    prepared = _Prepared(pop, m, md, _kernel(plan, pop), theory)
+    theory = tuple(mse_first_order(spec, pop, m, md).mse for spec in specs)
+    prepared = _Prepared(pop, m, md, _kernel(_plan(specs), pop), theory)
     _last = (tuple(map(weakref.ref, frames)), design, specs, prepared)
     return prepared
 
@@ -705,8 +704,9 @@ def monte_carlo(
     number; a study of one block, or on one usable CPU, starts no thread.
     Draws that are degenerate for an estimator are rejected-and-counted
     for that estimator only: the kernel marks them ``NaN`` and builds no
-    rejection code.  Theoretical first-order MSEs are computed from the
-    realized population summary under the same design.
+    rejection code.  Each spec's theoretical MSE is
+    :func:`~stratdual.mse_theory.mse_first_order` on the realized
+    population summary under the same design.
 
     Every draw's estimates fill one ``(S, R)`` array.  The aggregates of
     all estimators are then computed in place in it and in one workspace

@@ -366,6 +366,17 @@ class TestSweep:
                              "--grid", grid)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("grid, entry", [
+        ("0.8:2.4:abc", "abc"), ("1,x", "x"), ("1,,2", ""),
+    ])
+    def test_names_a_grid_entry_that_is_not_a_number(self, capsys, grid,
+                                                     entry):
+        code, out, err = run(capsys, "sweep", "--input", CORRECTED,
+                             "--grid", grid)
+        assert (code, out, err) == (
+            1, "", f"error: argument --grid: grid entry {entry!r} is not a "
+                   "number\n")
+
     def test_moments_without_an_optimum_give_no_optimum_row(self, capsys,
                                                            tmp_path):
         doc = moments_file(tmp_path, v200=1.0, v020=0.0, v002=1.0, v110=0.0,
@@ -725,6 +736,8 @@ class TestFormatsAndConfig:
          "config key 'sweep': values 5 is not a list"),
         ("sweep", {"sweep": {"values": [True, 2]}},
          "config key 'sweep': values entry True is not a number"),
+        ("sweep", {"sweep": "1,q"},
+         "config key 'sweep': grid entry 'q' is not a number"),
         ("mse", {"allocate": 180.7},
          "config key 'allocate': 180.7 is not an integer"),
         ("simulate", {"simulate": {"replications": True}},

@@ -306,18 +306,6 @@ class TestEfficiencyConditions:
         assert margin(2.31) < 0
         assert margin(2.33) > 0
 
-    def test_subtraction_form_components(self, corrected_m, corrected_md):
-        theta, a1, a2 = 1.3, 0.8, -2.0
-        v = efficiency_conditions(corrected_m, corrected_md, theta, a1, a2)
-        m, md = corrected_m, corrected_md
-        assert v.B1 == theta**2 * m.v020 + m.v002
-        assert v.B2 == theta * m.v110 - m.v101 + theta * m.v011
-        assert v.margin21 == v.B1 - 2 * v.B2
-        assert v.C == (a1**2 * md.v020 + a2**2 * md.v002
-                       - 2 * a1 * a2 * md.v011)
-        assert v.D == a2 * md.v101 - a1 * md.v110
-        assert v.margin22 == v.C - 2 * v.D
-
 
 class TestBias:
     def test_matches_direct_substitution(self, corrected_pop, corrected_md):

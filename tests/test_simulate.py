@@ -454,8 +454,8 @@ class TestMonteCarlo:
             assert (rejected > 0) == (len(frames) == 1)
 
     def test_theoretical_column_matches_direct_formula(self, tiny_frames):
-        # The column is one broadcast over the study's compiled plan; every
-        # entry has the bits of mse_first_order on its spec alone.  Cases:
+        # Every entry of the column has the bits of mse_first_order on its
+        # spec alone, whatever the specs around it.  Cases:
         # every kind; dual and plain specs interleaved, one repeated, with
         # the fractional exponents of the benchmark's estimator grid; and
         # a census design, which has no dual moment set.
@@ -1585,9 +1585,10 @@ class TestPreparedStudy:
         assert any(0 < row.rejected < R for row in cold.results)
 
     def test_set_up_runs_once_for_many_seeds(self, monkeypatch):
-        # Three studies on one population summarise each frame once, and
-        # combine, compute the moments, compile the plan and the theory
-        # once; a fourth with other spec objects prepares afresh.
+        # Three studies on one population summarise each frame once, take
+        # each spec's theory once, and combine, compute the moments and
+        # compile the plan once; a fourth with other spec objects prepares
+        # afresh.
         frames, design, specs = rejecting_study()
         calls = collections.Counter()
 
@@ -1599,17 +1600,19 @@ class TestPreparedStudy:
                 return original(*args)
             return wrapper
 
-        names = ("summarize_stratum", "combine", "_moment_sets", "_plan",
-                 "_theoretical_mse")
+        names = ("summarize_stratum", "mse_first_order", "combine",
+                 "_moment_sets", "_plan")
         for name in names:
             monkeypatch.setattr(simulate, name, counting(name))
         for seed in range(3):
             monte_carlo(frames, design, specs, R=16, seed=seed)
         assert calls == {"summarize_stratum": len(frames),
-                         **{name: 1 for name in names[1:]}}
+                         "mse_first_order": len(specs),
+                         **{name: 1 for name in names[2:]}}
         monte_carlo(frames, design, list(map(dataclasses.replace, specs)),
                     R=16, seed=0)
         assert calls["summarize_stratum"] == 2 * len(frames)
+        assert calls["mse_first_order"] == 2 * len(specs)
 
     def test_a_replaced_frame_is_prepared_afresh(self):
         frames, design, specs = rejecting_study()
