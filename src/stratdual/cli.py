@@ -175,7 +175,8 @@ def _sweep_grid(grid, where: str) -> array.array:
     if isinstance(grid, str) and ":" in grid:
         parts = grid.split(":")
         if len(parts) != 3:
-            raise ValueError(f"bad grid {grid!r}; expected START:STOP:STEP")
+            raise ValueError(f"{where}: bad grid {grid!r}; "
+                             "expected START:STOP:STEP")
         grid = dict(zip(("start", "stop", "step"), map(number, parts)))
     elif isinstance(grid, str):
         grid = {"values": list(map(number, grid.split(",")))}
@@ -197,32 +198,34 @@ def _sweep_grid(grid, where: str) -> array.array:
     else:
         missing = [k for k in ("start", "stop", "step") if k not in grid]
         if missing:
-            raise ValueError(f"sweep grid missing keys {missing}")
+            raise ValueError(f"{where}: missing keys {missing}")
         for key in ("start", "stop", "step"):
             if not _is_number(grid[key]):
-                raise ValueError(f"sweep {key} {grid[key]!r:.40} is not a number")
+                raise ValueError(f"{where}: {key} {grid[key]!r:.40} "
+                                 "is not a number")
         start, stop, step = grid["start"], grid["stop"], grid["step"]
         if step <= 0:
-            raise ValueError("sweep step must be positive")
+            raise ValueError(f"{where}: step must be positive")
         if start > stop:
-            raise ValueError("sweep start must not exceed stop")
+            raise ValueError(f"{where}: start must not exceed stop")
         for key in ("start", "stop", "step"):
             if not math.isfinite(grid[key]):
-                raise ValueError(f"sweep {key} {grid[key]!r} is not finite")
+                raise ValueError(f"{where}: {key} {grid[key]!r} is not finite")
         span = (stop - start) / step
         count = round(span) + 1 if math.isfinite(span) else math.inf
         if count > MAX_SWEEP_POINTS:
-            raise ValueError(f"sweep grid of {count} points exceeds the "
+            raise ValueError(f"{where}: grid of {count} points exceeds the "
                              f"limit of {MAX_SWEEP_POINTS}")
         values = start + step * np.arange(count)
         values = values[values <= stop + step * 1e-9]
     if values.size == 0:
-        raise ValueError("empty sweep grid")
+        raise ValueError(f"{where}: empty grid")
     bad = values[~np.isfinite(values)]
     if bad.size:
-        raise ValueError(f"sweep grid entry {float(bad[0])!r} is not finite")
+        raise ValueError(f"{where}: grid entry {float(bad[0])!r} "
+                         "is not finite")
     if np.any(values == 0):
-        raise ValueError("sweep grid must not contain theta = 0")
+        raise ValueError(f"{where}: grid must not contain theta = 0")
     # An array.array compares with == and, unlike a tuple, holds no Python
     # float per point; numpy reads it back with its dtype.
     return array.array(values.dtype.char, values.tobytes())
@@ -326,78 +329,97 @@ def _fmt(value, full: bool) -> str:
     return format(float(value), ".17g" if full else ".6g")
 
 
-def _json_column(values) -> list[str] | None:
+def _json_column(column) -> list[str] | None:
     """The JSON text of each value of one column, or ``None`` if not scalar.
 
-    Numpy scalars are taken as their Python values.  The text is what
-    ``json.dumps`` writes for the value inside any document.
+    A float64 array is checked by one ``np.isfinite`` call; in other
+    columns numpy scalars are taken as their Python values.  Each
+    distinct string is encoded once.  The text is what ``json.dumps``
+    writes for the value inside any document.
     """
-    kinds = set(map(type, values))
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        if np.isfinite(column).all():
+            return list(map(float.__repr__, column.tolist()))
+        column = column.tolist()
+    kinds = set(map(type, column))
     if any(issubclass(k, np.generic) for k in kinds):
-        values = [v.item() if isinstance(v, np.generic) else v for v in values]
-        kinds = set(map(type, values))
-    if kinds == {float} and all(map(math.isfinite, values)):
-        return list(map(repr, values))  # float.__repr__, called faster
+        column = [v.item() if isinstance(v, np.generic) else v for v in column]
+        kinds = set(map(type, column))
+    if kinds == {float} and all(map(math.isfinite, column)):
+        return list(map(float.__repr__, column))
     if kinds == {str}:
-        return list(map(encode_basestring_ascii, values))
+        text = {v: encode_basestring_ascii(v) for v in set(column)}
+        return list(map(text.__getitem__, column))
     if kinds <= {str, int, float, bool, type(None)}:
-        return list(map(json.dumps, values))
+        return list(map(json.dumps, column))
     return None
 
 
-def _render_json(headers, rows) -> str:
-    """``json.dumps(indent=2)`` of the rows as objects, encoded by column.
+def _render_json(headers, columns, size: int) -> str:
+    """``json.dumps(indent=2)`` of the table's ``size`` rows as objects.
 
     With ``indent`` set, ``json`` falls back to its pure-Python encoder,
-    which is slow on long tables.  Here each column is encoded once and
-    one row template is filled per row; the text is byte-identical.
-    Tables the template cannot express (non-string or repeated headers,
-    ragged rows, non-scalar cells) go through ``json.dumps`` itself.
+    which is slow on long tables.  Here each column is encoded once,
+    and the document is one join of the keys interleaved with the
+    cells; the text is byte-identical.  Tables this cannot express
+    (non-string or repeated headers, non-scalar cells) go through
+    ``json.dumps`` itself.
     """
-    rows = list(rows)
-    headers = tuple(headers)
-    columns = None
-    if (rows and headers and all(type(h) is str for h in headers)
-            and len(set(headers)) == len(headers)
-            and all(len(row) == len(headers) for row in rows)):
-        columns = [_json_column(column) for column in zip(*rows)]
-    if columns is None or None in columns:
+    if not size:
+        return "[]"
+    cells = None
+    if (all(type(h) is str for h in headers)
+            and len(set(headers)) == len(headers)):
+        cells = list(map(_json_column, columns))
+    if cells is None or None in cells:
         payload = [
             {h: (v.item() if isinstance(v, np.generic) else v)
              for h, v in zip(headers, row)}
-            for row in rows
+            for row in zip(*columns)
         ]
         return json.dumps(payload, indent=2)
-    keys = [encode_basestring_ascii(h).replace("%", "%%") for h in headers]
-    template = "  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }"
-    objects = [template % cells for cells in zip(*columns)]
-    # Brackets go on the first and last object, not around the joined
-    # text, which would copy the whole table twice more.
-    objects[0] = "[\n" + objects[0]
-    objects[-1] += "\n]"
-    return ",\n".join(objects)
+    # Each cell follows its key.  A row's first key also closes the row
+    # before it, except in the first row, which opens the document.
+    keys = list(map(encode_basestring_ascii, headers))
+    leads = [f"\n  }},\n  {{\n    {keys[0]}: "]
+    leads += [f",\n    {key}: " for key in keys[1:]]
+    width = 2 * len(keys)
+    parts = [""] * (width * size)
+    for j, (lead, column) in enumerate(zip(leads, cells)):
+        parts[2 * j::width] = [lead] * size
+        parts[2 * j + 1::width] = column
+    parts[0] = f"[\n  {{\n    {keys[0]}: "
+    parts.append("\n  }\n]")
+    return "".join(parts)
 
 
-def render_table(headers, rows, fmt: str, full: bool = False) -> str:
-    """Render rows (sequences aligned with ``headers``) as csv/markdown/json.
+def render_table(headers, columns, fmt: str, full: bool = False) -> str:
+    """Render a table given as columns, one per header, as csv/markdown/json.
 
+    A column is a sequence, or a 1-D float64 array; all have one length.
     JSON output equals ``json.dumps(indent=2)`` of one object per row,
-    with numpy scalars taken as their Python values.
+    with numpy scalars taken as their Python values.  csv and markdown
+    format each column, then write it row by row.
     """
+    headers, columns = tuple(headers), tuple(columns)
+    lengths = [len(column) for column in columns]
+    if len(columns) != len(headers) or len(set(lengths)) > 1:
+        raise ValueError(f"a table of {len(headers)} headers got columns "
+                         f"of lengths {lengths}")
     if fmt == "json":
-        return _render_json(headers, rows)
-    cells = [[_fmt(v, full) for v in row] for row in rows]
+        return _render_json(headers, columns, lengths[0] if lengths else 0)
+    rows = zip(*[[_fmt(v, full) for v in column] for column in columns])
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(headers)
-        writer.writerows(cells)
+        writer.writerows(rows)
         return buf.getvalue().rstrip("\n")
     lines = [
         "| " + " | ".join(str(h) for h in headers) + " |",
         "|" + "|".join(" --- " for _ in headers) + "|",
     ]
-    for row in cells:
+    for row in rows:
         lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines)
 
@@ -410,8 +432,8 @@ def _publish(config: RunConfig, filename: str, text: str) -> None:
         (config.output_dir / filename).write_text(text + "\n")
 
 
-def _emit(config: RunConfig, name: str, headers, rows) -> None:
-    text = render_table(headers, rows, config.format, config.full_precision)
+def _emit(config: RunConfig, name: str, headers, columns) -> None:
+    text = render_table(headers, columns, config.format, config.full_precision)
     _publish(config, f"{name}.{_EXTENSIONS[config.format]}", text)
 
 
@@ -535,13 +557,13 @@ def cmd_validate(config: RunConfig) -> int:
     if config.input is None:
         raise ValueError("validate requires --input")
     pop, report, blocking = load_input(config)
-    headers = ("severity", "stratum_id", "code", "message")
-    rows = [
-        (f.severity, f.stratum_id if f.stratum_id is not None else "", f.code,
-         f.message)
-        for f in report.findings
-    ]
-    _emit(config, "validate", headers, rows)
+    findings = report.findings
+    _emit(config, "validate", ("severity", "stratum_id", "code", "message"), (
+        [f.severity for f in findings],
+        [f.stratum_id if f.stratum_id is not None else "" for f in findings],
+        [f.code for f in findings],
+        [f.message for f in findings],
+    ))
     if report.corrected is not None:
         print(f"applied corrections; population has {pop.L} strata", file=sys.stderr)
     if blocking:
@@ -571,37 +593,46 @@ def _params_cell(spec: EstimatorSpec, full: bool) -> str:
 
 def cmd_mse(config: RunConfig) -> int:
     pop, m, md = _load_for_command(config)
-    headers = ("estimator", "params", "mse", "pre")
-    rows = []
-    for spec in _resolve_estimators(config, pop, m, md):
+    specs = _resolve_estimators(config, pop, m, md)
+    reports = []
+    for spec in specs:
         report = mse_first_order(spec, pop, m, md)
         for warning in report.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-        rows.append((spec.kind, _params_cell(spec, config.full_precision),
-                     report.mse, report.pre))
-    _emit(config, "mse", headers, rows)
+        reports.append(report)
+    _emit(config, "mse", ("estimator", "params", "mse", "pre"), (
+        [spec.kind for spec in specs],
+        [_params_cell(spec, config.full_precision) for spec in specs],
+        [r.mse for r in reports],
+        [r.pre for r in reports],
+    ))
     return 0
 
 
 def cmd_pre(config: RunConfig) -> int:
     pop, m, md = _load_for_command(config)
     baseline = var_yst(pop, m)
-    headers = ("estimator", "alpha1", "alpha2", "pre")
     kinds = ["classical", "combined_ratio", "ratio_cum_product"]
-    rows = []
-    for kind in kinds + (["plikusas_dual"] if md is not None else []):
+    if md is not None:
+        kinds.append("plikusas_dual")
+    alpha1, alpha2, pre = [], [], []
+    for kind in kinds:
         # alpha1 and alpha2 are the exponents of the kind's x and z factors.
         (_, _, a1), (_, _, a2) = _factors(kind)
-        report = mse_first_order(EstimatorSpec(kind=kind), pop, m, md)
-        rows.append((kind, int(a1), int(a2), report.pre))
+        alpha1.append(int(a1))
+        alpha2.append(int(a2))
+        pre.append(mse_first_order(EstimatorSpec(kind=kind), pop, m, md).pre)
     if md is not None:
         a1, a2, mse_min = optimize_alphas(md, pop)
         spec = EstimatorSpec(kind="dual_family", alpha1=a1, alpha2=a2)
-        rows.append(("dual_family:opt", a1, a2,
-                     MseReport(spec, mse_min, baseline).pre))
+        kinds.append("dual_family:opt")
+        alpha1.append(a1)
+        alpha2.append(a2)
+        pre.append(MseReport(spec, mse_min, baseline).pre)
     else:
         print("skipping dual rows (no dual moments available)", file=sys.stderr)
-    _emit(config, "pre", headers, rows)
+    _emit(config, "pre", ("estimator", "alpha1", "alpha2", "pre"),
+          (kinds, alpha1, alpha2, pre))
     return 0
 
 
@@ -609,7 +640,9 @@ def cmd_sweep(config: RunConfig) -> int:
     """Tracy-product MSE over the theta grid, evaluated as one array expression.
 
     Each row's ``A`` and ``mse`` are bit for bit those of ``A_of_theta``
-    and ``mse_first_order`` called on that row alone.
+    and ``mse_first_order`` called on that row alone.  The ``theta``,
+    ``A`` and ``mse`` arrays, with the optimum put in by ``np.insert``,
+    go to :func:`render_table` as they are, with two lists of strings.
     """
     pop, m, _ = _load_for_command(config)
     baseline = var_yst(pop, m)
@@ -625,46 +658,47 @@ def cmd_sweep(config: RunConfig) -> int:
     mse = pop.mean_y**2 * _form(m, bx, bz)
     order = np.argsort(theta, kind="stable")
     theta, A, mse = theta[order], A[order], mse[order]
-    labels = np.where(mse < baseline, "better", "worse").tolist()
-    rows = list(zip(theta.tolist(), A.tolist(), mse.tolist(), labels,
-                    [""] * theta.size))
+    notes = [""] * theta.size
     try:
         theta_opt, A_opt, mse_min = optimize_theta(pop, m)
         at = int(np.searchsorted(theta, theta_opt, side="right"))
-        rows.insert(at, (theta_opt, A_opt, mse_min,
-                         "better" if mse_min < baseline else "worse", "*"))
+        theta, A, mse = (np.insert(column, at, value) for column, value in
+                         ((theta, theta_opt), (A, A_opt), (mse, mse_min)))
+        notes.insert(at, "*")
     except ValueError as exc:
         print(f"no optimum row: {exc}", file=sys.stderr)
-    headers = ("theta", "A", "mse", "vs_classical", "note")
-    _emit(config, "sweep", headers, rows)
+    labels = np.where(mse < baseline, "better", "worse").tolist()
+    _emit(config, "sweep", ("theta", "A", "mse", "vs_classical", "note"),
+          (theta, A, mse, labels, notes))
     return 0
 
 
 def cmd_optimize(config: RunConfig) -> int:
     pop, m, md = _load_for_command(config)
     baseline = var_yst(pop, m)
-    rows = [("var_classical", baseline)]
     theta_opt, A_opt, mse_min = optimize_theta(pop, m)
     spec = EstimatorSpec(kind="tracy_product", A=A_opt)
-    rows += [
-        ("theta_opt", theta_opt),
-        ("A_opt", A_opt),
-        ("mse_tracy_product_min", mse_min),
-        ("pre_tracy_product_opt", MseReport(spec, mse_min, baseline).pre),
-    ]
+    values = {
+        "var_classical": baseline,
+        "theta_opt": theta_opt,
+        "A_opt": A_opt,
+        "mse_tracy_product_min": mse_min,
+        "pre_tracy_product_opt": MseReport(spec, mse_min, baseline).pre,
+    }
     if md is not None:
         a1, a2, dual_min = optimize_alphas(md, pop)
         spec = EstimatorSpec(kind="dual_family", alpha1=a1, alpha2=a2)
-        rows += [
-            ("alpha1_opt", a1),
-            ("alpha2_opt", a2),
-            ("mse_dual_family_min", dual_min),
-            ("pre_dual_family_opt", MseReport(spec, dual_min, baseline).pre),
-            ("bias_dual_family_opt", bias_first_order_dual(md, pop, a1, a2)),
-        ]
+        values.update(
+            alpha1_opt=a1,
+            alpha2_opt=a2,
+            mse_dual_family_min=dual_min,
+            pre_dual_family_opt=MseReport(spec, dual_min, baseline).pre,
+            bias_dual_family_opt=bias_first_order_dual(md, pop, a1, a2),
+        )
     else:
         print("skipping dual optimum (no dual moments available)", file=sys.stderr)
-    _emit(config, "optimize", ("parameter", "value"), rows)
+    _emit(config, "optimize", ("parameter", "value"),
+          (list(values), list(values.values())))
     return 0
 
 
@@ -691,8 +725,9 @@ def cmd_simulate(config: RunConfig) -> int:
               f"mean zstar_st = {_fmt(result.zstar_mean, config.full_precision)} "
               f"(se {_fmt(result.zstar_se, config.full_precision)})",
               file=sys.stderr)
-    rows = [list(row.values()) for row in result.rows()]
-    _emit(config, "simulate", ROW_COLUMNS, rows)
+    rows = result.rows()
+    _emit(config, "simulate", ROW_COLUMNS,
+          [[row[name] for row in rows] for name in ROW_COLUMNS])
     return 0
 
 

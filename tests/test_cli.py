@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 
@@ -358,13 +359,14 @@ class TestSweep:
     @pytest.mark.parametrize("grid, message", [
         ("1:2", "bad grid '1:2'; expected START:STOP:STEP"),
         ("1:2:3:4", "bad grid '1:2:3:4'; expected START:STOP:STEP"),
-        ("1:2:0", "sweep step must be positive"),
-        ("1:2:-0.5", "sweep step must be positive"),
+        ("1:2:0", "step must be positive"),
+        ("1:2:-0.5", "step must be positive"),
     ])
     def test_rejects_malformed_range_grid(self, capsys, grid, message):
         code, out, err = run(capsys, "sweep", "--input", CORRECTED,
                              "--grid", grid)
-        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert (code, out, err) == (
+            1, "", f"error: argument --grid: {message}\n")
 
     @pytest.mark.parametrize("grid, entry", [
         ("0.8:2.4:abc", "abc"), ("1,x", "x"), ("1,,2", ""),
@@ -415,7 +417,8 @@ class TestSweep:
                              "--grid", grid)
         assert code == 1
         assert out == ""
-        assert (f"error: sweep grid of {count} points exceeds the limit of "
+        assert (f"error: argument --grid: grid of {count} points exceeds "
+                "the limit of "
                 "1000000") in err
         assert "Traceback" not in err
 
@@ -723,7 +726,7 @@ class TestFormatsAndConfig:
         }))
         code, out, err = run(capsys, "sweep", "--config", str(cfg))
         assert (code, out) == (1, "")
-        assert err == "error: sweep start 'a' is not a number\n"
+        assert err == "error: config key 'sweep': start 'a' is not a number\n"
 
     @pytest.mark.parametrize("command, doc, message", [
         ("mse", {"estimators": 5},
@@ -754,10 +757,10 @@ class TestFormatsAndConfig:
         ("sweep", {"sweep": 5},
          "config key 'sweep' must hold a JSON object, not 5"),
         ("sweep", {"sweep": {"start": 1, "stop": 2}},
-         "sweep grid missing keys ['step']"),
+         "config key 'sweep': missing keys ['step']"),
         ("sweep", {"sweep": {}},
-         "sweep grid missing keys ['start', 'stop', 'step']"),
-        ("sweep", {"sweep": {"values": []}}, "empty sweep grid"),
+         "config key 'sweep': missing keys ['start', 'stop', 'step']"),
+        ("sweep", {"sweep": {"values": []}}, "config key 'sweep': empty grid"),
     ])
     def test_config_value_of_the_wrong_type_is_an_error(self, capsys,
                                                         tmp_path, command,
@@ -880,6 +883,12 @@ def _plain(value):
     return value.item() if isinstance(value, np.generic) else value
 
 
+def _dumps(headers, columns):
+    """``json.dumps(indent=2)`` of the table's rows, as Python values."""
+    return json.dumps([dict(zip(headers, map(_plain, row)))
+                       for row in zip(*columns)], indent=2)
+
+
 #: Cell strategies of the JSON renderer's property test, by column kind.
 _CELLS = {
     "str": st.text(),
@@ -892,37 +901,180 @@ _CELLS = {
     "np.int64": st.integers(-2**63, 2**63 - 1).map(np.int64),
 }
 _CELLS["mixed"] = st.one_of(*_CELLS.values())
+#: Cells of a float64 array column, with its edge values drawn often.
+_ARRAY_CELLS = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324,
+                     2.2250738585072014e-308]),
+    st.floats())
 
 
 @st.composite
 def _tables(draw):
+    """Headers and one column per header: a list of cells of one kind or
+    a float64 array (NaN, infinities, -0.0 and subnormals included)."""
     headers = draw(st.lists(st.text(), max_size=5, unique=True))
-    kinds = [draw(st.sampled_from(sorted(_CELLS))) for _ in headers]
-    n_rows = draw(st.integers(0, 6))
-    rows = [tuple(draw(_CELLS[kind]) for kind in kinds)
-            for _ in range(n_rows)]
-    return headers, rows
+    size = draw(st.integers(0, 6))
+    columns = []
+    for _ in headers:
+        kind = draw(st.sampled_from(sorted(_CELLS) + ["array"]))
+        if kind == "array":
+            cells = st.lists(_ARRAY_CELLS, min_size=size, max_size=size)
+            columns.append(np.array(draw(cells), dtype=np.float64))
+        else:
+            columns.append([draw(_CELLS[kind]) for _ in range(size)])
+    return headers, columns
+
+
+#: A column of a few distinct strings, each encoded once, over 100 rows:
+#: longer than any drawn table, yet short enough that pytest diffs a
+#: failing document in seconds, not minutes.
+_LABELS = ["better", "worse", "", "é \"%s\" 100%", "\n\t\\"] * 20
 
 
 class TestJsonRendering:
     @settings(deadline=None)
     @given(_tables())
     def test_equals_json_dumps_with_indent(self, table):
-        headers, rows = table
-        want = json.dumps(
-            [dict(zip(headers, map(_plain, row))) for row in rows], indent=2)
-        assert render_table(headers, rows, "json") == want
+        headers, columns = table
+        assert render_table(headers, columns, "json") == _dumps(headers,
+                                                                columns)
 
-    @pytest.mark.parametrize("headers, rows", [
-        (("a", "b"), []),
-        (("theta", "note"), [(-0.0, "é \"%s\" 100%"), (float("nan"), "")]),
-        (("x", "x"), [(1, 2)]),
-        (("a", "b"), [(1,), (1, 2)]),
-        ((), [(), ()]),
-        (("a",), [([1, 2],), ({"k": None},)]),
-        ((1, None), [(np.float64(0.5), np.int64(3))]),
+    @pytest.mark.parametrize("headers, columns", [
+        (("a", "b"), [[], []]),
+        (("a", "b"), [np.array([]), []]),
+        ((), []),
+        (("theta", "note"), [[-0.0, float("nan")], ["é \"%s\" 100%", ""]]),
+        (("x", "x"), [[1], [2]]),
+        (("a",), [[[1, 2], {"k": None}]]),
+        ((1, None), [[np.float64(0.5)], [np.int64(3)]]),
+        (("v", "w"), [np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324,
+                                2.2250738585072014e-308]),
+                      np.array([0.1, -0.0, 5e-324, 1e308, -1.5, 7.0])]),
+        (("theta", "label", "mse"),
+         [np.linspace(0.8, 2.4, len(_LABELS)), _LABELS,
+          np.geomspace(1e-300, 1e300, len(_LABELS))]),
+        (("label", "mse"), [_LABELS, np.full(len(_LABELS), np.nan)]),
     ])
-    def test_edge_tables(self, headers, rows):
-        want = json.dumps(
-            [dict(zip(headers, map(_plain, row))) for row in rows], indent=2)
-        assert render_table(headers, rows, "json") == want
+    def test_edge_tables(self, headers, columns):
+        assert render_table(headers, columns, "json") == _dumps(headers,
+                                                                columns)
+
+    @pytest.mark.parametrize("fmt", ["csv", "markdown", "json"])
+    def test_columns_of_unequal_length_are_an_error(self, fmt):
+        with pytest.raises(ValueError, match=r"lengths \[2, 3\]"):
+            render_table(("a", "b"), ([1.0, 2.0], np.zeros(3)), fmt)
+
+
+#: The argv of each command whose stdout :func:`test_golden_table_output`
+#: pins.  Every command but ``validate --corrections off`` repairs the
+#: printed table, so that it gives a table too.
+_GOLDEN_COMMANDS = {
+    "validate_off": ("validate", "--corrections", "off"),
+    "validate_auto": ("validate", "--corrections", "auto"),
+    "mse": ("mse", "--corrections", "auto"),
+    "pre": ("pre", "--corrections", "auto"),
+    "optimize": ("optimize", "--corrections", "auto"),
+    "sweep": ("sweep", "--corrections", "auto"),
+    "sweep_fine": ("sweep", "--corrections", "auto",
+                   "--grid", "0.8:2.4:0.000625"),
+}
+
+#: ``COMMAND-TABLE-FORMAT-PRECISION``: the exit status and the first 16
+#: hex digits of the SHA-256 of stdout.
+_GOLDEN = {
+    "validate_off-printed-csv-brief": (1, "e4479da7532af606"),
+    "validate_off-printed-csv-full": (1, "e4479da7532af606"),
+    "validate_off-printed-markdown-brief": (1, "f72e784efe831efa"),
+    "validate_off-printed-markdown-full": (1, "f72e784efe831efa"),
+    "validate_off-printed-json-brief": (1, "5a0a92e0e2949df1"),
+    "validate_off-printed-json-full": (1, "5a0a92e0e2949df1"),
+    "validate_off-corrected-csv-brief": (0, "cac96114dc05b556"),
+    "validate_off-corrected-csv-full": (0, "cac96114dc05b556"),
+    "validate_off-corrected-markdown-brief": (0, "e2a38ebf11959055"),
+    "validate_off-corrected-markdown-full": (0, "e2a38ebf11959055"),
+    "validate_off-corrected-json-brief": (0, "c53cddbe4a285e16"),
+    "validate_off-corrected-json-full": (0, "c53cddbe4a285e16"),
+    "validate_auto-printed-csv-brief": (0, "3744a208973bb23c"),
+    "validate_auto-printed-csv-full": (0, "3744a208973bb23c"),
+    "validate_auto-printed-markdown-brief": (0, "78b9ee4d3e990fa2"),
+    "validate_auto-printed-markdown-full": (0, "78b9ee4d3e990fa2"),
+    "validate_auto-printed-json-brief": (0, "bf2cc0a624844a77"),
+    "validate_auto-printed-json-full": (0, "bf2cc0a624844a77"),
+    "validate_auto-corrected-csv-brief": (0, "cac96114dc05b556"),
+    "validate_auto-corrected-csv-full": (0, "cac96114dc05b556"),
+    "validate_auto-corrected-markdown-brief": (0, "e2a38ebf11959055"),
+    "validate_auto-corrected-markdown-full": (0, "e2a38ebf11959055"),
+    "validate_auto-corrected-json-brief": (0, "c53cddbe4a285e16"),
+    "validate_auto-corrected-json-full": (0, "c53cddbe4a285e16"),
+    "mse-printed-csv-brief": (0, "c77dea0ad320ae4e"),
+    "mse-printed-csv-full": (0, "46096a6229cc8c80"),
+    "mse-printed-markdown-brief": (0, "e979cc8c65e4d695"),
+    "mse-printed-markdown-full": (0, "ceee7b3c7e68a69d"),
+    "mse-printed-json-brief": (0, "9ee6dd8be7948f59"),
+    "mse-printed-json-full": (0, "582a6909bb9a9a9f"),
+    "mse-corrected-csv-brief": (0, "c77dea0ad320ae4e"),
+    "mse-corrected-csv-full": (0, "46096a6229cc8c80"),
+    "mse-corrected-markdown-brief": (0, "e979cc8c65e4d695"),
+    "mse-corrected-markdown-full": (0, "ceee7b3c7e68a69d"),
+    "mse-corrected-json-brief": (0, "9ee6dd8be7948f59"),
+    "mse-corrected-json-full": (0, "582a6909bb9a9a9f"),
+    "pre-printed-csv-brief": (0, "fafda38561f6bb52"),
+    "pre-printed-csv-full": (0, "2524e853c1af32c8"),
+    "pre-printed-markdown-brief": (0, "f1e14fd9982959cb"),
+    "pre-printed-markdown-full": (0, "3e7d54a6a1c7682e"),
+    "pre-printed-json-brief": (0, "0aae5a89d68aafe4"),
+    "pre-printed-json-full": (0, "0aae5a89d68aafe4"),
+    "pre-corrected-csv-brief": (0, "fafda38561f6bb52"),
+    "pre-corrected-csv-full": (0, "2524e853c1af32c8"),
+    "pre-corrected-markdown-brief": (0, "f1e14fd9982959cb"),
+    "pre-corrected-markdown-full": (0, "3e7d54a6a1c7682e"),
+    "pre-corrected-json-brief": (0, "0aae5a89d68aafe4"),
+    "pre-corrected-json-full": (0, "0aae5a89d68aafe4"),
+    "optimize-printed-csv-brief": (0, "eda290ffaf9b0d99"),
+    "optimize-printed-csv-full": (0, "8713c62c3c1357e2"),
+    "optimize-printed-markdown-brief": (0, "c723df38d7096ed0"),
+    "optimize-printed-markdown-full": (0, "30f722ca6eef8d0a"),
+    "optimize-printed-json-brief": (0, "4acb85d24a9f1692"),
+    "optimize-printed-json-full": (0, "4acb85d24a9f1692"),
+    "optimize-corrected-csv-brief": (0, "eda290ffaf9b0d99"),
+    "optimize-corrected-csv-full": (0, "8713c62c3c1357e2"),
+    "optimize-corrected-markdown-brief": (0, "c723df38d7096ed0"),
+    "optimize-corrected-markdown-full": (0, "30f722ca6eef8d0a"),
+    "optimize-corrected-json-brief": (0, "4acb85d24a9f1692"),
+    "optimize-corrected-json-full": (0, "4acb85d24a9f1692"),
+    "sweep-printed-csv-brief": (0, "4c05c73e8d222497"),
+    "sweep-printed-csv-full": (0, "bcfd383447a119a5"),
+    "sweep-printed-markdown-brief": (0, "41eb376518a5ff42"),
+    "sweep-printed-markdown-full": (0, "ebf3e76630957059"),
+    "sweep-printed-json-brief": (0, "baf978d9c4075a3b"),
+    "sweep-printed-json-full": (0, "baf978d9c4075a3b"),
+    "sweep-corrected-csv-brief": (0, "4c05c73e8d222497"),
+    "sweep-corrected-csv-full": (0, "bcfd383447a119a5"),
+    "sweep-corrected-markdown-brief": (0, "41eb376518a5ff42"),
+    "sweep-corrected-markdown-full": (0, "ebf3e76630957059"),
+    "sweep-corrected-json-brief": (0, "baf978d9c4075a3b"),
+    "sweep-corrected-json-full": (0, "baf978d9c4075a3b"),
+    "sweep_fine-printed-csv-brief": (0, "2e1efc02b88b2eed"),
+    "sweep_fine-printed-csv-full": (0, "43730c3a869cff2e"),
+    "sweep_fine-printed-markdown-brief": (0, "ca638dcdfac1a65f"),
+    "sweep_fine-printed-markdown-full": (0, "31f4ff9a30a49d4f"),
+    "sweep_fine-printed-json-brief": (0, "025bcadc45bca92f"),
+    "sweep_fine-printed-json-full": (0, "025bcadc45bca92f"),
+    "sweep_fine-corrected-csv-brief": (0, "2e1efc02b88b2eed"),
+    "sweep_fine-corrected-csv-full": (0, "43730c3a869cff2e"),
+    "sweep_fine-corrected-markdown-brief": (0, "ca638dcdfac1a65f"),
+    "sweep_fine-corrected-markdown-full": (0, "31f4ff9a30a49d4f"),
+    "sweep_fine-corrected-json-brief": (0, "025bcadc45bca92f"),
+    "sweep_fine-corrected-json-full": (0, "025bcadc45bca92f"),
+}
+
+
+@pytest.mark.parametrize("case", list(_GOLDEN))
+def test_golden_table_output(capsys, case):
+    command, table, fmt, precision = case.split("-")
+    argv = [*_GOLDEN_COMMANDS[command], "--format", fmt,
+            "--input", PRINTED if table == "printed" else CORRECTED]
+    if precision == "full":
+        argv.append("--full-precision")
+    code, out, _ = run(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == _GOLDEN[case]

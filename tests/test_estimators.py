@@ -445,6 +445,25 @@ class TestArrayKernel:
         assert list(free_z != 0) == [False, False, False, True, False, False,
                                      True]
 
+    def test_a_ratio_that_overflows_to_minus_infinity_is_rejected(self):
+        # Z / z* = -5 / 1e-310 overflows to -inf, and (-inf)**0.25 is inf,
+        # not NaN: only the negative-ratio mask rejects this draw.
+        frame = UnitFrame(stratum_id="n", y=(10.0, 14.0, 12.0, 16.0, 13.0, 11.0),
+                          x=(4.0, 6.0, 5.0, 7.0, 4.5, 3.5),
+                          z=(-3.0, -7.0, -5.0, -5.0, -4.0, -6.0))
+        pop = combine([summarize_stratum(frame, 3)])
+        assert pop.mean_z == -5.0
+        spec = EstimatorSpec(kind="dual_family", alpha1=0.25, alpha2=0.25)
+        kernel = _kernel(_plan([spec]), pop)
+        with np.errstate(over="ignore"):  # the kernel leaves it on
+            values, ratios, den = _estimate_block(
+                kernel, np.array([pop.mean_y]),
+                np.array([[pop.mean_x], [pop.mean_z]]),
+                np.array([[pop.mean_x], [1e-310]]))
+        assert ratios[1, 0, 0] == -np.inf
+        assert np.isnan(values[0, 0])
+        assert _rejection_codes(kernel, ratios, den).tolist() == [[6]]
+
     def test_the_lowest_code_wins_where_rejections_overlap(self, half_pop):
         # Every pair of x and z factors (both sides, exponents whole,
         # fractional, negative and zero), reading the plain or the dual
