@@ -48,13 +48,7 @@ from .domain import (
     summarize_stratum,
     validate,
 )
-from .estimators import (
-    DUAL_KINDS,
-    TRANSFORM_KINDS,
-    EstimatorSpec,
-    _factors,
-    parse_estimator,
-)
+from .estimators import DUAL_KINDS, _LABEL_KEYS, EstimatorSpec, parse_estimator
 from .moments import (
     MomentSet,
     _moment_sets,
@@ -584,11 +578,8 @@ def cmd_moments(config: RunConfig) -> int:
 
 
 def _params_cell(spec: EstimatorSpec, full: bool) -> str:
-    if spec.kind in TRANSFORM_KINDS:
-        return f"A={_fmt(spec.A, full)}"
-    if spec.kind in DUAL_KINDS:
-        return f"a1={_fmt(spec.alpha1, full)},a2={_fmt(spec.alpha2, full)}"
-    return ""
+    return ",".join(f"{_LABEL_KEYS[name]}={_fmt(getattr(spec, name), full)}"
+                    for name in spec._row.params)
 
 
 def cmd_mse(config: RunConfig) -> int:
@@ -617,11 +608,11 @@ def cmd_pre(config: RunConfig) -> int:
         kinds.append("plikusas_dual")
     alpha1, alpha2, pre = [], [], []
     for kind in kinds:
-        # alpha1 and alpha2 are the exponents of the kind's x and z factors.
-        (_, _, a1), (_, _, a2) = _factors(kind)
-        alpha1.append(int(a1))
-        alpha2.append(int(a2))
-        pre.append(mse_first_order(EstimatorSpec(kind=kind), pop, m, md).pre)
+        spec = EstimatorSpec(kind=kind)
+        # alpha1 and alpha2 are the exponents of the spec's x and z factors.
+        alpha1.append(int(spec._row.x[2]))
+        alpha2.append(int(spec._row.z[2]))
+        pre.append(mse_first_order(spec, pop, m, md).pre)
     if md is not None:
         a1, a2, mse_min = optimize_alphas(md, pop)
         spec = EstimatorSpec(kind="dual_family", alpha1=a1, alpha2=a2)

@@ -8,8 +8,8 @@ exponents interpolate between ratio-like and product-like behaviour.
 All estimators consume combined (population-weighted) sample means, so
 one :class:`SampleMeans` value drawn by the simulation harness can be
 evaluated under every estimator.  Each kind is one row of
-:data:`_TABLE`, which gives its two auxiliary factors; the coefficients
-of the first-order theory are read from the same rows.  A list of
+:data:`_TABLE`, which gives its two auxiliary factors; a spec resolves
+its row once, and the first-order theory reads the same factors.  A list of
 estimators is resolved once into a plan of per-factor arrays
 (:func:`_plan`).  On a population, a plan compiles into the constants of
 one array kernel (:func:`_kernel`), which evaluates every spec over a
@@ -44,40 +44,55 @@ __all__ = [
 _UP, _DOWN = 1.0, -1.0
 _ONE = (_UP, 0.0, 0.0)
 
-#: Every kind as one row: its x factor, its z factor, and whether it reads
-#: the dual means.  The estimate is ``ybar_st * f_x * f_z``, a factor
-#: ``(side, c, e)`` being ``(num/den)**e`` in the sample-side mean ``u``
-#: and the population mean ``U``: up is ``(c - u)/(c - U)``, down
-#: ``(c - U)/(c - u)``.  A name stands for that :class:`EstimatorSpec`
-#: parameter.  The kernel, the theory and the ``sweep`` command read these.
+#: Every kind as one row: its x factor, its z factor, whether it reads
+#: the dual means, and the parameters it binds.  The estimate is
+#: ``ybar_st * f_x * f_z``, a factor ``(side, c, e)`` being ``(num/den)**e``
+#: in the sample-side mean ``u`` and the population mean ``U``: up is
+#: ``(c - u)/(c - U)``, down ``(c - U)/(c - u)``.  A name stands for the
+#: :class:`EstimatorSpec` parameter, taken unless the row binds it.  Bar
+#: ``:opt``, this is the only per-kind code: a spec resolves its row once
+#: (:class:`_Row`), and the kernel, the theory and the CLI read that.
 _TABLE = {
-    "classical": (_ONE, _ONE, False),
-    "combined_ratio": ((_DOWN, 0.0, 1.0), _ONE, False),
-    "combined_product": (_ONE, (_UP, 0.0, 1.0), False),
-    "transformed_product": ((_UP, "A", 1.0), _ONE, False),
-    "ratio_cum_product": ((_DOWN, 0.0, 1.0), (_UP, 0.0, 1.0), False),
-    "tracy_product": ((_UP, "A", 1.0), (_UP, 0.0, 1.0), False),
-    "plikusas_dual": ((_UP, 0.0, 1.0), (_DOWN, 0.0, 1.0), True),
-    "dual_family": ((_UP, 0.0, "alpha1"), (_DOWN, 0.0, "alpha2"), True),
+    "classical": (_ONE, _ONE, False, {}),
+    "combined_ratio": ((_DOWN, 0.0, 1.0), _ONE, False, {}),
+    "combined_product": (_ONE, (_UP, 0.0, 1.0), False, {}),
+    "transformed_product": ((_UP, "A", 1.0), _ONE, False, {}),
+    "ratio_cum_product": ((_DOWN, 0.0, 1.0), (_UP, 0.0, 1.0), False, {}),
+    "tracy_product": ((_UP, "A", 1.0), (_UP, 0.0, 1.0), False, {}),
+    "plikusas_dual": ((_UP, 0.0, "alpha1"), (_DOWN, 0.0, "alpha2"), True,
+                      {"alpha1": 1.0, "alpha2": 1.0}),
+    "dual_family": ((_UP, 0.0, "alpha1"), (_DOWN, 0.0, "alpha2"), True, {}),
 }
 
 #: Recognised estimator kinds.
 KINDS = tuple(_TABLE)
 
 #: Kinds built on the per-stratum dual transform (require n_h < N_h).
-DUAL_KINDS = tuple(kind for kind, (_, _, dual) in _TABLE.items() if dual)
+DUAL_KINDS = tuple(kind for kind, row in _TABLE.items() if row[2])
 
 #: Kinds parameterized by the transform constant A.
-TRANSFORM_KINDS = tuple(kind for kind, (x, _, _) in _TABLE.items()
-                        if x[1] == "A")
+TRANSFORM_KINDS = tuple(kind for kind, row in _TABLE.items() if row[0][1] == "A")
 
 
-def _factors(kind: str, A=None, alpha1=None, alpha2=None):
-    """The kind's x and z factors ``(side, c, e)``, names replaced by the
-    parameters; ``A`` may be an array."""
-    value = {"A": A, "alpha1": alpha1, "alpha2": alpha2}.get
-    (xs, xc, xe), (zs, zc, ze), _ = _TABLE[kind]
-    return (xs, value(xc, xc), value(xe, xe)), (zs, value(zc, zc), value(ze, ze))
+def _substituted(factors, values):
+    """``factors`` ``(side, c, e)`` of :data:`_TABLE` with each name replaced
+    by its entry in ``values``, which may be an array."""
+    return tuple((side, values.get(c, c), values.get(e, e))
+                 for side, c, e in factors)
+
+
+class _Row(NamedTuple):
+    """A spec's row of :data:`_TABLE`: its factors ``x`` and ``z`` with the
+    spec's parameters in place of their names, its dual flag, the names
+    ``params`` of its factors' parameters, which the ``mse`` table reports,
+    and those it ``takes`` (does not bind), which its label shows and
+    :func:`parse_estimator` accepts."""
+
+    x: tuple
+    z: tuple
+    dual: bool
+    params: tuple[str, ...]
+    takes: tuple[str, ...]
 
 
 class DegenerateSampleError(ValueError):
@@ -143,7 +158,10 @@ class EstimatorSpec:
     ``tracy_product`` (the working quantity is ``theta = mean_x /
     (A - mean_x)``, so ``A`` must differ from the population x-mean).
     ``alpha1``/``alpha2`` are the exponents of ``dual_family``;
-    ``plikusas_dual`` fixes both to 1.
+    ``plikusas_dual`` fixes both to 1; a parameter its kind does not name
+    is kept and read by nothing.  The spec resolves its row once into
+    ``_row`` (a :class:`_Row`), which is not a field, so it changes no
+    comparison, hash, ``repr`` or ``asdict``.
     """
 
     kind: str
@@ -152,43 +170,35 @@ class EstimatorSpec:
     alpha2: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in _TABLE:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
-        if self.kind in TRANSFORM_KINDS:
-            if self.A is None:
-                raise ValueError(f"{self.kind} requires the transform constant A")
-            object.__setattr__(self, "A", float(self.A))
-            if not math.isfinite(self.A):
-                raise ValueError("A must be finite")
-        if self.kind == "plikusas_dual":
-            object.__setattr__(self, "alpha1", 1.0)
-            object.__setattr__(self, "alpha2", 1.0)
-        if self.kind == "dual_family":
-            if self.alpha1 is None or self.alpha2 is None:
-                raise ValueError("dual_family requires alpha1 and alpha2")
-            object.__setattr__(self, "alpha1", float(self.alpha1))
-            object.__setattr__(self, "alpha2", float(self.alpha2))
-            if not (math.isfinite(self.alpha1) and math.isfinite(self.alpha2)):
-                raise ValueError("alpha1 and alpha2 must be finite")
+        x, z, dual, bound = _TABLE[self.kind]
+        values = {}
+        for name in (v for v in (*x, *z) if isinstance(v, str)):
+            value = bound.get(name, getattr(self, name))
+            if value is None:
+                raise ValueError(f"{self.kind} requires the parameter {name}")
+            values[name] = value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_row", _Row(
+            *_substituted((x, z), values), dual, tuple(values),
+            tuple(name for name in values if name not in bound)))
 
     @property
     def label(self) -> str:
         """Compact, re-parseable rendering (see :func:`parse_estimator`)."""
-        if self.kind in TRANSFORM_KINDS:
-            return f"{self.kind}:A={self.A!r}"
-        if self.kind == "dual_family":
-            return f"{self.kind}:a1={self.alpha1!r},a2={self.alpha2!r}"
-        return self.kind
+        params = ",".join(f"{_LABEL_KEYS[name]}={getattr(self, name)!r}"
+                          for name in self._row.takes)
+        return f"{self.kind}:{params}" if params else self.kind
 
 
-_PARAM_ALIASES = {
-    "a": "A",
-    "A": "A",
-    "a1": "alpha1",
-    "alpha1": "alpha1",
-    "a2": "alpha2",
-    "alpha2": "alpha2",
-}
+#: The key of each parameter in a label and in the ``mse`` table, and the
+#: parameter of each key :func:`parse_estimator` accepts.
+_LABEL_KEYS = {"A": "A", "alpha1": "a1", "alpha2": "a2"}
+_PARAM_ALIASES = {"a": "A", "A": "A", "a1": "alpha1", "alpha1": "alpha1",
+                  "a2": "alpha2", "alpha2": "alpha2"}
 
 
 def parse_estimator(text: str) -> EstimatorSpec:
@@ -199,6 +209,7 @@ def parse_estimator(text: str) -> EstimatorSpec:
     """
     kind, _, params = text.strip().partition(":")
     kwargs: dict[str, float] = {}
+    keys: dict[str, str] = {}
     if params:
         for item in params.split(","):
             key, sep, value = item.partition("=")
@@ -207,11 +218,16 @@ def parse_estimator(text: str) -> EstimatorSpec:
             key = key.strip()
             if key not in _PARAM_ALIASES:
                 raise ValueError(f"unknown estimator parameter {key!r} in {text!r}")
+            keys[_PARAM_ALIASES[key]] = key
             try:
                 kwargs[_PARAM_ALIASES[key]] = float(value)
             except ValueError as exc:
                 raise ValueError(f"bad value for {key!r} in {text!r}") from exc
-    return EstimatorSpec(kind=kind, **kwargs)
+    spec = EstimatorSpec(kind=kind, **kwargs)
+    for name, key in keys.items():
+        if name not in spec._row.takes:
+            raise ValueError(f"{kind} takes no parameter {key!r} in {text!r}")
+    return spec
 
 
 def _check_alignment(sample: SampleMeans, pop: PopulationSummary) -> None:
@@ -256,14 +272,14 @@ def _check_estimator(spec: EstimatorSpec, pop: PopulationSummary) -> None:
     equal to the population x-mean, zero population means where they
     divide.
     """
-    kind = spec.kind
-    if kind in TRANSFORM_KINDS and spec.A - pop.mean_x == 0:
+    (_, A, _), z, dual = spec._row[:3]
+    if A and A - pop.mean_x == 0:  # the x factor divides by it
         raise ValueError("A equals the population x-mean; theta undefined")
-    if kind in DUAL_KINDS:
+    if dual:
         pop.require_no_census("the dual transform")
         if pop.mean_x == 0 or pop.mean_z == 0:
             raise ValueError("population auxiliary means must be nonzero")
-    elif _TABLE[kind][1] != _ONE and pop.mean_z == 0:  # a z factor divides by it
+    elif z != _ONE and pop.mean_z == 0:  # a z factor divides by it
         raise ValueError("population z-mean is zero")
 
 
@@ -294,12 +310,11 @@ class _Plan(NamedTuple):
 
 
 def _plan(specs) -> _Plan:
-    """The :class:`_Plan` of ``specs``, each resolved through :func:`_factors`."""
-    factors = np.array([value for s in specs
-                        for factor in _factors(s.kind, s.A, s.alpha1, s.alpha2)
-                        for value in factor], dtype=float).reshape(len(specs), 2, 3)
+    """The :class:`_Plan` of ``specs``, from their resolved rows."""
+    factors = np.array([s._row[:2] for s in specs],
+                       dtype=float).reshape(len(specs), 2, 3)
     return _Plan(*factors.transpose(2, 1, 0),
-                 np.array([_TABLE[s.kind][2] for s in specs], dtype=bool))
+                 np.array([s._row.dual for s in specs], dtype=bool))
 
 
 class _Kernel(NamedTuple):
@@ -353,7 +368,7 @@ def _estimate_block(kernel: _Kernel, ybar_st: np.ndarray, plain: np.ndarray,
      reads_dual) = kernel
     u = plain[:, None] if dual is None else np.where(
         reads_dual, dual[:, None], plain[:, None])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sample_side = c - u
         den = np.where(up, population_side, sample_side)
         ratios = np.where(up, sample_side, population_side) / den
@@ -416,7 +431,7 @@ def estimate(
     _check_estimator(spec, pop)
     kernel = _kernel(_plan([spec]), pop)
     dual = (np.array(dual_transform_means(sample, pop))[:, None]
-            if spec.kind in DUAL_KINDS else None)
+            if spec._row.dual else None)
     values, ratios, den = _estimate_block(
         kernel, np.array([sample.ybar_st]),
         np.array([[sample.xbar_st], [sample.zbar_st]]), dual)

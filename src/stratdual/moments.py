@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,15 +84,21 @@ _MEANS = ("mean_y", "mean_x", "mean_z")
 
 
 def _check_means(means: dict) -> None:
-    """Raise ``ValueError`` naming ``means`` if any of them is zero.
+    """Raise ``ValueError`` naming ``means`` if any of them is zero, or
+    naming the mean whose square overflows.
 
-    Relative moments divide by the combined means, so they, and every
-    MSE or optimum scaled by them, are undefined at a zero mean.
+    Relative moments divide by the combined means and their squares, so
+    they, and every MSE or optimum scaled by them, are undefined at a zero
+    mean or one past the square root of the largest float.
     """
     if 0 in means.values():
         raise ValueError(
             "combined means must be nonzero to form relative moments ({})"
             .format(", ".join(f"{k}={v}" for k, v in means.items())))
+    for k, v in means.items():
+        if abs(v) > math.sqrt(sys.float_info.max):
+            raise ValueError(f"combined mean {k}={v} is too large to form "
+                             "relative moments: its square overflows")
 
 
 def _moment_kernel(pop: PopulationSummary, k, dual: bool) -> MomentSet:

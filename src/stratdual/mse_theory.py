@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import PopulationSummary
-from .estimators import DUAL_KINDS, EstimatorSpec, _factors
+from .estimators import _TABLE, EstimatorSpec, _substituted
 from .moments import MomentSet
 
 __all__ = [
@@ -71,8 +71,7 @@ class MseReport:
         if self.mse > 0:
             pre = 100.0 * self.var_yst / self.mse
         else:
-            source = ("dual moments" if self.estimator.kind in DUAL_KINDS
-                      else "moments")
+            source = "dual moments" if self.estimator._row.dual else "moments"
             warnings = (
                 f"first-order MSE of {self.estimator.label} is nonpositive "
                 f"({self.mse}); the supplied {source} are internally "
@@ -149,9 +148,10 @@ def _coefficients(U, side, c, e):
 
 
 def _linearisation(pop: PopulationSummary, kind: str, **params):
-    """``((b_x, q_x), (b_z, q_z))`` of the kind's factors (:func:`_coefficients`);
-    ``A`` may be an array, which makes the x factor's coefficients arrays."""
-    x, z = _factors(kind, **params)
+    """``((b_x, q_x), (b_z, q_z))`` of the kind's factors (:func:`_coefficients`)
+    at ``params``, for the closed forms over one kind's parameters; ``A``
+    may be an array, which makes the x factor's coefficients arrays."""
+    x, z = _substituted(_TABLE[kind][:2], params)
     return _coefficients(pop.mean_x, *x), _coefficients(pop.mean_z, *z)
 
 
@@ -190,12 +190,12 @@ def mse_first_order(
     _require(m, False, "m")
     _require(md, True, "md")
     v = m
-    if spec.kind in DUAL_KINDS:
+    if spec._row.dual:
         if md is None:
             raise ValueError(f"{spec.kind} requires the dual moment set")
         v = md
-    (bx, _), (bz, _) = _linearisation(pop, spec.kind, A=spec.A,
-                                      alpha1=spec.alpha1, alpha2=spec.alpha2)
+    bx, _ = _coefficients(pop.mean_x, *spec._row.x)
+    bz, _ = _coefficients(pop.mean_z, *spec._row.z)
     return MseReport(
         estimator=spec,
         mse=pop.mean_y**2 * _form(v, bx, bz),

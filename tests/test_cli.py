@@ -13,12 +13,15 @@ from hypothesis import given, settings, strategies as st
 from stratdual.cli import (
     RunConfig, build_parser, main, merge_config, render_table,
 )
-from stratdual.datasets import demo_path
+from stratdual.datasets import demo_path, demo_strata
 from test_domain import make_summary
 from stratdual import (
     A_of_theta,
     EstimatorSpec,
+    PopulationSpec,
+    StratumSpec,
     compute_moments,
+    generate_population,
     mse_first_order,
     optimize_theta,
     var_yst,
@@ -238,6 +241,26 @@ class TestMse:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("text, key", [
+        ("plikusas_dual:a1=3", "a1"),
+        ("classical:A=5", "A"),
+        ("dual_family:a1=0.5,a2=2,a=3", "a"),
+    ])
+    def test_a_parameter_the_kind_does_not_take_is_an_error(
+            self, capsys, tmp_path, text, key):
+        # Once read silently (plikusas_dual:a1=3 printed the a1 = 1 row);
+        # now an error from a flag and from a config file's estimators.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"input": CORRECTED, "estimators": [text]}))
+        kind = text.partition(":")[0]
+        for argv in (["--input", CORRECTED, "--estimator", text],
+                     ["--config", str(cfg)]):
+            code, out, err = run(capsys, "mse", *argv)
+            assert (code, out) == (1, "")
+            assert [line for line in err.splitlines()
+                    if line.startswith("error:")] == [
+                f"error: {kind} takes no parameter {key!r} in {text!r}"]
+
 
 class TestPre:
     def test_efficiency_table_golden_values(self, capsys):
@@ -311,6 +334,44 @@ class TestZeroMeanMomentsDocument:
         assert err == ("error: combined means must be nonzero to form "
                        "relative moments (mean_y=5.0, mean_x=0.0, "
                        "mean_z=2.0)\n")
+
+
+class TestHugeMeans:
+    """A combined mean whose square overflows a float is one error naming
+    it, not an ``OverflowError`` traceback."""
+
+    @staticmethod
+    def errors(err):
+        return [line for line in err.splitlines() if line.startswith("error:")]
+
+    @pytest.mark.parametrize("command", ["pre", "mse"])
+    def test_a_huge_stratum_mean(self, capsys, tmp_path, command):
+        with open(CORRECTED, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[1]["mean_z"] = "1e308"  # stratum 2
+        path = tmp_path / "huge.csv"
+        with path.open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, rows[0].keys())
+            writer.writeheader()
+            writer.writerows(rows)
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert (code, out) == (1, "")
+        assert self.errors(err) == [
+            "error: combined mean mean_z=1.2676056338028169e+307 is too "
+            "large to form relative moments: its square overflows"]
+
+    def test_a_huge_mean_in_a_moments_document(self, capsys, tmp_path):
+        m = dict(v200=0.02, v020=0.03, v002=0.01, v110=0.015, v101=-0.004,
+                 v011=-0.006)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "moments": m, "dual_moments": dict(m, dual=True),
+            "mean_y": 1e200, "mean_x": 3, "mean_z": 2}))
+        code, out, err = run(capsys, "mse", "--moments", str(path))
+        assert (code, out) == (1, "")
+        assert self.errors(err) == [
+            "error: combined mean mean_y=1e+200 is too large to form "
+            "relative moments: its square overflows"]
 
 
 class TestSweep:
@@ -967,17 +1028,43 @@ class TestJsonRendering:
 
 #: The argv of each command whose stdout :func:`test_golden_table_output`
 #: pins.  Every command but ``validate --corrections off`` repairs the
-#: printed table, so that it gives a table too.
+#: printed table, so that it gives a table too.  ``mse_units`` reads the
+#: unit-level CSV of :func:`golden_units_csv`.
 _GOLDEN_COMMANDS = {
     "validate_off": ("validate", "--corrections", "off"),
     "validate_auto": ("validate", "--corrections", "auto"),
+    "moments": ("moments", "--corrections", "auto"),
     "mse": ("mse", "--corrections", "auto"),
     "pre": ("pre", "--corrections", "auto"),
     "optimize": ("optimize", "--corrections", "auto"),
     "sweep": ("sweep", "--corrections", "auto"),
     "sweep_fine": ("sweep", "--corrections", "auto",
                    "--grid", "0.8:2.4:0.000625"),
+    "mse_units": ("mse", "--schema", "units", "--allocate", "180"),
 }
+
+
+@pytest.fixture(scope="module")
+def golden_units_csv(tmp_path_factory):
+    """A six-stratum unit-level CSV drawn with a fixed seed: stratum means
+    those of the bundled table, coefficients of variation 40 %."""
+    strata = tuple(
+        StratumSpec(stratum_id=s.stratum_id, N=N,
+                    mu=(s.mean_y, s.mean_x, s.mean_z),
+                    sigma=(0.4 * s.mean_y, 0.4 * s.mean_x, 0.4 * s.mean_z),
+                    rho=(0.9, 0.9, 0.85))
+        for N, s in zip((127, 117, 103, 170, 205, 201), demo_strata()))
+    frames = generate_population(PopulationSpec(strata=strata, seed=20261020))
+    path = tmp_path_factory.mktemp("golden") / "units.csv"
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("stratum_id", "y", "x", "z"))
+        for f in frames:
+            writer.writerows((f.stratum_id, repr(y), repr(x), repr(z))
+                             for y, x, z in zip(f.y.tolist(), f.x.tolist(),
+                                                f.z.tolist()))
+    return str(path)
+
 
 #: ``COMMAND-TABLE-FORMAT-PRECISION``: the exit status and the first 16
 #: hex digits of the SHA-256 of stdout.
@@ -1006,6 +1093,18 @@ _GOLDEN = {
     "validate_auto-corrected-markdown-full": (0, "e2a38ebf11959055"),
     "validate_auto-corrected-json-brief": (0, "c53cddbe4a285e16"),
     "validate_auto-corrected-json-full": (0, "c53cddbe4a285e16"),
+    "moments-printed-csv-brief": (0, "efbe33a7b5956dde"),
+    "moments-printed-csv-full": (0, "efbe33a7b5956dde"),
+    "moments-printed-markdown-brief": (0, "efbe33a7b5956dde"),
+    "moments-printed-markdown-full": (0, "efbe33a7b5956dde"),
+    "moments-printed-json-brief": (0, "efbe33a7b5956dde"),
+    "moments-printed-json-full": (0, "efbe33a7b5956dde"),
+    "moments-corrected-csv-brief": (0, "efbe33a7b5956dde"),
+    "moments-corrected-csv-full": (0, "efbe33a7b5956dde"),
+    "moments-corrected-markdown-brief": (0, "efbe33a7b5956dde"),
+    "moments-corrected-markdown-full": (0, "efbe33a7b5956dde"),
+    "moments-corrected-json-brief": (0, "efbe33a7b5956dde"),
+    "moments-corrected-json-full": (0, "efbe33a7b5956dde"),
     "mse-printed-csv-brief": (0, "c77dea0ad320ae4e"),
     "mse-printed-csv-full": (0, "46096a6229cc8c80"),
     "mse-printed-markdown-brief": (0, "e979cc8c65e4d695"),
@@ -1066,14 +1165,21 @@ _GOLDEN = {
     "sweep_fine-corrected-markdown-full": (0, "31f4ff9a30a49d4f"),
     "sweep_fine-corrected-json-brief": (0, "025bcadc45bca92f"),
     "sweep_fine-corrected-json-full": (0, "025bcadc45bca92f"),
+    "mse_units-units-csv-brief": (0, "2955841f0dd09bf8"),
+    "mse_units-units-csv-full": (0, "f97e34d162e5ae4e"),
+    "mse_units-units-markdown-brief": (0, "c8e3b69ec1240dae"),
+    "mse_units-units-markdown-full": (0, "c38df083ee8c6a18"),
+    "mse_units-units-json-brief": (0, "e5bbd29687a57eeb"),
+    "mse_units-units-json-full": (0, "d893514c41ca853f"),
 }
 
 
 @pytest.mark.parametrize("case", list(_GOLDEN))
-def test_golden_table_output(capsys, case):
+def test_golden_table_output(capsys, golden_units_csv, case):
     command, table, fmt, precision = case.split("-")
-    argv = [*_GOLDEN_COMMANDS[command], "--format", fmt,
-            "--input", PRINTED if table == "printed" else CORRECTED]
+    inputs = {"printed": PRINTED, "corrected": CORRECTED,
+              "units": golden_units_csv}
+    argv = [*_GOLDEN_COMMANDS[command], "--format", fmt, "--input", inputs[table]]
     if precision == "full":
         argv.append("--full-precision")
     code, out, _ = run(capsys, *argv)

@@ -46,14 +46,47 @@ def identity_sample(tiny_pop):
     )
 
 
+#: A finite value for each estimator parameter, and every key
+#: parse_estimator accepts for it, the label's key first.
+_VALUES = {"A": 18631.62, "alpha1": 6.2918, "alpha2": -0.887}
+_KEYS = {"A": ("A", "a"), "alpha1": ("a1", "alpha1"), "alpha2": ("a2", "alpha2")}
+
+
+def _takes(kind):
+    """A value for each parameter ``kind`` takes: those named in its row of
+    the kind table that the row does not bind, in row order."""
+    x, z, _, bound = estimators._TABLE[kind]
+    return {p: _VALUES[p] for p in (*x, *z)
+            if isinstance(p, str) and p not in bound}
+
+
+def _text(kind, params, key=0):
+    """The spec string of ``kind`` with ``params``, each value under its
+    parameter's ``key``-th key."""
+    items = ",".join(f"{_KEYS[p][key]}={v!r}" for p, v in params.items())
+    return f"{kind}:{items}" if items else kind
+
+
 class TestParseAndLabel:
+    """Generated from the kind table, so a new row is covered as it is."""
+
     def test_plain_kinds(self):
-        for kind in ("classical", "combined_ratio", "combined_product",
-                     "ratio_cum_product", "plikusas_dual"):
+        plain = [kind for kind in KINDS if not _takes(kind)]
+        assert "classical" in plain and "plikusas_dual" in plain
+        for kind in plain:
             spec = parse_estimator(kind)
             assert spec.kind == kind
             assert spec.label == kind
             assert parse_estimator(spec.label) == spec
+
+    def test_every_label_round_trips_with_the_parameters_it_takes(self):
+        for kind in KINDS:
+            params = _takes(kind)
+            spec = EstimatorSpec(kind=kind, **params)
+            assert spec.label == _text(kind, params)
+            for key in (0, 1):  # the label's keys, then the aliases
+                assert parse_estimator(_text(kind, params, key)) == spec
+            assert all(getattr(spec, p) == v for p, v in params.items())
 
     def test_transform_kinds_round_trip(self):
         spec = parse_estimator("tracy_product:A=18631.62")
@@ -78,10 +111,26 @@ class TestParseAndLabel:
             parse_estimator("separate_ratio")
 
     def test_missing_parameters_rejected(self):
-        with pytest.raises(ValueError, match="A"):
-            parse_estimator("tracy_product")
-        with pytest.raises(ValueError, match="alpha"):
-            parse_estimator("dual_family:a1=1.0")
+        for kind in KINDS:
+            params = _takes(kind)
+            for p in params:
+                rest = {q: v for q, v in params.items() if q != p}
+                with pytest.raises(ValueError,
+                                   match=f"^{kind} requires the parameter {p}$"):
+                    parse_estimator(_text(kind, rest))
+
+    def test_unused_parameters_rejected(self):
+        # plikusas_dual binds a1 = a2 = 1, so it takes neither: a1=3 is an
+        # error, not a silent a1 = 1.
+        for kind in KINDS:
+            params = _takes(kind)
+            for p in _KEYS.keys() - params.keys():
+                for key in _KEYS[p]:
+                    text = f"{_text(kind, params)}{',' if params else ':'}{key}=3"
+                    with pytest.raises(ValueError) as info:
+                        parse_estimator(text)
+                    assert str(info.value) == (
+                        f"{kind} takes no parameter {key!r} in {text!r}")
 
     def test_malformed_parameters_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
@@ -92,10 +141,15 @@ class TestParseAndLabel:
             parse_estimator("tracy_product:A=twelve")
 
     def test_non_finite_parameters_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            EstimatorSpec(kind="tracy_product", A=float("inf"))
-        with pytest.raises(ValueError, match="finite"):
-            EstimatorSpec(kind="dual_family", alpha1=float("nan"), alpha2=1.0)
+        for kind in KINDS:
+            for p in _takes(kind):
+                for bad in (np.inf, -np.inf, np.nan):
+                    params = _takes(kind) | {p: bad}
+                    message = f"^{p} must be finite$"
+                    with pytest.raises(ValueError, match=message):
+                        EstimatorSpec(kind=kind, **params)
+                    with pytest.raises(ValueError, match=message):
+                        parse_estimator(_text(kind, params))
 
 
 class TestSampleMeans:
@@ -455,7 +509,7 @@ class TestArrayKernel:
         assert pop.mean_z == -5.0
         spec = EstimatorSpec(kind="dual_family", alpha1=0.25, alpha2=0.25)
         kernel = _kernel(_plan([spec]), pop)
-        with np.errstate(over="ignore"):  # the kernel leaves it on
+        with np.errstate(all="raise"):  # the kernel silences the overflow
             values, ratios, den = _estimate_block(
                 kernel, np.array([pop.mean_y]),
                 np.array([[pop.mean_x], [pop.mean_z]]),
