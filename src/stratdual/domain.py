@@ -325,7 +325,8 @@ def combine(strata: Sequence[StratumSummary]) -> PopulationSummary:
     Raises
     ------
     ValueError
-        On an empty list or duplicate stratum identifiers.
+        On an empty list, duplicate stratum identifiers, or a standard
+        deviation whose square overflows (naming its stratum and column).
     """
     strata = tuple(strata)
     if not strata:
@@ -347,6 +348,12 @@ def combine(strata: Sequence[StratumSummary]) -> PopulationSummary:
     g = np.full(len(strata), np.nan)
     noncensus = n_h < N_h
     g[noncensus] = n_h[noncensus] / (N_h[noncensus] - n_h[noncensus])
+    huge = np.abs(table[5:8]) > math.sqrt(sys.float_info.max)  # s_y, s_x, s_z
+    if huge.any():
+        v, h = np.argwhere(huge)[0]
+        raise ValueError(f"stratum {ids[h]}: {SUMMARY_COLUMNS[6 + v]}="
+                         f"{table[5 + v, h]} is too large to form a "
+                         "variance: its square overflows")
     cov = np.array([[s_y**2, s_xy, s_yz],
                     [s_xy, s_x**2, s_xz],
                     [s_yz, s_xz, s_z**2]])

@@ -158,10 +158,12 @@ class EstimatorSpec:
     ``tracy_product`` (the working quantity is ``theta = mean_x /
     (A - mean_x)``, so ``A`` must differ from the population x-mean).
     ``alpha1``/``alpha2`` are the exponents of ``dual_family``;
-    ``plikusas_dual`` fixes both to 1; a parameter its kind does not name
-    is kept and read by nothing.  The spec resolves its row once into
-    ``_row`` (a :class:`_Row`), which is not a field, so it changes no
-    comparison, hash, ``repr`` or ``asdict``.
+    ``plikusas_dual`` fixes both to 1, and may be given them only at that
+    value (as ``dataclasses.replace`` does).  A parameter its kind does
+    not name raises ``ValueError``, so two specs that estimate alike are
+    equal.  The spec resolves its row once into ``_row`` (a
+    :class:`_Row`), which is not a field, so it changes no comparison,
+    hash, ``repr`` or ``asdict``.
     """
 
     kind: str
@@ -170,11 +172,17 @@ class EstimatorSpec:
     alpha2: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _TABLE:
-            raise ValueError(f"unknown estimator kind {self.kind!r}")
-        x, z, dual, bound = _TABLE[self.kind]
+        x, z, dual, bound = _TABLE[_known(self.kind)]
+        names = _names(x, z)
+        for name in _LABEL_KEYS:  # every parameter field
+            given = getattr(self, name)
+            if given is not None and name not in names:
+                raise ValueError(f"{self.kind} takes no parameter {name}")
+            if given is not None and name in bound and given != bound[name]:
+                raise ValueError(f"{self.kind} fixes {name} = "
+                                 f"{bound[name]!r}, got {given!r}")
         values = {}
-        for name in (v for v in (*x, *z) if isinstance(v, str)):
+        for name in names:
             value = bound.get(name, getattr(self, name))
             if value is None:
                 raise ValueError(f"{self.kind} requires the parameter {name}")
@@ -201,13 +209,29 @@ _PARAM_ALIASES = {"a": "A", "A": "A", "a1": "alpha1", "alpha1": "alpha1",
                   "a2": "alpha2", "alpha2": "alpha2"}
 
 
+def _known(kind: str) -> str:
+    """``kind``, which must name a row of :data:`_TABLE`."""
+    if kind not in _TABLE:
+        raise ValueError(f"unknown estimator kind {kind!r}")
+    return kind
+
+
+def _names(x: tuple, z: tuple) -> tuple[str, ...]:
+    """The parameter names in the factors ``x`` and ``z`` of a row, in order."""
+    return tuple(dict.fromkeys(v for v in (*x, *z) if isinstance(v, str)))
+
+
 def parse_estimator(text: str) -> EstimatorSpec:
     """Parse a compact estimator string into an :class:`EstimatorSpec`.
 
     Examples: ``"classical"``, ``"tracy_product:A=18631.62"``,
-    ``"dual_family:a1=6.2918,a2=-0.8870"``.
+    ``"dual_family:a1=6.2918,a2=-0.8870"``.  A parameter the kind does
+    not take, or one given twice under any of its keys, raises
+    ``ValueError`` naming the keys and ``text``.
     """
     kind, _, params = text.strip().partition(":")
+    x, z, _, bound = _TABLE[_known(kind)]
+    takes = [name for name in _names(x, z) if name not in bound]
     kwargs: dict[str, float] = {}
     keys: dict[str, str] = {}
     if params:
@@ -218,16 +242,19 @@ def parse_estimator(text: str) -> EstimatorSpec:
             key = key.strip()
             if key not in _PARAM_ALIASES:
                 raise ValueError(f"unknown estimator parameter {key!r} in {text!r}")
-            keys[_PARAM_ALIASES[key]] = key
+            name = _PARAM_ALIASES[key]
+            if name in keys:
+                raise ValueError(f"parameter {name} given twice, as "
+                                 f"{keys[name]!r} and {key!r}, in {text!r}")
+            keys[name] = key
             try:
-                kwargs[_PARAM_ALIASES[key]] = float(value)
+                kwargs[name] = float(value)
             except ValueError as exc:
                 raise ValueError(f"bad value for {key!r} in {text!r}") from exc
-    spec = EstimatorSpec(kind=kind, **kwargs)
     for name, key in keys.items():
-        if name not in spec._row.takes:
+        if name not in takes:
             raise ValueError(f"{kind} takes no parameter {key!r} in {text!r}")
-    return spec
+    return EstimatorSpec(kind=kind, **kwargs)
 
 
 def _check_alignment(sample: SampleMeans, pop: PopulationSummary) -> None:

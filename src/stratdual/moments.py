@@ -182,7 +182,10 @@ def moments_from_dict(
     unprimed set, the dual set when present, and a dict of whichever
     combined means the document carried.  A zero mean raises
     ``ValueError``, as in :func:`compute_moments`: the relative moments
-    divide by the combined means.
+    divide by the combined means.  So does a ``v200`` that is not
+    positive, since every efficiency is relative to the classical MSE
+    ``mean_y**2 * v200``, and a dual ``v200`` that differs from the
+    unprimed one, which it equals by construction.
     """
     def number(obj: dict, key: str) -> float:
         value = obj[key]
@@ -209,11 +212,20 @@ def moments_from_dict(
         if "dual_moments" in doc:
             dual = parse_set(doc["dual_moments"], dual=True)
         means = {k: number(doc, k) for k in _MEANS if k in doc}
-        _check_means(means)
-        return moments, dual, means
-    if doc.get("dual"):
+    elif doc.get("dual"):
         raise ValueError(
             "a bare dual moment set cannot stand alone; supply a document "
             'with both "moments" and "dual_moments"'
         )
-    return parse_set(doc), None, {}
+    else:
+        moments, dual, means = parse_set(doc), None, {}
+    if not moments.v200 > 0:
+        raise ValueError(f"v200 must be positive, got {moments.v200!r}: every "
+                         "efficiency is relative to the classical MSE, "
+                         "mean_y**2 * v200")
+    if dual is not None and dual.v200 != moments.v200:
+        raise ValueError(f"dual_moments v200={dual.v200!r} differs from "
+                         f"moments v200={moments.v200!r}; the two are equal "
+                         "by construction")
+    _check_means(means)
+    return moments, dual, means

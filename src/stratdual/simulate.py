@@ -16,18 +16,26 @@ Reproducibility contract, for the fixed block size :data:`BLOCK`:
 * it is parallel-safe per block: block ``b`` (replications
   ``b * BLOCK`` onwards) draws only from its own generator, built from
   child ``b`` of ``SeedSequence(seed)``, and writes only its own columns
-  of the study's arrays.  :func:`monte_carlo` runs the blocks
-  concurrently on up to ``min(4, usable CPUs)`` threads, the calling
-  thread included, and its output does not depend on the thread count.
-  A study on one usable CPU, or of one block, starts no thread: the
-  calling thread runs its blocks in order.
+  of the study's arrays.  :func:`monte_carlo` splits the blocks evenly
+  into runs of at most :data:`_RUN_BLOCKS` consecutive blocks
+  (:func:`_runs`) and runs them concurrently on up to ``min(4, usable
+  CPUs)`` threads, the calling thread included.  A thread draws and
+  evaluates a run at once: the run's blocks share one array of draws,
+  one sort and one pass of repeat finding per redraw round of each
+  redraw-sampler stratum, one array of means and one kernel call, so
+  the run makes fewer numpy calls, each of which releases and retakes
+  the interpreter lock.  Each block still draws from its own generator
+  exactly what it would draw alone, so the output depends neither on
+  the run length nor on the thread count.  A study on one usable CPU,
+  or of one block, starts no thread: the calling thread runs its runs
+  in order.
 
 Every block is drawn at full size and the last one is cut to the study's
 ``R``, which is what keeps a study prefix-stable; the keys sampler draws
 the keys of every row but sorts out the units of the kept rows only.  A
-different ``BLOCK`` gives different (equally valid) draws.  Within a block each
-stratum, in turn, fills its ``(BLOCK, n_h)`` index array with one of two
-samplers, chosen by the stratum's shape (:func:`_subsets`): small or
+different ``BLOCK`` gives different (equally valid) draws.  Within a run
+each stratum, in turn, fills its blocks' ``(BLOCK, n_h)`` index arrays with
+one of two samplers, chosen by the stratum's shape (:func:`_subsets`): small or
 high-fraction strata keep each row's units whose uniform key is at most
 its ``n_h``-th smallest (the lowest index wins a tie), larger ones draw
 with replacement and redraw repeats.  The shape rule, the tie rule and
@@ -36,7 +44,7 @@ the contract too: another rule or order gives other draws.
 Every sample is shared across estimators (common random numbers), which
 sharpens efficiency comparisons at equal cost.  The estimators' kernel
 constants are compiled once per set-up, with the population summary and
-the theory, and every block reads them.
+the theory, and every run reads them.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ import threading
 import weakref
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,6 +103,13 @@ BLOCK = 256
 
 #: Most threads a study runs its blocks on, the calling thread included.
 _MAX_THREADS = 4
+
+#: Most blocks a thread draws as one run (see :func:`_runs`).
+_RUN_BLOCKS = 5
+
+#: Most rows of a run's redraw-sampler draws gathered at once (see
+#: :func:`_subsets`).
+_GATHER_ROWS = 128
 
 
 class AllDrawsRejectedError(RuntimeError):
@@ -324,124 +339,194 @@ def _check_design(frames: Sequence[UnitFrame], design: Sequence[int]
     return tuple(map(int, design))
 
 
-def _subsets(rng: np.random.Generator, N: int, n: int, rows: int,
-             keep: int) -> np.ndarray:
-    """The first ``keep`` of ``rows`` independent uniform ``n``-subsets of
-    ``range(N)``, sorted.
+def _subsets(rngs: Sequence[np.random.Generator], N: int, n: int, rows: int,
+             keep: int) -> Iterator[np.ndarray]:
+    """The kept rows of a run of independent uniform ``n``-subsets of
+    ``range(N)``, each row sorted.
 
-    Returns an ``np.intp`` index array of shape ``(keep, n)``, each row
-    ascending.  Every one of the ``rows`` subsets is drawn whatever
-    ``keep`` is, so the kept rows and the generator's end state do not
-    depend on ``keep``.  Small or high-fraction strata (``N <= 64`` or
-    ``3 n >= N``) give each unit of a row an iid uniform key and keep the
-    units whose key is at most the row's ``n``-th smallest, a threshold
-    found by partitioning a copy of the keys; read off the mask in order,
-    the units come out ascending.  All ``rows`` rows of keys are drawn,
-    but only the kept rows are partitioned, compared and read off.  Should
-    another key tie the ``n``-th smallest (about ``N * 2**-53`` a row),
-    the lowest indices among the tied keys are kept.  Larger strata draw
-    ``n`` units per row with replacement, sort each row, and redraw the
-    extra copies of any repeated unit until each row is distinct.  Each
-    round draws all its replacements in one call, handed out in row-major
-    order of the copies they replace; only rows that still hold a repeat
-    are redrawn and re-sorted.  A round's draws depend on every row's
-    repeats, so every row is redrawn, and only the kept rows are cast to
-    ``np.intp``.  Which units survive depends only on their
-    multiplicities, so the result is invariant under relabelling the
-    units and is therefore a uniform subset.
+    The run is one block of ``rows`` subsets from each generator of
+    ``rngs``, in order, the last block cut to its first ``keep`` rows.
+    Yields ``np.intp`` index arrays of ``n`` columns whose rows, read in
+    order, are the run's ``(len(rngs) - 1) * rows + keep`` kept rows.
+    Every one of a block's ``rows`` subsets is drawn whatever ``keep``
+    is, so the kept rows and each generator's end state depend neither
+    on ``keep`` nor on how the blocks are grouped into runs: each
+    generator draws what it would draw for its block alone.
 
-    The shape rule, the tie rule and the redraw order are part of the
-    reproducibility contract, like :data:`BLOCK`: another rule or order
-    gives other (equally valid) draws.  The shape rule bounds what the
-    keys sampler holds at once, its ``(rows, N)`` keys, the partitioned
-    copy of the kept rows (the thresholds are a view of it) and their
-    one-byte ``(keep, N)`` mask, by 272 KiB or by 6.4 times the index
-    array.  The redraw sampler draws ``int32`` values, so it needs
-    ``N <= 2**31``, where they equal the default ``int64`` draws.  It
-    sorts them as ``int16`` when ``N <= 2**15``, which is faster.  Both
-    samplers hand back ``np.intp`` indices, because narrower ones slow the
-    gathers.
+    Small or high-fraction strata (``N <= 64`` or ``3 n >= N``) take the
+    keys sampler, one block at a time (:func:`_key_subsets`), and yield
+    one array per block.  Larger ones take the redraw sampler over the
+    whole run at once (:func:`_redraw_subsets`) and yield its kept rows
+    in pieces of :data:`_GATHER_ROWS`.  The shape rule, the tie rule and
+    the redraw order are part of the reproducibility contract, like
+    :data:`BLOCK`: another rule or order gives other (equally valid)
+    draws.
+
+    Memory is bounded per block for the keys sampler and per run for the
+    redraw sampler.  The keys sampler holds at once a block's
+    ``(rows, N)`` keys, the partitioned copy of its kept rows (the
+    thresholds are a view of it) and their one-byte ``(keep, N)`` mask;
+    the shape rule bounds them by 272 KiB or by 6.4 times the block's
+    index array.  The redraw sampler holds the run's ``(len(rngs) * rows,
+    n)`` draws, as ``int16`` when ``N <= 2**15`` and else as ``int32``,
+    and a one-byte repeat mask of that shape, so 3 or 5 bytes a value of
+    the run; besides, one block's ``int32`` draws while they are copied
+    in, and one ``np.intp`` piece of at most :data:`_GATHER_ROWS` rows
+    while it is gathered.  A run of 5 blocks of ``(256, 200)`` at
+    ``int16`` thus holds 750 KiB + 200 KiB + 200 KiB, where one block
+    drawn alone held 350 KiB of draws and mask and a 400 KiB ``np.intp``
+    index array.  It draws ``int32`` values, so it needs ``N <= 2**31``,
+    where they equal the default ``int64`` draws.  Both samplers hand
+    back ``np.intp`` indices, because narrower ones slow the gathers.
     """
     if N <= 64 or 3 * n >= N:
-        keys = rng.random((rows, N))[:keep]
-        kth = np.partition(keys, n - 1, axis=1)[:, n - 1:n]
-        chosen = keys <= kth
+        last = len(rngs) - 1
+        for j, rng in enumerate(rngs):
+            yield _key_subsets(rng, N, n, rows, keep if j == last else rows)
+        return
+    idx = _redraw_subsets(rngs, N, n, rows)
+    kept = (len(rngs) - 1) * rows + keep
+    for start in range(0, kept, _GATHER_ROWS):
+        yield idx[start:min(start + _GATHER_ROWS, kept)].astype(np.intp)
+
+
+def _key_subsets(rng: np.random.Generator, N: int, n: int, rows: int,
+                 keep: int) -> np.ndarray:
+    """The first ``keep`` of ``rows`` uniform ``n``-subsets of ``range(N)``
+    by uniform keys, as a sorted ``np.intp`` array of shape ``(keep, n)``.
+
+    Each unit of a row gets an iid uniform key, and the row keeps the
+    units whose key is at most its ``n``-th smallest, a threshold found
+    by partitioning a copy of the keys; read off the mask in order, the
+    units come out ascending.  All ``rows`` rows of keys are drawn, but
+    only the kept rows are partitioned, compared and read off.  Should
+    another key tie the ``n``-th smallest (about ``N * 2**-53`` a row),
+    the lowest indices among the tied keys are kept.
+    """
+    keys = rng.random((rows, N))[:keep]
+    kth = np.partition(keys, n - 1, axis=1)[:, n - 1:n]
+    chosen = keys <= kth
+    units = np.flatnonzero(chosen)
+    if units.size != keep * n:  # a key ties some row's n-th smallest
+        for r in np.flatnonzero(np.count_nonzero(chosen, axis=1) > n):
+            tied = np.flatnonzero(keys[r] == kth[r])
+            chosen[r, tied[n - np.count_nonzero(keys[r] < kth[r]):]] = False
         units = np.flatnonzero(chosen)
-        if units.size != keep * n:  # a key ties some row's n-th smallest
-            for r in np.flatnonzero(np.count_nonzero(chosen, axis=1) > n):
-                tied = np.flatnonzero(keys[r] == kth[r])
-                chosen[r, tied[n - np.count_nonzero(keys[r] < kth[r]):]] = False
-            units = np.flatnonzero(chosen)
-        units = units.reshape(keep, n)
-        units -= np.arange(0, keep * N, N)[:, None]  # flat to column index
-        return units
-    idx = rng.integers(N, size=(rows, n), dtype=np.int32)
-    if N <= 2**15:
-        idx = idx.astype(np.int16)
+    units = units.reshape(keep, n)
+    units -= np.arange(0, keep * N, N)[:, None]  # flat to column index
+    return units
+
+
+def _redraw_subsets(rngs: Sequence[np.random.Generator], N: int, n: int,
+                    rows: int) -> np.ndarray:
+    """One block of ``rows`` uniform ``n``-subsets of ``range(N)`` from each
+    generator of ``rngs``, drawn with replacement and redrawn.
+
+    Returns the blocks stacked in order, shape ``(len(rngs) * rows, n)``,
+    each row ascending, as ``int16`` when ``N <= 2**15`` (which sorts
+    faster) and else as ``int32``.  Each generator draws its block's
+    ``(rows, n)`` values with replacement, and the run sorts every row
+    at once.  Then, round after round, the extra copies of each repeated
+    unit are redrawn until every row is distinct: each block draws all
+    its replacements of the round in one call, from its own generator,
+    and the replacements are handed out in row-major order of the copies
+    they replace, which takes the blocks in order; every row is sorted
+    again.  A block with no repeat left draws nothing more, so each
+    generator makes the calls it would make for its block alone.  The
+    rounds work on the whole run until its repeats number at most a
+    quarter of its rows, and then only on the rows that still hold one,
+    so the first rounds copy nothing.  Which units survive depends only on
+    their multiplicities, so the result is invariant under relabelling
+    the units and is therefore a uniform subset.
+    """
+    blocks = len(rngs)
+    idx = np.empty((blocks * rows, n), np.int16 if N <= 2**15 else np.int32)
+    for j, rng in enumerate(rngs):
+        idx[j * rows:(j + 1) * rows] = rng.integers(N, size=(rows, n),
+                                                    dtype=np.int32)
     idx.sort(axis=1)
-    todo, block = np.arange(rows), idx
-    repeat = np.empty((rows, n), dtype=bool)
+    work, todo, mask = idx, None, np.empty(idx.shape, dtype=bool)
+    # The first row of each block and the end of the last, in idx and, as
+    # offsets into the flat rows, in work.
+    firsts = np.arange(0, (blocks + 1) * rows, rows)
+    starts = firsts * n
     while True:
-        # Compared along the flat block, which is contiguous; a row's
+        # Compared along the flat rows, which are contiguous; a row's
         # first unit repeats nothing.
-        flat = block.reshape(-1)
+        flat, repeat = work.reshape(-1), mask[:len(work)]
         np.equal(flat[1:], flat[:-1], out=repeat.reshape(-1)[1:])
         repeat[:, 0] = False
-        count = np.count_nonzero(repeat)
-        if not count:
-            return idx[:keep].astype(np.intp)
-        left = np.flatnonzero(repeat.any(axis=1))
-        if left.size < len(block):  # else redraw in place, copying nothing
-            todo, block, repeat = (todo.take(left), block.take(left, axis=0),
-                                   repeat.take(left, axis=0))
-        block[repeat] = rng.integers(N, size=count, dtype=np.int32)
-        block.sort(axis=1)
-        if block is not idx:
-            idx[todo] = block
+        at = np.flatnonzero(repeat)
+        if not at.size:
+            break
+        if 4 * at.size <= len(work):
+            # So at most a quarter of the rows hold a repeat: keep only
+            # those, and find their repeats again.  Each kept row holds
+            # one, so the next pass does not shrink.
+            left = np.flatnonzero(repeat.any(axis=1))
+            if todo is not None:
+                idx[todo] = work
+            todo = left if todo is None else todo.take(left)
+            work = work.take(left, axis=0)
+            starts = np.searchsorted(todo, firsts) * n
+            continue
+        counts = np.diff(np.searchsorted(at, starts)).tolist()
+        flat[at] = np.concatenate([rng.integers(N, size=count, dtype=np.int32)
+                                   for rng, count in zip(rngs, counts) if count])
+        work.sort(axis=1)
+    if todo is not None:
+        idx[todo] = work
+    return idx
 
 
-def _draw_block(
+def _draw_run(
     frames: Sequence[UnitFrame],
     design: Sequence[int],
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     rows: int,
     keep: int,
     scratch: threading.local,
 ) -> np.ndarray:
-    """Per-stratum sample means of the first ``keep`` of ``rows`` draws.
+    """Per-stratum sample means of a run's kept draws.
 
-    ``rng`` draws a ``(rows, n_h)`` block of uniform subsets for every
-    stratum in turn; the means of the first ``keep`` rows are returned
-    as an array of shape ``(3, keep, L)``: the y, x and z means of each
-    draw and stratum, with the units of a sample added in index order.
+    Each generator of ``rngs`` draws one block of ``rows`` draws, the
+    last one cut to its first ``keep``: for every stratum in turn, the
+    run fills its blocks' ``(rows, n_h)`` index arrays (:func:`_subsets`).
+    The means of the ``(len(rngs) - 1) * rows + keep`` kept draws are
+    returned as an array of shape ``(3, kept, L)``: the y, x and z means
+    of each draw and stratum, with the units of a sample added in index
+    order.
 
-    Each variable's sample values are gathered into a ``(keep, n_h)``
-    view of one float64 buffer, ``scratch.buffer``, before they are
-    added up.  ``scratch`` is a :class:`threading.local` that
-    :func:`monte_carlo` makes for one study (:func:`draw_sample` passes a
-    fresh one), so each thread keeps one buffer for the whole study,
-    grown to the largest ``keep * n_h`` it meets; a fresh gather array
-    per variable, stratum and block would be handed back to the system
-    and faulted in again each time.  Each row's sum is written straight
-    into the means array, and the whole block is then divided by the
-    design once: the steps of ``ndarray.mean``, without its Python
-    wrapper, so the means are those of ``mean(axis=1)`` on the gathered
-    array, bit for bit.
+    Each variable's sample values are gathered, one index array of
+    :func:`_subsets` at a time, into a view of one float64 buffer,
+    ``scratch.buffer``, before they are added up.  ``scratch`` is a
+    :class:`threading.local` that :func:`monte_carlo` makes for one study
+    (:func:`draw_sample` passes a fresh one), so each thread keeps one
+    buffer for the whole study, grown to the largest index array it
+    meets; a fresh gather array per variable and index array would be
+    handed back to the system and faulted in again each time.  Each
+    row's sum is written straight into the means array, and the whole
+    run is then divided by the design once: the steps of
+    ``ndarray.mean``, without its Python wrapper, so the means are those
+    of ``mean(axis=1)`` on the gathered array, bit for bit.
     """
-    means = np.empty((3, keep, len(frames)))
+    means = np.empty((3, (len(rngs) - 1) * rows + keep, len(frames)))
     for h, (frame, n) in enumerate(zip(frames, design)):
-        units = _subsets(rng, frame.size, n, rows, keep)
-        buffer = getattr(scratch, "buffer", None)
-        if buffer is None or buffer.size < keep * n:
-            buffer = scratch.buffer = np.empty(keep * n)
-        values = buffer[:keep * n].reshape(keep, n)
-        for v, column in enumerate((frame.y, frame.x, frame.z)):
-            # The samplers hand back indices in range(N_h), so "wrap"
-            # never wraps; unlike "raise", it writes straight into values
-            # instead of through a buffer numpy allocates.
-            np.add.reduce(column.take(units, out=values, mode="wrap"),
-                          axis=1, out=means[v, :, h])
-        del units  # freed before the next stratum draws
+        start = 0
+        for units in _subsets(rngs, frame.size, n, rows, keep):
+            stop = start + len(units)
+            buffer = getattr(scratch, "buffer", None)
+            if buffer is None or buffer.size < units.size:
+                buffer = scratch.buffer = np.empty(units.size)
+            values = buffer[:units.size].reshape(units.shape)
+            for v, column in enumerate((frame.y, frame.x, frame.z)):
+                # The samplers hand back indices in range(N_h), so "wrap"
+                # never wraps; unlike "raise", it writes straight into
+                # values instead of through a buffer numpy allocates.
+                np.add.reduce(column.take(units, out=values, mode="wrap"),
+                              axis=1, out=means[v, start:stop, h])
+            start = stop
+            del units  # freed before the next index array is made
     means /= design
     return means
 
@@ -452,31 +537,32 @@ def _block_seeds(seed: int, R: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(-(-R // BLOCK))
 
 
-def _block_means(
+def _run_means(
     frames: Sequence[UnitFrame],
     design: Sequence[int],
     R: int,
-    b: int,
-    child: np.random.SeedSequence,
+    run: range,
+    children: Sequence[np.random.SeedSequence],
     scratch: threading.local,
 ) -> np.ndarray:
-    """:func:`_draw_block`'s means of block ``b`` of an ``R``-draw study.
+    """:func:`_draw_run`'s means of the blocks ``run`` of an ``R``-draw study.
 
-    The block holds replications ``b * BLOCK`` to ``b * BLOCK + BLOCK - 1``
-    (fewer in the last block), drawn from the generator of ``child``,
-    which is child ``b`` of the study's seed (:func:`_block_seeds`).  The
-    last block is drawn at full size and cut, so a study is a prefix of
-    any larger one.  ``scratch`` holds the study's per-thread gather buffer
-    (see :func:`_draw_block`).
+    Block ``b`` holds replications ``b * BLOCK`` to ``b * BLOCK + BLOCK -
+    1`` (fewer in the last block), drawn from the generator of
+    ``children[b]``, child ``b`` of the study's seed (:func:`_block_seeds`).
+    The last block is drawn at full size and cut, so a study is a prefix
+    of any larger one.  ``scratch`` holds the study's per-thread gather
+    buffer (see :func:`_draw_run`).
     """
-    return _draw_block(frames, design, np.random.default_rng(child), BLOCK,
-                       min(BLOCK, R - b * BLOCK), scratch)
+    return _draw_run(frames, design,
+                     [np.random.default_rng(children[b]) for b in run],
+                     BLOCK, min(BLOCK, R - run[-1] * BLOCK), scratch)
 
 
 def _thread_count(blocks: int) -> int:
-    """Threads for a study of ``blocks`` blocks: at most :data:`_MAX_THREADS`,
-    the usable CPUs or ``blocks``, whichever is least.  One block needs
-    no CPU count."""
+    """Threads for ``blocks`` blocks, or runs, of a study: at most
+    :data:`_MAX_THREADS`, the usable CPUs or ``blocks``, whichever is
+    least.  One needs no CPU count."""
     if blocks == 1:
         return 1
     try:
@@ -486,27 +572,42 @@ def _thread_count(blocks: int) -> int:
     return min(_MAX_THREADS, cpus, blocks)
 
 
-def _run_blocks(work, blocks: int) -> None:
-    """Call ``work(b)`` once for each block ``b`` in ``range(blocks)``.
+def _runs(blocks: int) -> list[range]:
+    """The runs of a study of ``blocks`` blocks: its blocks, in order, split
+    as evenly as can be into runs of at most :data:`_RUN_BLOCKS` blocks.
 
-    The blocks run on :func:`_thread_count` threads, the calling thread
-    included: each takes the next block not yet taken until none is
-    left, under the caller's numpy floating-point error settings.  A
-    block must write only its own output, so the order does not matter.
-    A thread that cannot be started leaves its share to the others.  The
-    first exception a block raises, such as a ``MemoryError`` or a
-    warning turned into an error, stops the taking of blocks and is
-    raised here after every thread has been joined.
+    The number of runs is the least multiple of :func:`_thread_count`
+    that allows that length, but no more than ``blocks``, so that the
+    threads get about as many blocks each.  The runs' lengths differ by
+    at most one block.
+    """
+    threads = _thread_count(blocks)
+    count = min(blocks, threads * -(-blocks // (threads * _RUN_BLOCKS)))
+    bounds = [blocks * i // count for i in range(count + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _run_blocks(work, runs: int) -> None:
+    """Call ``work(i)`` once for each run ``i`` in ``range(runs)``.
+
+    The runs go to :func:`_thread_count` threads, the calling thread
+    included: each takes the next run not yet taken until none is left,
+    under the caller's numpy floating-point error settings.  A run must
+    write only its own output, so the order does not matter.  A thread
+    that cannot be started leaves its share to the others.  The first
+    exception a run raises, such as a ``MemoryError`` or a warning
+    turned into an error, stops the taking of runs and is raised here
+    after every thread has been joined.
 
     With one thread, as for a one-block study or on one usable CPU, the
-    calling thread runs the blocks in order itself: it starts no thread,
+    calling thread runs the runs in order itself: it starts no thread,
     takes no lock, and the first exception propagates at once.
     """
-    if _thread_count(blocks) == 1:
-        for b in range(blocks):
-            work(b)
+    if _thread_count(runs) == 1:
+        for i in range(runs):
+            work(i)
         return
-    todo = iter(range(blocks))
+    todo = iter(range(runs))
     lock = threading.Lock()
     errors = []
     settings = np.geterr()
@@ -518,14 +619,14 @@ def _run_blocks(work, blocks: int) -> None:
     def run():
         try:
             with np.errstate(**settings):
-                while (b := take()) is not None:
-                    work(b)
+                while (i := take()) is not None:
+                    work(i)
         except BaseException as exc:  # raised again in the calling thread
             with lock:
                 errors.append(exc)
 
     helpers = []
-    for _ in range(_thread_count(blocks) - 1):
+    for _ in range(_thread_count(runs) - 1):
         thread = threading.Thread(target=run, daemon=True)
         try:
             thread.start()
@@ -554,9 +655,10 @@ def draw_sample(
     """
     design = _check_design(frames, design)
     sizes = np.array([f.size for f in frames], dtype=float)
-    # A fresh gather buffer: nothing of this draw is kept.
-    ybar, xbar, zbar = _draw_block(frames, design, rng, 1, 1,
-                                   threading.local())
+    # A run of one one-row block, with a fresh gather buffer: nothing of
+    # this draw is kept.
+    ybar, xbar, zbar = _draw_run(frames, design, [rng], 1, 1,
+                                 threading.local())
     return SampleMeans.from_stratum_means(
         [f.stratum_id for f in frames], ybar[0], xbar[0], zbar[0],
         sizes / sizes.sum()
@@ -699,9 +801,10 @@ def monte_carlo(
     a pure function of ``(frames, design, specs, R, seed)`` and its
     draws are the first ``R`` of any larger study.  Every estimator in
     ``specs`` is evaluated on the same draws, one array operation per
-    block.  The blocks run on up to ``min(4, usable CPUs)`` threads, the
-    calling thread included, with output that does not depend on their
-    number; a study of one block, or on one usable CPU, starts no thread.
+    run of consecutive blocks (:func:`_runs`).  The runs go to up to
+    ``min(4, usable CPUs)`` threads, the calling thread included, with
+    output that depends neither on their number nor on the run length;
+    a study of one block, or on one usable CPU, starts no thread.
     Draws that are degenerate for an estimator are rejected-and-counted
     for that estimator only: the kernel marks them ``NaN`` and builds no
     rejection code.  Each spec's theoretical MSE is
@@ -749,20 +852,22 @@ def monte_carlo(
     estimates = np.empty((len(specs), R))
     stars = np.empty((2, R)) if md is not None else None  # xstar, zstar
     children = _block_seeds(seed, R)
+    runs = _runs(len(children))
     scratch = threading.local()  # each thread's gather buffer, this study only
 
-    def evaluate(b):
-        # Draws block b and fills its own columns of estimates and stars.
-        means = _block_means(frames, design, R, b, children[b], scratch)
-        rows = slice(b * BLOCK, b * BLOCK + means.shape[1])
-        combined = _weighted_sum(pop.w, means)  # y, x and z, (3, keep)
+    def evaluate(i):
+        # Draws run i and fills its own columns of estimates and stars.
+        run = runs[i]
+        means = _run_means(frames, design, R, run, children, scratch)
+        rows = slice(run[0] * BLOCK, run[0] * BLOCK + means.shape[1])
+        combined = _weighted_sum(pop.w, means)  # y, x and z, (3, kept)
         dual = None
         if stars is not None:
             dual = stars[:, rows] = _dual_means(pop, means[1:])
         estimates[:, rows] = _estimate_block(kernel, combined[0],
                                              combined[1:], dual)[0]
 
-    _run_blocks(evaluate, len(children))
+    _run_blocks(evaluate, len(runs))
 
     # Every aggregate of every estimator at once, in place in estimates
     # and one workspace of its shape; rejected draws add 0.

@@ -374,6 +374,51 @@ class TestHugeMeans:
             "relative moments: its square overflows"]
 
 
+class TestInconsistentMomentsDocument:
+    """A moments document whose v200 is not positive, or whose two v200
+    differ, is one error, not a table of blank or zero PRE cells."""
+
+    @pytest.mark.parametrize("command", ["pre", "mse"])
+    @pytest.mark.parametrize("moments_v200, dual_v200, error", [
+        (0.0, 0.0, "error: v200 must be positive, got 0.0: every efficiency "
+                   "is relative to the classical MSE, mean_y**2 * v200"),
+        (0.0, 0.02, "error: v200 must be positive, got 0.0: every efficiency "
+                    "is relative to the classical MSE, mean_y**2 * v200"),
+        (0.02, 0.03, "error: dual_moments v200=0.03 differs from moments "
+                     "v200=0.02; the two are equal by construction"),
+    ])
+    def test_it_is_refused(self, capsys, tmp_path, command, moments_v200,
+                           dual_v200, error):
+        m = dict(v020=0.03, v002=0.01, v110=0.015, v101=-0.004, v011=-0.006)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "moments": dict(m, v200=moments_v200),
+            "dual_moments": dict(m, v200=dual_v200, dual=True),
+            "mean_y": 5, "mean_x": 3, "mean_z": 2}))
+        code, out, err = run(capsys, command, "--moments", str(path))
+        assert (code, out, err) == (1, "", error + "\n")
+
+
+class TestHugeStandardDeviation:
+    def test_pre_names_the_stratum_and_column(self, capsys, tmp_path):
+        # Once numpy's RuntimeWarning from the library's source line, then
+        # "error: v200 must be finite", naming neither.
+        with open(CORRECTED, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[0]["s_y"] = "1e308"  # stratum 1
+        path = tmp_path / "huge_sd.csv"
+        with path.open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, rows[0].keys())
+            writer.writeheader()
+            writer.writerows(rows)
+        code, out, err = run(capsys, "pre", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert "RuntimeWarning" not in err
+        assert err.splitlines()[-1] == (
+            "error: stratum 1: s_y=1e+308 is too large to form a variance: "
+            "its square overflows")
+
+
 class TestSweep:
     def test_default_grid_with_optimum_row(self, capsys):
         code, out, err = run(capsys, "sweep", "--input", CORRECTED,

@@ -1,6 +1,7 @@
 """Unit tests for population summaries, validation, allocation and CSV IO."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -191,6 +192,24 @@ class TestCombine:
             for w, s in zip(pop.w[1:], strata[1:]):
                 total = total + w * getattr(s, name)
             assert getattr(pop, name) == total
+
+    @pytest.mark.parametrize("column", ["s_y", "s_x", "s_z"])
+    @pytest.mark.parametrize("value", [1e308, -2e200, 1.35e154])
+    def test_a_standard_deviation_whose_square_overflows(self, column, value):
+        # Once numpy's overflow warning, then "v200 must be finite" from
+        # the moments; now one error naming the stratum and the column,
+        # and no warning (RuntimeWarning is an error in this suite).
+        strata = [make_summary(stratum_id="a"),
+                  make_summary(stratum_id="b", **{column: value})]
+        with pytest.raises(ValueError) as info:
+            combine(strata)
+        assert str(info.value) == (
+            f"stratum b: {column}={value} is too large to form a variance: "
+            "its square overflows")
+        # The largest standard deviation whose square is finite passes.
+        edge = math.sqrt(sys.float_info.max)
+        pop = combine([make_summary(**{column: edge})])
+        assert np.isfinite(pop.cov).all()
 
     def test_census_stratum_has_nan_g(self):
         pop = combine([make_summary(N=5, n=5)])

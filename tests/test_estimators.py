@@ -1,5 +1,7 @@
 """Unit tests for estimator specs, parsing and point evaluation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,46 @@ class TestParseAndLabel:
                         parse_estimator(text)
                     assert str(info.value) == (
                         f"{kind} takes no parameter {key!r} in {text!r}")
+
+    def test_a_parameter_given_twice_is_rejected(self):
+        # Once the last key won without a word: a1=1,alpha1=2 gave
+        # alpha1 = 2.  Every pair of keys of one parameter, the same key
+        # twice included, is an error naming both keys and the text.
+        for kind in KINDS:
+            params = _takes(kind)
+            for p in params:
+                for key in (0, 1):
+                    for second in _KEYS[p]:
+                        text = f"{_text(kind, params, key)},{second}=2"
+                        with pytest.raises(ValueError) as info:
+                            parse_estimator(text)
+                        assert str(info.value) == (
+                            f"parameter {p} given twice, as "
+                            f"{_KEYS[p][key]!r} and {second!r}, in {text!r}")
+
+    def test_the_constructor_rejects_a_parameter_the_kind_does_not_name(self):
+        # Once kept: EstimatorSpec(kind="classical", A=5) was unequal to
+        # classical though it estimates the same.
+        for kind in KINDS:
+            x, z, _, _ = estimators._TABLE[kind]
+            for p in _VALUES.keys() - set(x + z):
+                with pytest.raises(ValueError) as info:
+                    EstimatorSpec(kind=kind, **_takes(kind), **{p: 3.0})
+                assert str(info.value) == f"{kind} takes no parameter {p}"
+
+    def test_a_bound_parameter_keeps_its_value(self):
+        # plikusas_dual binds alpha1 = alpha2 = 1: another value is an
+        # error (once stored as 1.0 without a word), the bound one is
+        # accepted, so dataclasses.replace rebuilds the spec.
+        with pytest.raises(ValueError) as info:
+            EstimatorSpec(kind="plikusas_dual", alpha1=3)
+        assert str(info.value) == "plikusas_dual fixes alpha1 = 1.0, got 3"
+        with pytest.raises(ValueError, match="fixes alpha2 = 1.0"):
+            EstimatorSpec(kind="plikusas_dual", alpha2=float("nan"))
+        spec = EstimatorSpec(kind="plikusas_dual")
+        assert EstimatorSpec(kind="plikusas_dual", alpha1=1, alpha2=1.0) == spec
+        assert dataclasses.replace(spec) == spec
+        assert dataclasses.replace(spec).label == "plikusas_dual"
 
     def test_malformed_parameters_rejected(self):
         with pytest.raises(ValueError, match="malformed"):

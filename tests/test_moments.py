@@ -282,6 +282,30 @@ class TestMomentSerialization:
         assert str(partial.value).endswith(
             "({})".format(", ".join(f"{k}={v}" for k, v in means.items())))
 
+    @pytest.mark.parametrize("v200", [0.0, -0.0, -1e-3])
+    @pytest.mark.parametrize("form", ["document", "bare"])
+    def test_v200_that_is_not_positive_is_rejected(self, corrected_m,
+                                                   corrected_md, v200, form):
+        # Every efficiency is relative to the classical MSE, mean_y**2 *
+        # v200; a zero v200 once gave blank PRE cells and exit 0.  A
+        # negative one is refused by MomentSet itself.
+        doc = json.loads(moments_to_json(corrected_m, corrected_md))
+        doc["moments"]["v200"] = doc["dual_moments"]["v200"] = v200
+        with pytest.raises(ValueError, match="v200 must be"):
+            moments_from_dict(doc if form == "document" else doc["moments"])
+
+    def test_dual_v200_that_differs_is_rejected(self, corrected_m,
+                                                corrected_md):
+        # The two v200 are equal by construction (MomentSet's docstring).
+        doc = json.loads(moments_to_json(corrected_m, corrected_md))
+        doc["dual_moments"]["v200"] = 2 * corrected_m.v200
+        with pytest.raises(ValueError) as info:
+            moments_from_dict(doc)
+        assert str(info.value) == (
+            f"dual_moments v200={2 * corrected_m.v200!r} differs from "
+            f"moments v200={corrected_m.v200!r}; the two are equal by "
+            "construction")
+
     def test_bare_dual_object_rejected(self, corrected_md):
         with pytest.raises(ValueError, match="dual"):
             moments_from_dict(corrected_md.as_dict())

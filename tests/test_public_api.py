@@ -132,22 +132,22 @@ def test_benchmark_traced_functions_run_on_the_calling_thread(monkeypatch):
                     if value is original:
                         monkeypatch.setattr(namespace, attr, wrapper)
 
-    # Two threads, each holding its first block until the other has taken
-    # one, so both run blocks.
+    # Two threads, each holding its first run of blocks until the other
+    # has taken one, so both run blocks.
     caller = threading.get_ident()
     workers = set()
     both = threading.Event()
-    block_means = simulate._block_means
+    run_means = simulate._run_means
 
-    def held_block_means(*args):
+    def held_run_means(*args):
         workers.add(threading.get_ident())
         if len(workers) == 2:
             both.set()
         both.wait(timeout=30)
-        return block_means(*args)
+        return run_means(*args)
 
     monkeypatch.setattr(simulate, "_thread_count", lambda blocks: 2)
-    monkeypatch.setattr(simulate, "_block_means", held_block_means)
+    monkeypatch.setattr(simulate, "_run_means", held_run_means)
     spec = simulate.PopulationSpec(strata=(
         simulate.StratumSpec(stratum_id="a", N=30, n=6, mu=(100.0, 50.0, 80.0),
                              sigma=(10.0, 5.0, 8.0), rho=(0.7, 0.4, 0.3)),

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import functools
 import gc
 import json
 import sys
@@ -12,6 +13,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import aggregate, keys_subsets, redraw_subsets
 from stratdual import (
@@ -38,7 +40,7 @@ from stratdual import simulate
 from stratdual import estimators
 from stratdual.domain import _weighted_sum
 from stratdual.estimators import _dual_means, _estimate_block, _kernel, _plan
-from stratdual.simulate import BLOCK, _block_means, _block_seeds
+from stratdual.simulate import BLOCK, _block_seeds, _run_means, _runs
 
 RHO = (0.7, 0.4, 0.3)
 
@@ -667,13 +669,25 @@ class TestMonteCarlo:
 def study_means(frames, design, R, seed):
     """Per-stratum (y, x, z) means of every draw of a study, (3, R, L).
 
-    Each block comes from the per-block function ``monte_carlo`` runs,
-    all of them gathered, as in a one-thread study, through one buffer.
+    Each run of the study's blocks comes from the per-run function
+    ``monte_carlo`` calls, all of them gathered, as in a one-thread
+    study, through one buffer.
     """
     scratch = threading.local()
+    children = _block_seeds(seed, R)
     return np.concatenate(
-        [_block_means(frames, design, R, b, child, scratch)
-         for b, child in enumerate(_block_seeds(seed, R))], axis=1)
+        [_run_means(frames, design, R, run, children, scratch)
+         for run in _runs(len(children))], axis=1)
+
+
+def subsets(rngs, N, n, rows, keep):
+    """Every kept row of :func:`simulate._subsets`, as one array.
+
+    ``rngs`` is one generator, for a run of one block, or a list of them.
+    """
+    if not isinstance(rngs, list):
+        rngs = [rngs]
+    return np.concatenate(list(simulate._subsets(rngs, N, n, rows, keep)))
 
 
 def rejecting_study():
@@ -810,7 +824,7 @@ class TestPinnedStudies:
         called = set()
         for N, n in zip(sizes, design):
             rng = RecordingGenerator(0)
-            simulate._subsets(rng, N, n, 1, 1)
+            subsets(rng, N, n, 1, 1)
             called |= rng.called
         assert called == {sampler}
         stars, *rows = PINNED_RESULTS[sampler]
@@ -866,8 +880,8 @@ class TestBlockSampler:
         scratch = threading.local()
         for seed, keep in ((1, BLOCK - 57), (2, BLOCK - 1), (3, BLOCK), (4, 3)):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            means = simulate._draw_block(frames, design, rng, BLOCK, keep,
-                                         scratch)
+            means = simulate._draw_run(frames, design, [rng], BLOCK, keep,
+                                       scratch)
             for h, (frame, n) in enumerate(zip(frames, design)):
                 oracle = keys_subsets if frame.size in (40, 90) else redraw_subsets
                 units = np.array(oracle(ref, frame.size, n, BLOCK))[:keep]
@@ -875,7 +889,31 @@ class TestBlockSampler:
                     np.testing.assert_array_equal(
                         means[v, :, h], column[units].mean(axis=1))
             assert rng.bit_generator.state == ref.bit_generator.state
-        assert scratch.buffer.size == BLOCK * max(design)
+        # The keys strata gather a block at once, the redraw ones (n_h =
+        # 30 and 60) a piece of the run at a time.
+        assert scratch.buffer.size == max(BLOCK * 45,
+                                          simulate._GATHER_ROWS * 60)
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 5])
+    def test_a_run_draws_what_its_blocks_draw_alone(self, blocks):
+        # A run of blocks, the last one cut, on the mixed shapes: its means
+        # are those of its blocks drawn one at a time from their own
+        # generators, bit for bit, and each generator ends in the same
+        # state.
+        frames, design = mixed_shape_study()
+        keep = BLOCK - 57
+        rngs = [np.random.default_rng(30 + j) for j in range(blocks)]
+        refs = [np.random.default_rng(30 + j) for j in range(blocks)]
+        run = simulate._draw_run(frames, design, rngs, BLOCK, keep,
+                                 threading.local())
+        alone = [simulate._draw_run(frames, design, [ref], BLOCK,
+                                    keep if j == blocks - 1 else BLOCK,
+                                    threading.local())
+                 for j, ref in enumerate(refs)]
+        assert run.shape == (3, (blocks - 1) * BLOCK + keep, len(frames))
+        np.testing.assert_array_equal(run, np.concatenate(alone, axis=1))
+        assert ([rng.bit_generator.state for rng in rngs]
+                == [ref.bit_generator.state for ref in refs])
 
     def test_study_is_a_prefix_of_any_larger_study(self, tiny_frames):
         # The short study ends inside a block, the long one runs on.
@@ -943,10 +981,11 @@ class TestBlockSampler:
             self, monkeypatch, threads):
         """Every aggregate, bit for bit, of the study's own block estimates.
 
-        Each block is drawn and evaluated as the study does, and
-        :func:`oracles.aggregate` sums it up with numpy's plain formulas.
-        Some draws are rejected for the fractional dual exponents, so the
-        zeroed sums over the accepted draws are checked too.
+        Each block is drawn and evaluated alone, as a run of one block,
+        and :func:`oracles.aggregate` sums it up with numpy's plain
+        formulas.  Some draws are rejected for the fractional dual
+        exponents, so the zeroed sums over the accepted draws are checked
+        too.
         """
         frames, design, specs = rejecting_study()
         pop = combine([summarize_stratum(f, n) for f, n in zip(frames, design)])
@@ -954,8 +993,10 @@ class TestBlockSampler:
         R, seed = 2 * BLOCK - 3, 8
         estimates, stars = [], []
         scratch = threading.local()
-        for b, child in enumerate(_block_seeds(seed, R)):
-            means = _block_means(frames, design, R, b, child, scratch)
+        children = _block_seeds(seed, R)
+        for b in range(len(children)):
+            means = _run_means(frames, design, R, range(b, b + 1), children,
+                               scratch)
             combined = _weighted_sum(pop.w, means)
             stars.append(_dual_means(pop, means[1:]))
             estimates.append(_estimate_block(kernel, combined[0],
@@ -1111,7 +1152,7 @@ class TestSubsets:
         D = blocks * BLOCK
         C = np.zeros((N, N))
         for _ in range(blocks):
-            units = simulate._subsets(rng, N, n, BLOCK, BLOCK)
+            units = subsets(rng, N, n, BLOCK, BLOCK)
             assert units.shape == (BLOCK, n)
             assert np.all(np.diff(units, axis=1) > 0)
             assert units.min() >= 0 and units.max() < N
@@ -1144,13 +1185,22 @@ class TestSubsets:
         Over three blocks from one generator, every row equals the
         oracle's (``tests/oracles.py``: ``redraw_subsets``) and the two
         generators end in the same state, so the sampler makes the same
-        calls for the same values.
+        calls for the same values.  So does a run of three blocks, each
+        from its own generator, its last block cut.
         """
         rng, ref = np.random.default_rng(1016), np.random.default_rng(1016)
         for _ in range(3):
-            units = simulate._subsets(rng, N, n, BLOCK, BLOCK)
+            units = subsets(rng, N, n, BLOCK, BLOCK)
             np.testing.assert_array_equal(units, redraw_subsets(ref, N, n, BLOCK))
         assert rng.bit_generator.state == ref.bit_generator.state
+        rngs = [np.random.default_rng(1016 + j) for j in range(3)]
+        refs = [np.random.default_rng(1016 + j) for j in range(3)]
+        units = subsets(rngs, N, n, BLOCK, 100)
+        want = np.concatenate([redraw_subsets(ref, N, n, BLOCK)
+                               for ref in refs])[:2 * BLOCK + 100]
+        np.testing.assert_array_equal(units, want)
+        assert ([rng.bit_generator.state for rng in rngs]
+                == [ref.bit_generator.state for ref in refs])
 
     @pytest.mark.parametrize("N, n", [
         (5, 2), (10, 10), (64, 8), (66, 22), (60, 40), (40, 30), (300, 100),
@@ -1166,7 +1216,7 @@ class TestSubsets:
         """
         rng, ref = np.random.default_rng(1017), np.random.default_rng(1017)
         for _ in range(3):
-            units = simulate._subsets(rng, N, n, BLOCK, BLOCK)
+            units = subsets(rng, N, n, BLOCK, BLOCK)
             np.testing.assert_array_equal(units, keys_subsets(ref, N, n, BLOCK))
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -1182,7 +1232,7 @@ class TestSubsets:
         keys = [[0.5, 0.1, 0.3, 0.3, 0.9, 0.5, 0.2, 0.5],
                 [0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1],
                 [0.25] * 8]
-        units = simulate._subsets(FixedKeys(keys), 8, n, 3, 3)
+        units = subsets(FixedKeys(keys), 8, n, 3, 3)
         assert units.dtype == np.intp
         np.testing.assert_array_equal(units, expected)
         np.testing.assert_array_equal(
@@ -1201,7 +1251,7 @@ class TestSubsets:
         """
         rng, ref = np.random.default_rng(1021), np.random.default_rng(1021)
         for _ in range(2):
-            units = simulate._subsets(rng, N, n, BLOCK, keep)
+            units = subsets(rng, N, n, BLOCK, keep)
             assert units.shape == (keep, n) and units.dtype == np.intp
             np.testing.assert_array_equal(
                 units, keys_subsets(ref, N, n, BLOCK)[:keep])
@@ -1213,7 +1263,7 @@ class TestSubsets:
         kth = np.sort(keys, axis=1)[:, [n - 1]]
         tied = np.flatnonzero(np.count_nonzero(keys <= kth, axis=1) > n)
         assert tied.tolist() == sorted({keep - 1, min(keep, BLOCK - 1)})
-        units = simulate._subsets(FixedKeys(keys), N, n, BLOCK, keep)
+        units = subsets(FixedKeys(keys), N, n, BLOCK, keep)
         np.testing.assert_array_equal(
             units, keys_subsets(FixedKeys(keys), N, n, BLOCK)[:keep])
 
@@ -1221,33 +1271,37 @@ class TestSubsets:
         (64, 8), (66, 22), (65, 8), (200, 20), (70000, 300), (1000, 1),
     ])
     def test_indices_are_intp(self, N, n):
-        # Both samplers hand back native indices, which the means gather.
-        units = simulate._subsets(np.random.default_rng(7), N, n, BLOCK,
-                                 BLOCK)
-        assert units.dtype == np.intp
+        # Both samplers hand back native indices, which the means gather,
+        # for every piece of a run of three blocks, the last one cut.
+        rngs = [np.random.default_rng(7 + j) for j in range(3)]
+        pieces = list(simulate._subsets(rngs, N, n, BLOCK, 5))
+        assert all(units.dtype == np.intp for units in pieces)
+        assert sum(map(len, pieces)) == 2 * BLOCK + 5
 
     def test_large_stratum_study_memory_is_bounded(self, monkeypatch):
         """Sampling memory follows the index block, not the stratum size.
 
         One stratum of N = 20,000 units at n = 200 takes the redraw
-        sampler, whose arrays are a few ``(BLOCK, n)`` blocks of at most
-        400 KiB: 200 KiB of int32 draws, sorted as 100 KiB of int16, and
-        400 KiB of ``np.intp`` indices handed back.  Selecting by uniform
-        keys instead would hold the ``(BLOCK, N)`` keys and their
+        sampler.  A run of four blocks holds its ``(4 BLOCK, n)`` draws
+        as 400 KiB of int16 and their 200 KiB repeat mask, one block's
+        200 KiB of int32 draws at a time and one 200 KiB piece of
+        ``np.intp`` indices handed back.  Selecting by uniform keys
+        instead would hold a block's ``(BLOCK, N)`` keys and their
         partitioned copy, 78 MiB, and then a one-byte mask of 4.9 MiB.
         Each thread also keeps, for the whole study, one float64 gather
-        buffer of ``BLOCK * n`` values, 400 KiB.  The traced peak of a
-        two-block study, its blocks run on two threads, must stay under
-        4 MiB.
+        buffer of ``_GATHER_ROWS * n`` values, 200 KiB.  The traced peak
+        of an eight-block study, drawn as two runs of four blocks on two
+        threads, must stay under 4 MiB.
         """
         force_threads(monkeypatch, 2)
+        assert _runs(8) == [range(0, 4), range(4, 8)]
         values = np.random.default_rng(5).normal(100.0, 10.0, (3, 20_000))
         frame = UnitFrame(stratum_id="big", y=values[0], x=values[1],
                           z=values[2])
         tracemalloc.start()
         try:
             monte_carlo([frame], (200,), [EstimatorSpec(kind="classical")],
-                        R=2 * BLOCK, seed=1)
+                        R=8 * BLOCK, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1260,31 +1314,34 @@ def force_threads(monkeypatch, count):
 
 
 def spy_buffers(monkeypatch):
-    """Record the study's gather buffer as each block's strata are drawn.
+    """Record the study's gather buffer as each run's strata are drawn.
 
     ``_subsets`` records the buffer before each stratum draws, and
-    ``_draw_block`` after its block; ``None`` before the first gather.
-    After a block, ``gathered`` records whether the buffer's leading
-    ``(keep, n_h)`` values are those whose means are the block's z means
-    of its last stratum, the last gather.
+    ``_draw_run`` after its run; ``None`` before the first gather.  After
+    a run, ``gathered`` records whether the buffer's leading values are
+    those whose means are the run's last z means of its last stratum:
+    on a redraw stratum, the last piece of at most ``_GATHER_ROWS`` rows,
+    the last gather.
     """
     seen, gathered = [], []
-    draws, subsets = simulate._draw_block, simulate._subsets
+    draws, subsets = simulate._draw_run, simulate._subsets
     held = threading.local()
 
-    def draw_block(frames, design, rng, rows, keep, scratch):
+    def draw_run(frames, design, rngs, rows, keep, scratch):
         held.scratch = scratch
-        means = draws(frames, design, rng, rows, keep, scratch)
+        means = draws(frames, design, rngs, rows, keep, scratch)
         seen.append(scratch.buffer)
-        last = scratch.buffer[:keep * design[-1]].reshape(keep, design[-1])
-        gathered.append(np.array_equal(last.mean(axis=1), means[2, :, -1]))
+        n = design[-1]
+        m = (means.shape[1] - 1) % simulate._GATHER_ROWS + 1
+        last = scratch.buffer[:m * n].reshape(m, n)
+        gathered.append(np.array_equal(last.mean(axis=1), means[2, -m:, -1]))
         return means
 
     def record_subsets(*args):
         seen.append(getattr(held.scratch, "buffer", None))
         return subsets(*args)
 
-    monkeypatch.setattr(simulate, "_draw_block", draw_block)
+    monkeypatch.setattr(simulate, "_draw_run", draw_run)
     monkeypatch.setattr(simulate, "_subsets", record_subsets)
     return seen, gathered
 
@@ -1299,11 +1356,12 @@ class TestGatherBuffer:
     ])
     def test_a_study_gathers_every_block_into_one_buffer(
             self, monkeypatch, strata, replaced):
-        # Six blocks on one thread, the last one cut, on redraw strata.
-        # The first gather makes the buffer; only a larger stratum later
-        # in the first block may replace it, and only once.  Every block
-        # gathers into it.
+        # Six blocks on one thread, the last one cut, on redraw strata,
+        # drawn as two runs of three blocks.  The first gather makes the
+        # buffer; only a larger stratum later in the first run may
+        # replace it, and only once.  Every run gathers into it.
         force_threads(monkeypatch, 1)
+        assert _runs(6) == [range(0, 3), range(3, 6)]
         seen, gathered = spy_buffers(monkeypatch)
         spec = PopulationSpec(strata=tuple(
             make_stratum_spec(stratum_id=str(h), N=N, n=n)
@@ -1311,34 +1369,117 @@ class TestGatherBuffer:
         R = 5 * BLOCK + 3
         monte_carlo(generate_population(spec), spec.design,
                     [EstimatorSpec(kind="classical")], R=R, seed=1)
-        assert len(seen) == 6 * (len(strata) + 1)
+        assert len(seen) == 2 * (len(strata) + 1)
         assert seen[0] is None
         buffers = seen[1:]
         assert all(isinstance(b, np.ndarray) for b in buffers)
         changes = sum(b is not a for a, b in zip(buffers, buffers[1:]))
         assert changes == replaced
-        assert gathered == [True] * 6
-        assert buffers[-1].size == BLOCK * max(n for _, n in strata)
+        assert gathered == [True] * 2
+        assert buffers[-1].size == (simulate._GATHER_ROWS
+                                    * max(n for _, n in strata))
 
     def test_nothing_outlives_a_study_or_a_draw(self, monkeypatch):
         # Weak references to each thread's buffer holder and buffer, on
-        # two threads and in draw_sample, are dead once the call returns.
+        # two threads (a run each) and in draw_sample, are dead once the
+        # call returns.
         force_threads(monkeypatch, 2)
         refs = []
-        draw = simulate._draw_block
+        draw = simulate._draw_run
 
         def record(*args):
             means = draw(*args)
             refs.extend((weakref.ref(args[-1]), weakref.ref(args[-1].buffer)))
             return means
 
-        monkeypatch.setattr(simulate, "_draw_block", record)
+        monkeypatch.setattr(simulate, "_draw_run", record)
         frames, design = mixed_shape_study()
         monte_carlo(frames, design, ALL_KINDS_SPECS, R=4 * BLOCK, seed=5)
         draw_sample(frames, design, np.random.default_rng(5))
         gc.collect()
-        assert len(refs) == 2 * 5
+        assert len(refs) == 2 * 3
         assert [ref() for ref in refs] == [None] * len(refs)
+
+
+@functools.lru_cache(maxsize=None)
+def run_population(shape):
+    """``(frames, design)`` of a population for :class:`TestRuns`.
+
+    ``keys`` takes the keys sampler in both strata and ``redraw`` the
+    redraw sampler at ``int16``; ``mixed`` takes the keys sampler, the
+    redraw sampler at ``int16`` and, with ``N > 2**15``, at ``int32``.
+    """
+    sizes = {"keys": ((60, 25), (40, 30)), "redraw": ((400, 30), (250, 20)),
+             "mixed": ((40, 10), (500, 60), (40_000, 30))}[shape]
+    spec = PopulationSpec(strata=tuple(
+        make_stratum_spec(stratum_id=str(h), N=N, n=n)
+        for h, (N, n) in enumerate(sizes)), seed=17)
+    return generate_population(spec), spec.design
+
+
+#: Whole and fractional exponents, so the kernel's powers are checked too.
+RUN_SPECS = PINNED_SPECS + (
+    EstimatorSpec(kind="dual_family", alpha1=0.25, alpha2=0.75),)
+
+
+class TestRuns:
+    """A thread draws consecutive blocks as one run; nothing depends on how."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(shape=st.sampled_from(["keys", "redraw", "mixed"]),
+           R=st.integers(1, 5 * BLOCK), seed=st.integers(0, 2**32 - 1))
+    def test_a_study_does_not_depend_on_its_runs_or_threads(self, shape, R,
+                                                            seed):
+        # Every run length from one block to all of them, each on one and
+        # two threads: every field of the result, bit for bit.  R is cut
+        # inside a block unless it is a multiple of BLOCK.
+        frames, design = run_population(shape)
+        blocks = -(-R // BLOCK)
+        results = set()
+        with pytest.MonkeyPatch.context() as patch:
+            for length in range(1, blocks + 1):
+                patch.setattr(simulate, "_runs", lambda count, length=length: [
+                    range(a, min(a + length, count))
+                    for a in range(0, count, length)])
+                for threads in (1, 2):
+                    patch.setattr(simulate, "_thread_count",
+                                  lambda count, threads=threads: threads)
+                    results.add(repr(dataclasses.asdict(monte_carlo(
+                        frames, design, RUN_SPECS, R=R, seed=seed))))
+        assert len(results) == 1
+
+    @pytest.mark.parametrize("threads, blocks, lengths", [
+        (1, 1, [1]),
+        (1, 5, [5]),
+        (1, 6, [3, 3]),
+        (1, 20, [5, 5, 5, 5]),
+        (2, 2, [1, 1]),
+        (2, 3, [1, 2]),
+        (2, 20, [5, 5, 5, 5]),
+        (2, 21, [3, 4, 3, 4, 3, 4]),
+        (4, 3, [1, 1, 1]),
+        (4, 9, [2, 2, 2, 3]),
+    ])
+    def test_runs_split_the_blocks_evenly(self, monkeypatch, threads,
+                                          blocks, lengths):
+        force_threads(monkeypatch, threads)
+        runs = _runs(blocks)
+        assert [len(run) for run in runs] == lengths
+        assert [b for run in runs for b in run] == list(range(blocks))
+
+    def test_runs_are_short_and_shared_out_evenly(self, monkeypatch):
+        # Runs of at most _RUN_BLOCKS blocks, whose lengths differ by at
+        # most one, as few as can be in a multiple of the thread count.
+        for threads in (1, 2, 3, 4):
+            force_threads(monkeypatch, threads)
+            for blocks in range(1, 200):
+                lengths = [len(run) for run in _runs(blocks)]
+                assert max(lengths) <= simulate._RUN_BLOCKS
+                assert max(lengths) - min(lengths) <= 1
+                assert sum(lengths) == blocks
+                assert len(lengths) % threads == 0 or len(lengths) == blocks
+                fewer = len(lengths) - threads
+                assert fewer < 1 or -(-blocks // fewer) > simulate._RUN_BLOCKS
 
 
 class TestThreadedBlocks:
@@ -1413,12 +1554,12 @@ class TestThreadedBlocks:
     ])
     def test_a_failing_block_fails_the_study_and_leaves_no_thread(
             self, monkeypatch, tiny_frames, where, error, settings):
-        # The thread named by ``where`` fails on its first block; the other
-        # one holds its block until then, so both threads take a block.
+        # The thread named by ``where`` fails on its first run; the other
+        # one holds its run until then, so both threads take a run.
         force_threads(monkeypatch, 2)
         caller = threading.get_ident()
         failed = threading.Event()
-        draw = simulate._draw_block
+        draw = simulate._draw_run
 
         def failing_draw(*args):
             if (threading.get_ident() == caller) == (where == "caller"):
@@ -1429,7 +1570,7 @@ class TestThreadedBlocks:
             failed.wait(timeout=30)
             return draw(*args)
 
-        monkeypatch.setattr(simulate, "_draw_block", failing_draw)
+        monkeypatch.setattr(simulate, "_draw_run", failing_draw)
         before = threading.active_count()
         with warnings.catch_warnings(), np.errstate(**settings):
             warnings.simplefilter("error", RuntimeWarning)
