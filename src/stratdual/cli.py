@@ -511,14 +511,15 @@ def _load_for_command(config: RunConfig):
 
 
 def _resolve_estimators(
-    config: RunConfig, pop: PopulationSummary, m: MomentSet,
-    md: MomentSet | None,
-) -> list[EstimatorSpec]:
-    """Parse the command's estimator strings, resolving ``:opt`` via the optimizers.
+    texts, pop: PopulationSummary, m: MomentSet, md: MomentSet | None,
+) -> tuple[list[str], list[EstimatorSpec]]:
+    """Parse estimator strings, resolving ``:opt`` via the optimizers.
 
-    Without a dual moment set the dual kinds are skipped, with a note.
+    ``texts`` empty means :data:`DEFAULT_ESTIMATORS`.  Without a dual
+    moment set the dual kinds are skipped, with a note.  Returns the kept
+    texts, stripped, and their specs.
     """
-    texts = [t.strip() for t in config.estimators or DEFAULT_ESTIMATORS]
+    texts = [t.strip() for t in texts or DEFAULT_ESTIMATORS]
     if md is None:
         dropped = [t for t in texts if t.split(":")[0] in DUAL_KINDS]
         if dropped:
@@ -539,7 +540,7 @@ def _resolve_estimators(
                 raise ValueError(f"no closed-form optimum implemented for {kind!r}")
         else:
             resolved.append(parse_estimator(text))
-    return resolved
+    return texts, resolved
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +585,7 @@ def _params_cell(spec: EstimatorSpec, full: bool) -> str:
 
 def cmd_mse(config: RunConfig) -> int:
     pop, m, md = _load_for_command(config)
-    specs = _resolve_estimators(config, pop, m, md)
+    _, specs = _resolve_estimators(config.estimators, pop, m, md)
     reports = []
     for spec in specs:
         report = mse_first_order(spec, pop, m, md)
@@ -602,28 +603,21 @@ def cmd_mse(config: RunConfig) -> int:
 
 def cmd_pre(config: RunConfig) -> int:
     pop, m, md = _load_for_command(config)
-    baseline = var_yst(pop, m)
-    kinds = ["classical", "combined_ratio", "ratio_cum_product"]
-    if md is not None:
-        kinds.append("plikusas_dual")
+    texts, specs = _resolve_estimators(
+        ("classical", "combined_ratio", "ratio_cum_product", "plikusas_dual",
+         "dual_family:opt"), pop, m, md)
     alpha1, alpha2, pre = [], [], []
-    for kind in kinds:
-        spec = EstimatorSpec(kind=kind)
-        # alpha1 and alpha2 are the exponents of the spec's x and z factors.
-        alpha1.append(int(spec._row.x[2]))
-        alpha2.append(int(spec._row.z[2]))
+    for spec in specs:
+        # alpha1 and alpha2 are the exponents of the spec's x and z
+        # factors, whole numbers unless the spec takes them.
+        (_, _, e_x), (_, _, e_z) = spec._row[:2]
+        if not spec._row.takes:
+            e_x, e_z = int(e_x), int(e_z)
+        alpha1.append(e_x)
+        alpha2.append(e_z)
         pre.append(mse_first_order(spec, pop, m, md).pre)
-    if md is not None:
-        a1, a2, mse_min = optimize_alphas(md, pop)
-        spec = EstimatorSpec(kind="dual_family", alpha1=a1, alpha2=a2)
-        kinds.append("dual_family:opt")
-        alpha1.append(a1)
-        alpha2.append(a2)
-        pre.append(MseReport(spec, mse_min, baseline).pre)
-    else:
-        print("skipping dual rows (no dual moments available)", file=sys.stderr)
     _emit(config, "pre", ("estimator", "alpha1", "alpha2", "pre"),
-          (kinds, alpha1, alpha2, pre))
+          (texts, alpha1, alpha2, pre))
     return 0
 
 
@@ -638,15 +632,17 @@ def cmd_sweep(config: RunConfig) -> int:
     pop, m, _ = _load_for_command(config)
     baseline = var_yst(pop, m)
     theta = np.array(config.sweep)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
         A = A_of_theta(pop, theta)
-    bad = np.flatnonzero(~np.isfinite(A))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"theta = {float(theta[i])!r} gives a non-finite "
-                         f"transform constant A = {float(A[i])!r}")
-    (bx, _), (bz, _) = _linearisation(pop, "tracy_product", A=A)
-    mse = pop.mean_y**2 * _form(m, bx, bz)
+        (bx, _), (bz, _) = _linearisation(pop, "tracy_product", A=A)
+        mse = pop.mean_y**2 * _form(m, bx, bz)
+    for name, column in (("transform constant A", A),
+                         ("first-order MSE", mse)):
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"theta = {float(theta[i])!r} gives a non-finite "
+                             f"{name} = {float(column[i])!r}")
     order = np.argsort(theta, kind="stable")
     theta, A, mse = theta[order], A[order], mse[order]
     notes = [""] * theta.size
@@ -703,7 +699,7 @@ def cmd_simulate(config: RunConfig) -> int:
     frames = generate_population(spec)
     pop = combine([summarize_stratum(f, n) for f, n in zip(frames, design)])
     m, md = _moment_sets(pop)
-    specs = _resolve_estimators(config, pop, m, md)
+    _, specs = _resolve_estimators(config.estimators, pop, m, md)
 
     result = monte_carlo(frames, design, specs, config.replications, spec.seed)
     print(f"true mean_y = {_fmt(result.true_mean_y, config.full_precision)}; "

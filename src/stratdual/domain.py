@@ -282,20 +282,33 @@ def summarize_stratum(units: UnitFrame, n: int) -> StratumSummary:
         The stratum's unit-level data.
     n : int
         Sample size to associate with the stratum, ``1 <= n <= N``.
+
+    Raises
+    ------
+    ValueError
+        If ``n`` is out of range, or if a mean or a spread overflows a
+        float, naming the stratum, the statistic and its columns.
     """
     N = units.size
     if not 1 <= n <= N:
         raise ValueError(f"sample size n={n} out of range 1..{N}")
     y, x, z = units.y, units.x, units.z
-    means = [float(np.mean(v)) for v in (y, x, z)]  # mean_y, mean_x, mean_z
-    if N == 1:
-        spreads = [0.0] * 6
-    else:
-        dy, dx, dz = (v - m for v, m in zip((y, x, z), means))
-        denom = N - 1
-        # s_y, s_x, s_z, then s_xy, s_yz, s_xz
-        spreads = [float(np.sqrt(d @ d / denom)) for d in (dy, dx, dz)]
-        spreads += [float(a @ b / denom) for a, b in ((dx, dy), (dy, dz), (dx, dz))]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        means = [float(np.mean(v)) for v in (y, x, z)]  # mean_y, mean_x, mean_z
+        if N == 1:
+            spreads = [0.0] * 6
+        else:
+            dy, dx, dz = (v - m for v, m in zip((y, x, z), means))
+            denom = N - 1
+            # s_y, s_x, s_z, then s_xy, s_yz, s_xz
+            spreads = [float(np.sqrt(d @ d / denom)) for d in (dy, dx, dz)]
+            spreads += [float(a @ b / denom)
+                        for a, b in ((dx, dy), (dy, dz), (dx, dz))]
+    for name, value in zip(SUMMARY_COLUMNS[3:], means + spreads):
+        if not math.isfinite(value):
+            columns = " and ".join(name.partition("_")[2])
+            raise ValueError(f"stratum {units.stratum_id}: {name} is {value}: "
+                             f"the {columns} values are too large to summarise")
     return StratumSummary(units.stratum_id, N, int(n), *means, *spreads)
 
 

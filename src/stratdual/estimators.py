@@ -9,12 +9,12 @@ All estimators consume combined (population-weighted) sample means, so
 one :class:`SampleMeans` value drawn by the simulation harness can be
 evaluated under every estimator.  Each kind is one row of
 :data:`_TABLE`, which gives its two auxiliary factors; a spec resolves
-its row once, and the first-order theory reads the same factors.  A list of
-estimators is resolved once into a plan of per-factor arrays
-(:func:`_plan`).  On a population, a plan compiles into the constants of
-one array kernel (:func:`_kernel`), which evaluates every spec over a
-block of draws at once and marks degenerate draws ``NaN`` instead of
-raising; :func:`_rejection_codes` says why, on demand.  :func:`estimate` is the kernel's one-row call.
+its row once, and the first-order theory reads the same factors.  On a
+population, a list of resolved rows compiles into the constants of one
+array kernel (:func:`_kernel`), which evaluates every spec over a block
+of draws at once and marks degenerate draws ``NaN`` instead of raising;
+:func:`_rejection_codes` says why, on demand.  :func:`estimate` is the
+kernel's one-row call.
 """
 
 from __future__ import annotations
@@ -321,31 +321,10 @@ _REJECTIONS = (
     "dual-transformed z ratio = {base} is negative under fractional exponent {exponent}",
 )
 
-class _Plan(NamedTuple):
-    """A list of specs resolved once into arrays, which the block kernel
-    reads (:func:`_kernel`).
-
-    ``side``, ``c`` and ``e`` hold each factor's side, shift and exponent,
-    shape ``(2, S)``: the x factors, then the z factors.  ``reads_dual``,
-    shape ``(S,)``, marks the specs that read the dual means.
-    """
-
-    side: np.ndarray
-    c: np.ndarray
-    e: np.ndarray
-    reads_dual: np.ndarray
-
-
-def _plan(specs) -> _Plan:
-    """The :class:`_Plan` of ``specs``, from their resolved rows."""
-    factors = np.array([s._row[:2] for s in specs],
-                       dtype=float).reshape(len(specs), 2, 3)
-    return _Plan(*factors.transpose(2, 1, 0),
-                 np.array([s._row.dual for s in specs], dtype=bool))
-
 
 class _Kernel(NamedTuple):
-    """The constants of the block kernel: a :class:`_Plan` on one population.
+    """The constants of the block kernel: a list of spec rows compiled on
+    one population (:func:`_kernel`).
 
     Each array has a trailing draw axis of length 1.  ``up`` (``side >
     0``), ``c``, ``e`` and ``population_side`` (``c - U``, ``U`` the
@@ -366,10 +345,16 @@ class _Kernel(NamedTuple):
     reads_dual: np.ndarray
 
 
-def _kernel(plan: _Plan, pop: PopulationSummary) -> _Kernel:
-    """The :class:`_Kernel` of ``plan`` on ``pop``, compiled once per set-up
-    so that no block of draws rebuilds it."""
-    side, c, e, reads_dual = (a[..., None] for a in plan)
+def _kernel(rows, pop: PopulationSummary) -> _Kernel:
+    """The :class:`_Kernel` of ``rows`` on ``pop``, compiled once per set-up
+    so that no block of draws rebuilds it.
+
+    A row is a spec's ``_row`` (a :class:`_Row`) or any ``(x, z, dual)``
+    triple of factors ``(side, c, e)`` and a dual flag.
+    """
+    factors = np.array([row[:2] for row in rows], dtype=float)
+    side, c, e = factors.reshape(len(rows), 2, 3).transpose(2, 1, 0)[..., None]
+    reads_dual = np.array([row[2] for row in rows], dtype=bool)[:, None]
     U = np.array([pop.mean_x, pop.mean_z])[:, None, None]
     return _Kernel(up=side > 0, c=c, e=e, population_side=c - U,
                    divides=e != 0, negative=e < 0, fractional=e != np.trunc(e),
@@ -382,7 +367,7 @@ def _estimate_block(kernel: _Kernel, ybar_st: np.ndarray, plain: np.ndarray,
     draws.
 
     Takes the draws' combined y means, their x and z means ``plain``
-    (shape ``(2, rows)``) and, for a plan with dual kinds, their dual means.
+    (shape ``(2, rows)``) and, for a kernel with dual kinds, their dual means.
     The kernel is compiled once per set-up, so a block computes only what
     depends on its draws.  Returns ``(values, ratios, den)``: ``values``,
     shape ``(S, rows)``, is ``NaN`` where some factor rejects the draw, and
@@ -456,7 +441,7 @@ def estimate(
     """
     _check_alignment(sample, pop)
     _check_estimator(spec, pop)
-    kernel = _kernel(_plan([spec]), pop)
+    kernel = _kernel([spec._row], pop)
     dual = (np.array(dual_transform_means(sample, pop))[:, None]
             if spec._row.dual else None)
     values, ratios, den = _estimate_block(

@@ -27,6 +27,7 @@ surfacing data defects is part of the contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +58,8 @@ class MseReport:
     combined mean (``100 * var_yst / mse``); it is ``None`` when the
     MSE is nonpositive, in which case ``warnings`` explains the
     first-order breakdown.  Both are derived from ``mse`` and
-    ``var_yst``.
+    ``var_yst``.  An ``mse`` or a ``pre`` that is not finite (a float
+    overflowed on the way) raises ``ValueError`` naming the estimator.
     """
 
     estimator: EstimatorSpec
@@ -67,11 +69,19 @@ class MseReport:
     warnings: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        source = "dual moments" if self.estimator._row.dual else "moments"
+        if not math.isfinite(self.mse):
+            raise ValueError(f"first-order MSE of {self.estimator.label} is "
+                             f"{self.mse}: it overflows a float on the "
+                             f"supplied {source}")
         pre, warnings = None, ()
         if self.mse > 0:
             pre = 100.0 * self.var_yst / self.mse
+            if not math.isfinite(pre):
+                raise ValueError(f"PRE of {self.estimator.label} is {pre}: "
+                                 f"var_yst = {self.var_yst} against a "
+                                 f"first-order MSE of {self.mse}")
         else:
-            source = "dual moments" if self.estimator._row.dual else "moments"
             warnings = (
                 f"first-order MSE of {self.estimator.label} is nonpositive "
                 f"({self.mse}); the supplied {source} are internally "
@@ -254,7 +264,11 @@ def optimize_alphas(
     (alpha1, alpha2, mse_min)
     """
     _require(md, True, "md")
-    det = md.v020 * md.v002 - md.v011**2
+    try:
+        det = md.v020 * md.v002 - md.v011**2
+    except OverflowError:
+        raise ValueError(f"dual moment v011={md.v011} is too large to "
+                         "optimize the alphas: its square overflows") from None
     if abs(det) <= 1e-12 * md.v020 * md.v002:
         raise ValueError("collinear auxiliaries: dual moment determinant is singular")
     bx = (md.v101 * md.v011 - md.v110 * md.v002) / det

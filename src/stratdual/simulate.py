@@ -49,8 +49,10 @@ the theory, and every run reads them.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
+import sys
 import threading
 import weakref
 from dataclasses import dataclass, fields
@@ -77,7 +79,6 @@ from .estimators import (
     _estimate_block,
     _kernel,
     _Kernel,
-    _plan,
 )
 from .moments import MomentSet, _moment_sets
 from .mse_theory import mse_first_order
@@ -153,7 +154,8 @@ class StratumSpec:
     the design sample size used by the sampling stage (optional at
     generation time).  A value out of its range raises ``ValueError``
     naming the stratum, as in ``stratum a: design n=20 out of range
-    1..10``.
+    1..10``; so does a value that is not finite, or a ``sigma`` whose
+    square overflows a float.
     """
 
     stratum_id: str
@@ -180,9 +182,16 @@ class StratumSpec:
         rho = tuple(float(v) for v in self.rho)
         if len(mu) != 3 or len(sigma) != 3 or len(rho) != 3:
             raise ValueError("mu, sigma, rho must each have three entries")
+        for name, values in (("mu", mu), ("sigma", sigma), ("rho", rho)):
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{where}: {name} must be finite, got {values}")
         if any(s < 0 for s in sigma):
             raise ValueError(f"{where}: standard deviations must be "
                              f"nonnegative, got {sigma}")
+        for column, s in zip("yxz", sigma):
+            if s > math.sqrt(sys.float_info.max):
+                raise ValueError(f"{where}: sigma_{column}={s} is too large to "
+                                 "form a variance: its square overflows")
         try:
             _check_correlation_psd(*rho)
         except ValueError as exc:
@@ -531,34 +540,6 @@ def _draw_run(
     return means
 
 
-def _block_seeds(seed: int, R: int) -> list[np.random.SeedSequence]:
-    """Child ``b`` of ``SeedSequence(seed)`` for each block ``b`` of an
-    ``R``-draw study."""
-    return np.random.SeedSequence(seed).spawn(-(-R // BLOCK))
-
-
-def _run_means(
-    frames: Sequence[UnitFrame],
-    design: Sequence[int],
-    R: int,
-    run: range,
-    children: Sequence[np.random.SeedSequence],
-    scratch: threading.local,
-) -> np.ndarray:
-    """:func:`_draw_run`'s means of the blocks ``run`` of an ``R``-draw study.
-
-    Block ``b`` holds replications ``b * BLOCK`` to ``b * BLOCK + BLOCK -
-    1`` (fewer in the last block), drawn from the generator of
-    ``children[b]``, child ``b`` of the study's seed (:func:`_block_seeds`).
-    The last block is drawn at full size and cut, so a study is a prefix
-    of any larger one.  ``scratch`` holds the study's per-thread gather
-    buffer (see :func:`_draw_run`).
-    """
-    return _draw_run(frames, design,
-                     [np.random.default_rng(children[b]) for b in run],
-                     BLOCK, min(BLOCK, R - run[-1] * BLOCK), scratch)
-
-
 def _thread_count(blocks: int) -> int:
     """Threads for ``blocks`` blocks, or runs, of a study: at most
     :data:`_MAX_THREADS`, the usable CPUs or ``blocks``, whichever is
@@ -603,7 +584,8 @@ def _run_blocks(work, runs: int) -> None:
     calling thread runs the runs in order itself: it starts no thread,
     takes no lock, and the first exception propagates at once.
     """
-    if _thread_count(runs) == 1:
+    threads = _thread_count(runs)
+    if threads == 1:
         for i in range(runs):
             work(i)
         return
@@ -626,7 +608,7 @@ def _run_blocks(work, runs: int) -> None:
                 errors.append(exc)
 
     helpers = []
-    for _ in range(_thread_count(runs) - 1):
+    for _ in range(threads - 1):
         thread = threading.Thread(target=run, daemon=True)
         try:
             thread.start()
@@ -732,15 +714,14 @@ class SimResult:
 class _Prepared(NamedTuple):
     """What a study needs of its population besides the draws.
 
-    The population summary under the design, its unprimed and dual
-    moment sets (no dual set with a census stratum), the estimator
-    kernel's constants compiled from the specs' plan on the population
+    The population summary under the design, its dual moment set (none
+    with a census stratum), the estimator kernel's constants compiled from
+    the specs' rows on the population
     (:func:`~stratdual.estimators._kernel`) and each spec's
     :func:`~stratdual.mse_theory.mse_first_order`, in spec order.
     """
 
     pop: PopulationSummary
-    m: MomentSet
     md: MomentSet | None
     kernel: _Kernel
     theory: tuple[float, ...]
@@ -782,7 +763,8 @@ def _prepare(frames: Sequence[UnitFrame], design: tuple[int, ...],
     for spec in specs:
         _check_estimator(spec, pop)
     theory = tuple(mse_first_order(spec, pop, m, md).mse for spec in specs)
-    prepared = _Prepared(pop, m, md, _kernel(_plan(specs), pop), theory)
+    prepared = _Prepared(pop, md, _kernel([s._row for s in specs], pop),
+                         theory)
     _last = (tuple(map(weakref.ref, frames)), design, specs, prepared)
     return prepared
 
@@ -841,24 +823,28 @@ def monte_carlo(
         dual-transform estimator is requested under a census design (the
         transform is undefined there), or if an estimator is undefined
         on the population whatever the draw; raised before any sampling
-        or thread.
+        or thread.  Also if an estimator's accepted draws overflow a
+        float, so that its empirical variance or MSE is not finite.
     """
     if not _is_whole(R) or R < 1:
         raise ValueError(f"R must be an integer of at least 1, got {R!r}")
     R, seed = int(R), _check_seed(seed)
     design = _check_design(frames, design)
     specs = tuple(specs)
-    pop, _, md, kernel, theory = _prepare(frames, design, specs)
+    pop, md, kernel, theory = _prepare(frames, design, specs)
     estimates = np.empty((len(specs), R))
     stars = np.empty((2, R)) if md is not None else None  # xstar, zstar
-    children = _block_seeds(seed, R)
+    children = np.random.SeedSequence(seed).spawn(-(-R // BLOCK))
     runs = _runs(len(children))
     scratch = threading.local()  # each thread's gather buffer, this study only
 
     def evaluate(i):
-        # Draws run i and fills its own columns of estimates and stars.
+        # Draws run i, its last block cut to the study's R, and fills its
+        # own columns of estimates and stars.
         run = runs[i]
-        means = _run_means(frames, design, R, run, children, scratch)
+        means = _draw_run(frames, design,
+                          [np.random.default_rng(children[b]) for b in run],
+                          BLOCK, min(BLOCK, R - run[-1] * BLOCK), scratch)
         rows = slice(run[0] * BLOCK, run[0] * BLOCK + means.shape[1])
         combined = _weighted_sum(pop.w, means)  # y, x and z, (3, kept)
         dual = None
@@ -885,11 +871,18 @@ def monte_carlo(
         return total
 
     mean_y = pop.mean_y
-    means = accepted_mean(estimates)
-    work = np.subtract(estimates, means[:, None])
-    variances = accepted_mean(np.square(work, out=work))
-    np.subtract(estimates, mean_y, out=work)
-    mses = accepted_mean(np.square(work, out=work))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        means = accepted_mean(estimates)
+        work = np.subtract(estimates, means[:, None])
+        variances = accepted_mean(np.square(work, out=work))
+        np.subtract(estimates, mean_y, out=work)
+        mses = accepted_mean(np.square(work, out=work))
+    overflowed = ~(np.isfinite(variances) & np.isfinite(mses))
+    if overflowed.any():
+        raise ValueError(f"the estimates of "
+                         f"{specs[int(np.argmax(overflowed))].label} "
+                         "overflow a float: their empirical variance or MSE "
+                         "is not finite")
     nan = float("nan")
     # A list, not a generator: tuple() growing from a generator left
     # about 0.5 MiB more resident after a few thousand grid studies.

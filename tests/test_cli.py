@@ -5,23 +5,26 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stratdual.cli import (
     RunConfig, build_parser, main, merge_config, render_table,
 )
-from stratdual.datasets import demo_path, demo_strata
+from stratdual.datasets import demo_path, demo_population, demo_strata
 from test_domain import make_summary
 from stratdual import (
     A_of_theta,
     EstimatorSpec,
     PopulationSpec,
     StratumSpec,
+    compute_dual_moments,
     compute_moments,
     generate_population,
+    moments_to_json,
     mse_first_order,
     optimize_theta,
     var_yst,
@@ -292,7 +295,8 @@ class TestPre:
         assert code == 0
         assert [r["estimator"] for r in json_rows(out)] == [
             "classical", "combined_ratio", "ratio_cum_product"]
-        assert err == "skipping dual rows (no dual moments available)\n"
+        assert err == ("skipping dual estimators (no dual moments): "
+                       "['plikusas_dual', 'dual_family:opt']\n")
 
     def test_moments_document_round_trip(self, capsys, tmp_path):
         # The pre table computed from an exported moments document must
@@ -711,6 +715,178 @@ class TestUnitsSchema:
                              "--schema", "units")
         assert code == 1
         assert "--allocate" in err
+
+
+def finite_or_one_error(capsys, *argv):
+    """Run a command with JSON output under the input contract.
+
+    The command must exit 0 with finite cells, or exit 1 with one
+    ``error:`` line and no output, which is returned.  A traceback or a
+    numpy warning fails the test where it is raised (the suite turns
+    ``RuntimeWarning`` into an error).  The legitimate exceptions: a PRE
+    cell is empty (``null``) where the first-order MSE is not positive,
+    and a ``simulate`` ratio is ``NaN`` where its theoretical MSE is not.
+    """
+    code = main([*argv, "--format", "json"])
+    out, err = capsys.readouterr()
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    if code:
+        assert (code, out, len(errors)) == (1, "", 1), err
+        return errors[0]
+    assert not errors, err
+    for row in json_rows(out):
+        for key, value in row.items():
+            if value is None:  # a PRE cell of the mse, pre or optimize table
+                assert key == "pre" or row["parameter"].startswith("pre_"), row
+            elif isinstance(value, float) and not math.isfinite(value):
+                assert key == "ratio" and not row["theoretical_mse"] > 0, row
+    return None
+
+
+#: What a fuzzed input puts in place of a number: text, JSON values of
+#: other types, and numbers at and past the edges of a float's range.
+_ODD_VALUES = st.sampled_from([
+    "", "a", None, [1.0], 0, -1, 1e-320, 1e-20, 1e20, 1e154, 1e155, 1e200,
+    1e307, 1.7e308, float("nan"), float("inf"), float("-inf"),
+]) | st.floats() | st.integers(-10**400, 10**400)
+
+
+def _mutated(doc, mutations):
+    """A deep copy of the JSON document ``doc`` with each ``(path, value)``
+    of ``mutations`` set."""
+    doc = json.loads(json.dumps(doc))
+    for path, value in mutations:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return doc
+
+
+#: A small population spec: every fuzzed study is cheap.
+_SMALL_POPULATION = {"seed": 11, "strata": [
+    {"stratum_id": "a", "N": 12, "n": 4, "mu": [100.0, 50.0, 80.0],
+     "sigma": [10.0, 5.0, 8.0], "rho": {"xy": 0.7, "yz": 0.4, "xz": 0.3}},
+    {"stratum_id": "b", "N": 10, "n": 3, "mu": [120.0, 60.0, 70.0],
+     "sigma": [12.0, 6.0, 7.0], "rho": {"xy": 0.6, "yz": -0.3, "xz": -0.2}},
+]}
+_POPULATION_PATHS = [("strata", h, key, i) for h in (0, 1)
+                     for key in ("mu", "sigma") for i in range(3)]
+_POPULATION_PATHS += [("strata", h, "rho", pair) for h in (0, 1)
+                      for pair in ("xy", "yz", "xz")]
+
+
+def _moments_document():
+    """The moments document of the bundled corrected table."""
+    pop = demo_population(corrected=True)
+    m, md = compute_moments(pop), compute_dual_moments(pop)
+    return json.loads(moments_to_json(m, md, {"mean_y": pop.mean_y,
+                                              "mean_x": pop.mean_x,
+                                              "mean_z": pop.mean_z}))
+
+
+_MOMENTS_PATHS = [(block, key) for block in ("moments", "dual_moments")
+                  for key in ("v200", "v020", "v002", "v110", "v101", "v011")]
+_MOMENTS_PATHS += [("mean_y",), ("mean_x",), ("mean_z",)]
+
+_FUZZ = settings(max_examples=200, deadline=None, derandomize=True,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestFiniteOrOneError:
+    """Every input gives finite output or one ``error:`` line: a fuzz over
+    moments documents and population specs, and named inputs whose
+    values overflow a float on the way to a table cell."""
+
+    @_FUZZ
+    @given(command=st.sampled_from(["mse", "pre", "optimize", "sweep"]),
+           mutations=st.lists(st.tuples(st.sampled_from(_MOMENTS_PATHS),
+                                        _ODD_VALUES), min_size=1, max_size=2))
+    def test_moments_documents(self, capsys, tmp_path, command, mutations):
+        path = tmp_path / "moments.json"
+        path.write_text(json.dumps(_mutated(_moments_document(), mutations)))
+        finite_or_one_error(capsys, command, "--moments", str(path))
+
+    @_FUZZ
+    @given(mutations=st.lists(st.tuples(st.sampled_from(_POPULATION_PATHS),
+                                        _ODD_VALUES), min_size=1, max_size=2))
+    def test_population_specs(self, capsys, tmp_path, mutations):
+        path = tmp_path / "population.json"
+        path.write_text(json.dumps(_mutated(_SMALL_POPULATION, mutations)))
+        finite_or_one_error(capsys, "simulate", "--population", str(path),
+                            "--replications", "16")
+
+    @pytest.mark.parametrize("argv, error", [
+        (["mse", "--input", CORRECTED, "--estimator",
+          "dual_family:a1=1e200,a2=1"],
+         "first-order MSE of dual_family:a1=1e+200,a2=1.0 is inf: it "
+         "overflows a float on the supplied dual moments"),
+        (["mse", "--input", CORRECTED, "--estimator",
+          "dual_family:a1=1e155,a2=1e155"],
+         "first-order MSE of dual_family:a1=1e+155,a2=1e+155 is nan: it "
+         "overflows a float on the supplied dual moments"),
+    ], ids=["inf", "nan"])
+    def test_an_overflowing_parameter(self, capsys, argv, error):
+        assert finite_or_one_error(capsys, *argv) == "error: " + error
+
+    @pytest.mark.parametrize("command, path, value, error", [
+        ("mse", ("moments", "v002"), 1e308,
+         "first-order MSE of tracy_product:A=18981.80109960682 is inf: it "
+         "overflows a float on the supplied moments"),
+        ("pre", ("moments", "v002"), 1e308,
+         "first-order MSE of ratio_cum_product is inf: it overflows a float "
+         "on the supplied moments"),
+        ("optimize", ("moments", "v002"), 1e308,
+         "first-order MSE of tracy_product:A=18981.80109960682 is inf: it "
+         "overflows a float on the supplied moments"),
+        ("sweep", ("moments", "v002"), 1e308,
+         "theta = 0.8 gives a non-finite first-order MSE = inf"),
+        ("optimize", ("dual_moments", "v011"), 1e155,
+         "dual moment v011=1e+155 is too large to optimize the alphas: its "
+         "square overflows"),
+    ], ids=["mse", "pre", "optimize", "sweep", "optimize-dual-v011"])
+    def test_a_huge_moment(self, capsys, tmp_path, command, path, value,
+                           error):
+        # moments.v002 = 1e308 made mse, pre and optimize print an inf MSE
+        # and sweep an inf column with a numpy warning; dual_moments.v011
+        # = 1e155 made optimize end in an OverflowError traceback.
+        doc = tmp_path / "moments.json"
+        doc.write_text(json.dumps(_mutated(_moments_document(),
+                                           [(path, value)])))
+        assert finite_or_one_error(capsys, command, "--moments",
+                                   str(doc)) == "error: " + error
+
+    @pytest.mark.parametrize("mutations, error", [
+        ([(("strata", 0, "sigma", 1), 1e200)],
+         "stratum a: sigma_x=1e+200 is too large to form a variance: its "
+         "square overflows"),
+        ([(("strata", 0, "sigma", 1), 1e154)],
+         "stratum a: s_x is inf: the x values are too large to summarise"),
+        ([(("strata", 1, "mu", 0), 1.7e308), (("strata", 1, "sigma", 0), 1e307)],
+         "stratum b: sigma_y=1e+307 is too large to form a variance: its "
+         "square overflows"),
+        ([(("strata", 1, "mu", 1), 1e40)],
+         "the estimates of dual_family:a1=1.262159316062155e+38,"
+         "a2=-0.15200371484091726 overflow a float: their empirical variance "
+         "or MSE is not finite"),
+    ], ids=["sigma_x=1e200", "sigma_x=1e154", "mu_y=1.7e308", "mu_x=1e40"])
+    def test_a_huge_population_spec(self, capsys, tmp_path, mutations, error):
+        path = tmp_path / "population.json"
+        path.write_text(json.dumps(_mutated(_SMALL_POPULATION, mutations)))
+        assert finite_or_one_error(
+            capsys, "simulate", "--population", str(path),
+            "--replications", "16") == "error: " + error
+
+    def test_a_huge_unit_value(self, capsys, tmp_path):
+        path = tmp_path / "units.csv"
+        path.write_text("stratum_id,y,x,z\n" + "".join(
+            f"{h},{10 + i},{(-1) ** i * 1e154 if h == 's1' else 5 + i},"
+            f"{3 + i % 3}\n" for h in ("s1", "s2") for i in range(10)))
+        assert finite_or_one_error(
+            capsys, "mse", "--input", str(path), "--schema", "units",
+            "--allocate", "6") == (
+            "error: stratum s1: s_x is inf: the x values are too large to "
+            "summarise")
 
 
 #: One option set by flag and by config key, per RunConfig option.

@@ -22,8 +22,7 @@ from stratdual import (
 from stratdual import estimators
 from stratdual.domain import _weighted_sum
 from stratdual.estimators import (
-    _REJECTIONS, _Plan, _dual_means, _estimate_block, _kernel, _plan,
-    _rejection_codes,
+    _REJECTIONS, _dual_means, _estimate_block, _kernel, _rejection_codes,
 )
 from test_domain import make_summary
 
@@ -368,7 +367,7 @@ def block_estimates(spec, pop, ybar, xbar, zbar):
     dual = None
     if spec.kind in DUAL_KINDS:
         dual = _dual_means(pop, np.array([xbar, zbar]))
-    kernel = _kernel(_plan([spec]), pop)
+    kernel = _kernel([spec._row], pop)
     values, ratios, den = _estimate_block(kernel, ybar_st, np.array(plain),
                                           dual)
     return values[0], _rejection_codes(kernel, ratios, den)[0]
@@ -457,7 +456,7 @@ class TestArrayKernel:
 
     def test_estimate_evaluates_a_one_row_plan(self, tiny_pop, tiny_sample,
                                                monkeypatch):
-        # estimate() is the kernel's one-row call: the spec's own plan row
+        # estimate() is the kernel's one-row call: the spec's own row
         # compiled on the population, and the kernel's value unchanged.
         calls = []
 
@@ -471,7 +470,7 @@ class TestArrayKernel:
             calls.clear()
             value = estimate(spec, tiny_sample, tiny_pop)
             [(kernel, kernel_value)] = calls
-            for got, want in zip(kernel, _kernel(_plan([spec]), tiny_pop)):
+            for got, want in zip(kernel, _kernel([spec._row], tiny_pop)):
                 assert got.shape[-2:] == (1, 1)
                 np.testing.assert_array_equal(got, want)
             assert value == kernel_value, spec.label
@@ -486,7 +485,7 @@ class TestArrayKernel:
         specs = self.specs(pop)
         means = np.array(self.rows(pop, rng))
         combined = _weighted_sum(pop.w, means)
-        kernel = _kernel(_plan(specs), pop)
+        kernel = _kernel([spec._row for spec in specs], pop)
         values, ratios, den = _estimate_block(
             kernel, combined[0], combined[1:], _dual_means(pop, means[1:]))
         codes = _rejection_codes(kernel, ratios, den)
@@ -550,7 +549,7 @@ class TestArrayKernel:
         pop = combine([summarize_stratum(frame, 3)])
         assert pop.mean_z == -5.0
         spec = EstimatorSpec(kind="dual_family", alpha1=0.25, alpha2=0.25)
-        kernel = _kernel(_plan([spec]), pop)
+        kernel = _kernel([spec._row], pop)
         with np.errstate(all="raise"):  # the kernel silences the overflow
             values, ratios, den = _estimate_block(
                 kernel, np.array([pop.mean_y]),
@@ -571,17 +570,13 @@ class TestArrayKernel:
                    for e in (1.0, -1.0, 0.5, -0.5, 0.0)]
         specs = [(fx, fz, dual) for fx in factors for fz in factors
                  for dual in (False, True)]
-        plan = _Plan(*(np.array([[fx[k] for fx, _, _ in specs],
-                                 [fz[k] for _, fz, _ in specs]])
-                       for k in range(3)),
-                     np.array([dual for _, _, dual in specs]))
         U = (half_pop.mean_x, half_pop.mean_z)
         levels = [(0.0, 1.0, -1.0, 2.0)] * 2
         rows = np.array([(a * U[0], b * U[1]) for a in levels[0]
                          for b in levels[1]]).T
         dual = rows[:, ::-1].copy()  # other pairs of the same levels
         ybar_st = np.full(rows.shape[1], half_pop.mean_y)
-        kernel = _kernel(plan, half_pop)
+        kernel = _kernel(specs, half_pop)
         values, ratios, den = _estimate_block(kernel, ybar_st, rows, dual)
         codes = _rejection_codes(kernel, ratios, den)
         # The kernel marks its rejections itself; the codes say why.

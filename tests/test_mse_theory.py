@@ -16,6 +16,7 @@ from stratdual import (
     DualMomentSet,
     EstimatorSpec,
     MomentSet,
+    MseReport,
     bias_first_order_dual,
     combine,
     compute_dual_moments,
@@ -270,6 +271,30 @@ class TestBreakdownReporting:
             corrected_m, bad_dual)
         assert report.mse < 0
         assert any("dual moments" in w for w in report.warnings)
+
+
+    @pytest.mark.parametrize("mse, var, message", [
+        (float("inf"), 1.0, "first-order MSE of dual_family:a1=2.0,a2=3.0 "
+                            "is inf: it overflows a float on the supplied "
+                            "dual moments"),
+        (float("nan"), 1.0, "first-order MSE of dual_family:a1=2.0,a2=3.0 "
+                            "is nan: it overflows a float on the supplied "
+                            "dual moments"),
+        (1.0, float("inf"), "PRE of dual_family:a1=2.0,a2=3.0 is inf: "
+                            "var_yst = inf against a first-order MSE of 1.0"),
+    ], ids=["inf", "nan", "pre"])
+    def test_a_value_that_is_not_finite_is_an_error(self, mse, var, message):
+        spec = EstimatorSpec(kind="dual_family", alpha1=2, alpha2=3)
+        with pytest.raises(ValueError) as info:
+            MseReport(spec, mse, var)
+        assert str(info.value) == message
+
+    def test_an_overflowing_dual_cross_moment_is_an_error(self, corrected_pop):
+        md = DualMomentSet(v200=0.01, v020=1e-3, v002=1e-3, v110=-2e-3,
+                           v101=-2e-3, v011=1e155)
+        with pytest.raises(ValueError, match=r"^dual moment v011=1e\+155 is "
+                           "too large to optimize the alphas"):
+            optimize_alphas(md, corrected_pop)
 
 
 class TestEfficiencyConditions:

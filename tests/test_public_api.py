@@ -137,17 +137,17 @@ def test_benchmark_traced_functions_run_on_the_calling_thread(monkeypatch):
     caller = threading.get_ident()
     workers = set()
     both = threading.Event()
-    run_means = simulate._run_means
+    draw_run = simulate._draw_run
 
-    def held_run_means(*args):
+    def held_draw_run(*args):
         workers.add(threading.get_ident())
         if len(workers) == 2:
             both.set()
         both.wait(timeout=30)
-        return run_means(*args)
+        return draw_run(*args)
 
     monkeypatch.setattr(simulate, "_thread_count", lambda blocks: 2)
-    monkeypatch.setattr(simulate, "_run_means", held_run_means)
+    monkeypatch.setattr(simulate, "_draw_run", held_draw_run)
     spec = simulate.PopulationSpec(strata=(
         simulate.StratumSpec(stratum_id="a", N=30, n=6, mu=(100.0, 50.0, 80.0),
                              sigma=(10.0, 5.0, 8.0), rho=(0.7, 0.4, 0.3)),

@@ -39,8 +39,8 @@ from stratdual import (
 from stratdual import simulate
 from stratdual import estimators
 from stratdual.domain import _weighted_sum
-from stratdual.estimators import _dual_means, _estimate_block, _kernel, _plan
-from stratdual.simulate import BLOCK, _block_seeds, _run_means, _runs
+from stratdual.estimators import _dual_means, _estimate_block, _kernel
+from stratdual.simulate import BLOCK, _draw_run, _runs
 
 RHO = (0.7, 0.4, 0.3)
 
@@ -669,14 +669,16 @@ class TestMonteCarlo:
 def study_means(frames, design, R, seed):
     """Per-stratum (y, x, z) means of every draw of a study, (3, R, L).
 
-    Each run of the study's blocks comes from the per-run function
-    ``monte_carlo`` calls, all of them gathered, as in a one-thread
-    study, through one buffer.
+    Each run of the study's blocks is drawn as ``monte_carlo`` draws it:
+    block ``b`` from child ``b`` of the seed, the last block cut to ``R``,
+    all of them gathered, as in a one-thread study, through one buffer.
     """
     scratch = threading.local()
-    children = _block_seeds(seed, R)
+    children = np.random.SeedSequence(seed).spawn(-(-R // BLOCK))
     return np.concatenate(
-        [_run_means(frames, design, R, run, children, scratch)
+        [_draw_run(frames, design,
+                   [np.random.default_rng(children[b]) for b in run],
+                   BLOCK, min(BLOCK, R - run[-1] * BLOCK), scratch)
          for run in _runs(len(children))], axis=1)
 
 
@@ -989,14 +991,14 @@ class TestBlockSampler:
         """
         frames, design, specs = rejecting_study()
         pop = combine([summarize_stratum(f, n) for f, n in zip(frames, design)])
-        kernel = _kernel(_plan(specs), pop)
+        kernel = _kernel([spec._row for spec in specs], pop)
         R, seed = 2 * BLOCK - 3, 8
         estimates, stars = [], []
         scratch = threading.local()
-        children = _block_seeds(seed, R)
-        for b in range(len(children)):
-            means = _run_means(frames, design, R, range(b, b + 1), children,
-                               scratch)
+        children = np.random.SeedSequence(seed).spawn(2)
+        for b, child in enumerate(children):
+            means = _draw_run(frames, design, [np.random.default_rng(child)],
+                              BLOCK, min(BLOCK, R - b * BLOCK), scratch)
             combined = _weighted_sum(pop.w, means)
             stars.append(_dual_means(pop, means[1:]))
             estimates.append(_estimate_block(kernel, combined[0],
@@ -1728,7 +1730,7 @@ class TestPreparedStudy:
     def test_set_up_runs_once_for_many_seeds(self, monkeypatch):
         # Three studies on one population summarise each frame once, take
         # each spec's theory once, and combine, compute the moments and
-        # compile the plan once; a fourth with other spec objects prepares
+        # compile the kernel once; a fourth with other spec objects prepares
         # afresh.
         frames, design, specs = rejecting_study()
         calls = collections.Counter()
@@ -1742,7 +1744,7 @@ class TestPreparedStudy:
             return wrapper
 
         names = ("summarize_stratum", "mse_first_order", "combine",
-                 "_moment_sets", "_plan")
+                 "_moment_sets", "_kernel")
         for name in names:
             monkeypatch.setattr(simulate, name, counting(name))
         for seed in range(3):
@@ -1770,7 +1772,7 @@ class TestPreparedStudy:
                                                           md).mse, spec.label
         # The kernel constants were compiled again, on the new population.
         kernel = simulate._last[-1].kernel
-        for got, want in zip(kernel, _kernel(_plan(specs), pop)):
+        for got, want in zip(kernel, _kernel([s._row for s in specs], pop)):
             np.testing.assert_array_equal(got, want)
         U = np.array([pop.mean_x, pop.mean_z])[:, None, None]
         np.testing.assert_array_equal(kernel.population_side, kernel.c - U)
