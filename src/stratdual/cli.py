@@ -510,6 +510,15 @@ def _load_for_command(config: RunConfig):
     return pop, m, md
 
 
+def _optimum(what: str, optimizer, *args):
+    """``optimizer(*args)``; a ``ValueError`` it raises is raised again with
+    ``what``, the optimum's name, before its message."""
+    try:
+        return optimizer(*args)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
 def _resolve_estimators(
     texts, pop: PopulationSummary, m: MomentSet, md: MomentSet | None,
 ) -> tuple[list[str], list[EstimatorSpec]]:
@@ -531,10 +540,10 @@ def _resolve_estimators(
         if text.endswith(":opt"):
             kind = text[: -len(":opt")]
             if kind == "tracy_product":
-                _, A_opt, _ = optimize_theta(pop, m)
+                _, A_opt, _ = _optimum(text, optimize_theta, pop, m)
                 resolved.append(EstimatorSpec(kind=kind, A=A_opt))
             elif kind == "dual_family":
-                a1, a2, _ = optimize_alphas(md, pop)
+                a1, a2, _ = _optimum(text, optimize_alphas, md, pop)
                 resolved.append(EstimatorSpec(kind=kind, alpha1=a1, alpha2=a2))
             else:
                 raise ValueError(f"no closed-form optimum implemented for {kind!r}")
@@ -663,7 +672,8 @@ def cmd_sweep(config: RunConfig) -> int:
 def cmd_optimize(config: RunConfig) -> int:
     pop, m, md = _load_for_command(config)
     baseline = var_yst(pop, m)
-    theta_opt, A_opt, mse_min = optimize_theta(pop, m)
+    theta_opt, A_opt, mse_min = _optimum("tracy_product optimum",
+                                         optimize_theta, pop, m)
     spec = EstimatorSpec(kind="tracy_product", A=A_opt)
     values = {
         "var_classical": baseline,
@@ -673,7 +683,8 @@ def cmd_optimize(config: RunConfig) -> int:
         "pre_tracy_product_opt": MseReport(spec, mse_min, baseline).pre,
     }
     if md is not None:
-        a1, a2, dual_min = optimize_alphas(md, pop)
+        a1, a2, dual_min = _optimum("dual_family optimum", optimize_alphas,
+                                    md, pop)
         spec = EstimatorSpec(kind="dual_family", alpha1=a1, alpha2=a2)
         values.update(
             alpha1_opt=a1,

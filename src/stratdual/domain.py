@@ -83,7 +83,8 @@ class UnitFrame:
             raise ValueError("unit frame must contain at least one unit")
         for name in UNITS_COLUMNS[1:]:
             if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"non-finite values in {name}")
+                raise ValueError(f"stratum {self.stratum_id}: non-finite "
+                                 f"values in {name}")
 
     @property
     def size(self) -> int:

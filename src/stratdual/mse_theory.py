@@ -234,8 +234,10 @@ def optimize_theta(
     ------
     ValueError
         If ``v020`` is zero (no curvature) or ``theta_opt`` is zero
-        (``A_opt`` would sit at infinity: degenerate optimum), or if
-        ``A_opt`` is not a valid transform constant.
+        (``A_opt`` would sit at infinity: degenerate optimum), if
+        ``A_opt`` overflows a float or rounds to the population x-mean
+        (the message then gives the moments of ``theta_opt``), or if its
+        MSE is not finite.
     """
     _require(m, False, "m")
     if m.v020 <= 0:
@@ -244,6 +246,12 @@ def optimize_theta(
     if theta_opt == 0:
         raise ValueError("degenerate optimum: theta_opt = 0 has no finite A")
     A_opt = A_of_theta(pop, theta_opt)
+    if not math.isfinite(A_opt) or A_opt == pop.mean_x:
+        what = (f"rounds to the population x-mean {pop.mean_x!r}"
+                if math.isfinite(A_opt) else
+                f"is {A_opt!r}: it overflows a float")
+        raise ValueError(f"A_opt {what} at theta_opt = (v110 + v011) / v020 = "
+                         f"({m.v110!r} + {m.v011!r}) / {m.v020!r}")
     spec = EstimatorSpec(kind="tracy_product", A=A_opt)
     return theta_opt, A_opt, mse_first_order(spec, pop, m).mse
 
@@ -262,6 +270,13 @@ def optimize_alphas(
     Returns
     -------
     (alpha1, alpha2, mse_min)
+
+    Raises
+    ------
+    ValueError
+        If the determinant is singular, if ``v011'**2`` overflows, or if
+        an optimal alpha overflows a float (the message then gives the
+        determinant and the dual moments it comes from).
     """
     _require(md, True, "md")
     try:
@@ -273,6 +288,12 @@ def optimize_alphas(
         raise ValueError("collinear auxiliaries: dual moment determinant is singular")
     bx = (md.v101 * md.v011 - md.v110 * md.v002) / det
     bz = (md.v110 * md.v011 - md.v020 * md.v101) / det
+    if not (math.isfinite(bx) and math.isfinite(bz)):
+        moments = ", ".join(f"{name}={getattr(md, name)!r}" for name in
+                            ("v020", "v002", "v110", "v101", "v011"))
+        raise ValueError(f"alpha1 is {bx!r} and alpha2 {-bz!r}: they overflow "
+                         f"a float at the determinant v020*v002 - v011**2 = "
+                         f"{det!r} of the dual moments {moments}")
     mse_min = pop.mean_y**2 * _form(md, bx, bz)
     return bx, -bz, mse_min
 

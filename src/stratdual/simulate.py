@@ -34,13 +34,14 @@ Every block is drawn at full size and the last one is cut to the study's
 ``R``, which is what keeps a study prefix-stable; the keys sampler draws
 the keys of every row but sorts out the units of the kept rows only.  A
 different ``BLOCK`` gives different (equally valid) draws.  Within a run
-each stratum, in turn, fills its blocks' ``(BLOCK, n_h)`` index arrays with
-one of two samplers, chosen by the stratum's shape (:func:`_subsets`): small or
-high-fraction strata keep each row's units whose uniform key is at most
-its ``n_h``-th smallest (the lowest index wins a tie), larger ones draw
-with replacement and redraw repeats.  The shape rule, the tie rule and
-the order in which the redraw sampler consumes its generator are part of
-the contract too: another rule or order gives other draws.
+each stratum, in turn, gathers one ``(BLOCK, n_h)`` index array per block,
+the last cut to its kept rows, from one of two samplers chosen by the
+stratum's shape (:func:`_subsets`): small or high-fraction strata keep
+each row's units whose uniform key is at most its ``n_h``-th smallest
+(the lowest index wins a tie), larger ones draw with replacement and
+redraw repeats.  The shape rule, the tie rule and the order in which the
+redraw sampler consumes its generator are part of the contract too:
+another rule or order gives other draws.
 Every sample is shared across estimators (common random numbers), which
 sharpens efficiency comparisons at equal cost.  The estimators' kernel
 constants are compiled once per set-up, with the population summary and
@@ -107,10 +108,6 @@ _MAX_THREADS = 4
 
 #: Most blocks a thread draws as one run (see :func:`_runs`).
 _RUN_BLOCKS = 5
-
-#: Most rows of a run's redraw-sampler draws gathered at once (see
-#: :func:`_subsets`).
-_GATHER_ROWS = 128
 
 
 class AllDrawsRejectedError(RuntimeError):
@@ -355,21 +352,20 @@ def _subsets(rngs: Sequence[np.random.Generator], N: int, n: int, rows: int,
 
     The run is one block of ``rows`` subsets from each generator of
     ``rngs``, in order, the last block cut to its first ``keep`` rows.
-    Yields ``np.intp`` index arrays of ``n`` columns whose rows, read in
-    order, are the run's ``(len(rngs) - 1) * rows + keep`` kept rows.
-    Every one of a block's ``rows`` subsets is drawn whatever ``keep``
-    is, so the kept rows and each generator's end state depend neither
-    on ``keep`` nor on how the blocks are grouped into runs: each
-    generator draws what it would draw for its block alone.
+    Yields one ``np.intp`` index array per block, in order: ``(rows,
+    n)``, the last one ``(keep, n)``.  Every one of a block's ``rows``
+    subsets is drawn whatever ``keep`` is, so the kept rows and each
+    generator's end state depend neither on ``keep`` nor on how the
+    blocks are grouped into runs: each generator draws what it would
+    draw for its block alone.
 
     Small or high-fraction strata (``N <= 64`` or ``3 n >= N``) take the
-    keys sampler, one block at a time (:func:`_key_subsets`), and yield
-    one array per block.  Larger ones take the redraw sampler over the
-    whole run at once (:func:`_redraw_subsets`) and yield its kept rows
-    in pieces of :data:`_GATHER_ROWS`.  The shape rule, the tie rule and
-    the redraw order are part of the reproducibility contract, like
-    :data:`BLOCK`: another rule or order gives other (equally valid)
-    draws.
+    keys sampler, one block at a time (:func:`_key_subsets`).  Larger
+    ones take the redraw sampler over the whole run at once
+    (:func:`_redraw_subsets`), whose blocks are then cut out of it.  The
+    shape rule, the tie rule and the redraw order are part of the
+    reproducibility contract, like :data:`BLOCK`: another rule or order
+    gives other (equally valid) draws.
 
     Memory is bounded per block for the keys sampler and per run for the
     redraw sampler.  The keys sampler holds at once a block's
@@ -380,13 +376,13 @@ def _subsets(rngs: Sequence[np.random.Generator], N: int, n: int, rows: int,
     n)`` draws, as ``int16`` when ``N <= 2**15`` and else as ``int32``,
     and a one-byte repeat mask of that shape, so 3 or 5 bytes a value of
     the run; besides, one block's ``int32`` draws while they are copied
-    in, and one ``np.intp`` piece of at most :data:`_GATHER_ROWS` rows
-    while it is gathered.  A run of 5 blocks of ``(256, 200)`` at
-    ``int16`` thus holds 750 KiB + 200 KiB + 200 KiB, where one block
-    drawn alone held 350 KiB of draws and mask and a 400 KiB ``np.intp``
-    index array.  It draws ``int32`` values, so it needs ``N <= 2**31``,
-    where they equal the default ``int64`` draws.  Both samplers hand
-    back ``np.intp`` indices, because narrower ones slow the gathers.
+    in.  The mask is freed before the gathers, which hold one block's
+    ``np.intp`` array at a time.  A run of 5 blocks of ``(256, 200)`` at
+    ``int16`` thus holds 750 KiB + 200 KiB while it draws and 500 KiB +
+    400 KiB while it gathers.  It draws ``int32`` values, so it needs
+    ``N <= 2**31``, where they equal the default ``int64`` draws.  Both
+    samplers hand back ``np.intp`` indices, as narrower ones slow the
+    gathers.
     """
     if N <= 64 or 3 * n >= N:
         last = len(rngs) - 1
@@ -395,8 +391,8 @@ def _subsets(rngs: Sequence[np.random.Generator], N: int, n: int, rows: int,
         return
     idx = _redraw_subsets(rngs, N, n, rows)
     kept = (len(rngs) - 1) * rows + keep
-    for start in range(0, kept, _GATHER_ROWS):
-        yield idx[start:min(start + _GATHER_ROWS, kept)].astype(np.intp)
+    for start in range(0, kept, rows):
+        yield idx[start:min(start + rows, kept)].astype(np.intp)
 
 
 def _key_subsets(rng: np.random.Generator, N: int, n: int, rows: int,
@@ -465,21 +461,23 @@ def _redraw_subsets(rngs: Sequence[np.random.Generator], N: int, n: int,
         flat, repeat = work.reshape(-1), mask[:len(work)]
         np.equal(flat[1:], flat[:-1], out=repeat.reshape(-1)[1:])
         repeat[:, 0] = False
-        at = np.flatnonzero(repeat)
+        # Array methods, not numpy's Python wrappers: fewer lock retakes.
+        at = repeat.reshape(-1).nonzero()[0]
         if not at.size:
             break
         if 4 * at.size <= len(work):
             # So at most a quarter of the rows hold a repeat: keep only
             # those, and find their repeats again.  Each kept row holds
             # one, so the next pass does not shrink.
-            left = np.flatnonzero(repeat.any(axis=1))
+            left = np.logical_or.reduce(repeat, axis=1).nonzero()[0]
             if todo is not None:
                 idx[todo] = work
             todo = left if todo is None else todo.take(left)
             work = work.take(left, axis=0)
-            starts = np.searchsorted(todo, firsts) * n
+            starts = todo.searchsorted(firsts) * n
             continue
-        counts = np.diff(np.searchsorted(at, starts)).tolist()
+        bounds = at.searchsorted(starts).tolist()
+        counts = [b - a for a, b in zip(bounds, bounds[1:])]
         flat[at] = np.concatenate([rng.integers(N, size=count, dtype=np.int32)
                                    for rng, count in zip(rngs, counts) if count])
         work.sort(axis=1)
@@ -506,18 +504,20 @@ def _draw_run(
     of each draw and stratum, with the units of a sample added in index
     order.
 
-    Each variable's sample values are gathered, one index array of
-    :func:`_subsets` at a time, into a view of one float64 buffer,
+    Each variable's sample values are gathered, one block's index array
+    of :func:`_subsets` at a time, into a view of one float64 buffer,
     ``scratch.buffer``, before they are added up.  ``scratch`` is a
     :class:`threading.local` that :func:`monte_carlo` makes for one study
     (:func:`draw_sample` passes a fresh one), so each thread keeps one
-    buffer for the whole study, grown to the largest index array it
-    meets; a fresh gather array per variable and index array would be
-    handed back to the system and faulted in again each time.  Each
-    row's sum is written straight into the means array, and the whole
-    run is then divided by the design once: the steps of
-    ``ndarray.mean``, without its Python wrapper, so the means are those
-    of ``mean(axis=1)`` on the gathered array, bit for bit.
+    buffer for the whole study, grown to the largest block it meets; a
+    fresh gather array per variable and block would be handed back to
+    the system and faulted in again each time.  A thread thus holds a
+    ``(rows, n_h)`` ``np.intp`` array and ``rows * n_h`` float64 values
+    while it gathers, 400 + 400 KiB at ``(256, 200)``.  Each row's sum
+    is written straight into the means array, and the whole run is then
+    divided by the design once: the steps of ``ndarray.mean``, without
+    its Python wrapper, so the means are those of ``mean(axis=1)`` on
+    the gathered array, bit for bit.
     """
     means = np.empty((3, (len(rngs) - 1) * rows + keep, len(frames)))
     for h, (frame, n) in enumerate(zip(frames, design)):

@@ -6,6 +6,10 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from stratdual.cli import (
     RunConfig, build_parser, main, merge_config, render_table,
 )
+import stratdual
 from stratdual.datasets import demo_path, demo_population, demo_strata
 from test_domain import make_summary
 from stratdual import (
@@ -793,10 +798,59 @@ _FUZZ = settings(max_examples=200, deadline=None, derandomize=True,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
+def _cells(values):
+    """The CSV cells a fuzzed input puts in place of a number."""
+    return st.sampled_from(values).map(str) | st.floats().map(repr)
+
+
+#: What a fuzzed CSV puts in a cell of a number: text, and numbers at and
+#: past the edges of a float's range (``1e400`` reads as ``inf``).
+_ODD_CELLS = _cells([
+    "", "a", "0", "-1", "1e-320", "1e-20", "1e20", "1e154", "1e155", "1e200",
+    "1e307", "1.7e308", "1e400", "nan", "inf", "-inf",
+])
+
+#: What it puts in a cell of ``N`` or ``n``: never a large population.
+_SIZE_CELLS = st.sampled_from(["", "a", "-1", "0", "1", "2", "3", "1.5", "20",
+                               "21", "103", "127", "170"])
+
+#: A small unit-level table: three strata of six units.
+_SMALL_UNITS = [[sid, str(10.0 + 3 * i + h), str(100.0 + 11 * i - 4 * h),
+                 str(50.0 - 2 * i + (i * h) % 5)]
+                for h, sid in enumerate("abc") for i in range(6)]
+
+
+def _cell_mutations(rows, cells):
+    """One or two ``(row, column, cell)`` edits of a table of ``rows`` rows;
+    ``cells`` maps each column it edits to the strategy of its cells."""
+    edit = st.tuples(st.integers(0, rows - 1), st.sampled_from(sorted(cells)))
+    return st.lists(edit.flatmap(lambda at: st.tuples(
+        st.just(at[0]), st.just(at[1]), cells[at[1]])), min_size=1, max_size=2)
+
+
+def _write_csv(path, header, rows, mutations):
+    """Write ``header`` and ``rows`` to ``path`` with each ``(row, column,
+    cell)`` of ``mutations`` set."""
+    rows = [list(row) for row in rows]
+    for r, c, cell in mutations:
+        rows[r][c] = cell
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    return str(path)
+
+
+def _summary_table():
+    """The bundled corrected table: its header and its rows of cells."""
+    with open(CORRECTED, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
+
+
 class TestFiniteOrOneError:
     """Every input gives finite output or one ``error:`` line: a fuzz over
-    moments documents and population specs, and named inputs whose
-    values overflow a float on the way to a table cell."""
+    moments documents, population specs, summary CSVs and unit-level
+    CSVs, and named inputs whose values overflow a float on the way to a
+    table cell."""
 
     @_FUZZ
     @given(command=st.sampled_from(["mse", "pre", "optimize", "sweep"]),
@@ -816,6 +870,45 @@ class TestFiniteOrOneError:
         finite_or_one_error(capsys, "simulate", "--population", str(path),
                             "--replications", "16")
 
+    @_FUZZ
+    @given(command=st.sampled_from(["validate", "mse", "pre", "optimize",
+                                    "sweep"]),
+           mutations=_cell_mutations(4, {c: _SIZE_CELLS if c < 3 else _ODD_CELLS
+                                         for c in range(1, 15)}),
+           corrections=st.sampled_from(["off", "auto"]))
+    def test_summary_csvs(self, capsys, tmp_path, command, mutations,
+                          corrections):
+        header, rows = _summary_table()
+        argv = [command, "--input", _write_csv(tmp_path / "summary.csv",
+                                               header, rows, mutations),
+                "--corrections", corrections]
+        if command != "validate":
+            finite_or_one_error(capsys, *argv)
+            return
+        # validate prints its findings table and exits 1 when one of
+        # them blocks, with a count on stderr instead of an error line.
+        code = main([*argv, "--format", "json"])
+        out, err = capsys.readouterr()
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error:")]
+        if code and not out:
+            assert (code, len(errors)) == (1, 1), err
+        else:
+            assert code in (0, 1) and not errors, err
+            severities = [row["severity"] for row in json_rows(out)]
+            assert ("error" in severities) == (code == 1), (out, err)
+
+    @_FUZZ
+    @given(mutations=_cell_mutations(len(_SMALL_UNITS), {
+               0: st.sampled_from(["a", "b", "c", "d", ""]),
+               1: _ODD_CELLS, 2: _ODD_CELLS, 3: _ODD_CELLS}),
+           allocate=st.sampled_from(["0", "1", "3", "6", "9", "18"]))
+    def test_units_csvs(self, capsys, tmp_path, mutations, allocate):
+        path = _write_csv(tmp_path / "units.csv", ["stratum_id", "y", "x", "z"],
+                          _SMALL_UNITS, mutations)
+        finite_or_one_error(capsys, "mse", "--input", path, "--schema",
+                            "units", "--allocate", allocate)
+
     @pytest.mark.parametrize("argv, error", [
         (["mse", "--input", CORRECTED, "--estimator",
           "dual_family:a1=1e200,a2=1"],
@@ -831,19 +924,21 @@ class TestFiniteOrOneError:
 
     @pytest.mark.parametrize("command, path, value, error", [
         ("mse", ("moments", "v002"), 1e308,
-         "first-order MSE of tracy_product:A=18981.80109960682 is inf: it "
-         "overflows a float on the supplied moments"),
+         "tracy_product:opt: first-order MSE of tracy_product:"
+         "A=18981.80109960682 is inf: it overflows a float on the supplied "
+         "moments"),
         ("pre", ("moments", "v002"), 1e308,
          "first-order MSE of ratio_cum_product is inf: it overflows a float "
          "on the supplied moments"),
         ("optimize", ("moments", "v002"), 1e308,
-         "first-order MSE of tracy_product:A=18981.80109960682 is inf: it "
-         "overflows a float on the supplied moments"),
+         "tracy_product optimum: first-order MSE of tracy_product:"
+         "A=18981.80109960682 is inf: it overflows a float on the supplied "
+         "moments"),
         ("sweep", ("moments", "v002"), 1e308,
          "theta = 0.8 gives a non-finite first-order MSE = inf"),
         ("optimize", ("dual_moments", "v011"), 1e155,
-         "dual moment v011=1e+155 is too large to optimize the alphas: its "
-         "square overflows"),
+         "dual_family optimum: dual moment v011=1e+155 is too large to "
+         "optimize the alphas: its square overflows"),
     ], ids=["mse", "pre", "optimize", "sweep", "optimize-dual-v011"])
     def test_a_huge_moment(self, capsys, tmp_path, command, path, value,
                            error):
@@ -853,6 +948,44 @@ class TestFiniteOrOneError:
         doc = tmp_path / "moments.json"
         doc.write_text(json.dumps(_mutated(_moments_document(),
                                            [(path, value)])))
+        assert finite_or_one_error(capsys, command, "--moments",
+                                   str(doc)) == "error: " + error
+
+    @pytest.mark.parametrize("command, mutations, error", [
+        ("mse", [(("moments", "v020"), 1e-320)],
+         "tracy_product:opt: A_opt is nan: it overflows a float at theta_opt "
+         "= (v110 + v011) / v020 = (0.01179801544300794 + "
+         "0.008169662408293638) / 1e-320"),
+        ("optimize", [(("moments", "v020"), 1e-320)],
+         "tracy_product optimum: A_opt is nan: it overflows a float at "
+         "theta_opt = (v110 + v011) / v020 = (0.01179801544300794 + "
+         "0.008169662408293638) / 1e-320"),
+        ("mse", [(("moments", "v020"), 1e-20)],
+         "tracy_product:opt: A_opt rounds to the population x-mean "
+         "11440.498483206933 at theta_opt = (v110 + v011) / v020 = "
+         "(0.01179801544300794 + 0.008169662408293638) / 1e-20"),
+        ("mse", [(("dual_moments", "v020"), 1e-320),
+                 (("dual_moments", "v011"), 0)],
+         "dual_family:opt: alpha1 is inf and alpha2 -4.0: they overflow a "
+         "float at the determinant v020*v002 - v011**2 = 5e-324 of the dual "
+         "moments v020=1e-320, v002=0.0004414008291305241, "
+         "v110=-0.003200391479142935, v101=-0.0021277220549335077, v011=0.0"),
+        ("optimize", [(("dual_moments", "v020"), 1e-320),
+                      (("dual_moments", "v011"), 0)],
+         "dual_family optimum: alpha1 is inf and alpha2 -4.0: they overflow "
+         "a float at the determinant v020*v002 - v011**2 = 5e-324 of the "
+         "dual moments v020=1e-320, v002=0.0004414008291305241, "
+         "v110=-0.003200391479142935, v101=-0.0021277220549335077, v011=0.0"),
+    ], ids=["mse-v020=1e-320", "optimize-v020=1e-320", "mse-v020=1e-20",
+            "mse-dual-v020=1e-320", "optimize-dual-v020=1e-320"])
+    def test_an_optimum_that_overflows(self, capsys, tmp_path, command,
+                                       mutations, error):
+        # Each printed only "error: A must be finite" or "error: alpha1
+        # must be finite" (at v020 = 1e-20, "error: A equals the
+        # population x-mean; theta undefined"), naming neither the
+        # optimum nor the moment.
+        doc = tmp_path / "moments.json"
+        doc.write_text(json.dumps(_mutated(_moments_document(), mutations)))
         assert finite_or_one_error(capsys, command, "--moments",
                                    str(doc)) == "error: " + error
 
@@ -869,13 +1002,28 @@ class TestFiniteOrOneError:
          "the estimates of dual_family:a1=1.262159316062155e+38,"
          "a2=-0.15200371484091726 overflow a float: their empirical variance "
          "or MSE is not finite"),
-    ], ids=["sigma_x=1e200", "sigma_x=1e154", "mu_y=1.7e308", "mu_x=1e40"])
+        ([(("strata", 0, "mu", 1), 1e20)],
+         "tracy_product:opt: A_opt rounds to the population x-mean "
+         "5.454545454545454e+19 at theta_opt = (v110 + v011) / v020 = "
+         "(1.1672573720731941e-22 + -1.0722008807120854e-22) / "
+         "4.936798372831423e-40"),
+    ], ids=["sigma_x=1e200", "sigma_x=1e154", "mu_y=1.7e308", "mu_x=1e40",
+            "mu_x=1e20"])
     def test_a_huge_population_spec(self, capsys, tmp_path, mutations, error):
         path = tmp_path / "population.json"
         path.write_text(json.dumps(_mutated(_SMALL_POPULATION, mutations)))
         assert finite_or_one_error(
             capsys, "simulate", "--population", str(path),
             "--replications", "16") == "error: " + error
+
+    def test_a_unit_value_past_a_float(self, capsys, tmp_path):
+        # Found by the units fuzz: "1e400" reads as inf, and the error
+        # named only the column, "error: non-finite values in x".
+        path = _write_csv(tmp_path / "units.csv", ["stratum_id", "y", "x", "z"],
+                          _SMALL_UNITS, [(7, 2, "1e400")])
+        assert finite_or_one_error(
+            capsys, "mse", "--input", path, "--schema", "units",
+            "--allocate", "9") == "error: stratum b: non-finite values in x"
 
     def test_a_huge_unit_value(self, capsys, tmp_path):
         path = tmp_path / "units.csv"
@@ -1155,6 +1303,18 @@ class TestFormatsAndConfig:
         assert (code, out) == (1, "")
         assert err == (f"error: {doc}: Expecting property name enclosed in "
                        "double quotes: line 2 column 1 (char 12)\n")
+
+    def test_runs_as_a_module(self):
+        # python -m stratdual from a checkout, the package found on
+        # PYTHONPATH as the suite finds it.
+        src = Path(stratdual.__file__).parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-m", "stratdual", "--help"],
+                              env=env, capture_output=True, text=True,
+                              timeout=60, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: stratdual ")
 
     def test_bad_flag_value_exits_via_argparse(self):
         with pytest.raises(SystemExit):

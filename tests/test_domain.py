@@ -62,8 +62,8 @@ class TestUnitFrame:
         ((1.0, NAN), (1.0,), (1.0, 2.0), "y, x, z must have identical lengths"),
         ((), (1.0,), (), "y, x, z must have identical lengths"),
         ((), (), (), "unit frame must contain at least one unit"),
-        ((1.0, 2.0), (1.0, math.inf), (NAN, 2.0), "non-finite values in x"),
-        ((1.0, 2.0), (1.0, 2.0), (NAN, 2.0), "non-finite values in z"),
+        ((1.0, 2.0), (1.0, math.inf), (NAN, 2.0), "stratum u: non-finite values in x"),
+        ((1.0, 2.0), (1.0, 2.0), (NAN, 2.0), "stratum u: non-finite values in z"),
     ])
     def test_error_precedence(self, y, x, z, message):
         with pytest.raises(ValueError) as info:

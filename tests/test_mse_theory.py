@@ -296,6 +296,28 @@ class TestBreakdownReporting:
                            "too large to optimize the alphas"):
             optimize_alphas(md, corrected_pop)
 
+    def test_an_optimal_alpha_that_overflows_is_an_error(self, corrected_pop):
+        # A determinant of 1e-323: alpha1 overflows, alpha2 does not.
+        md = DualMomentSet(v200=0.01, v020=1e-320, v002=1e-3, v110=-2e-3,
+                           v101=-2e-3, v011=0.0)
+        with pytest.raises(ValueError, match=r"^alpha1 is inf and alpha2 "
+                           r"-2\.0: they overflow a float at the determinant "
+                           r"v020\*v002 - v011\*\*2 = 1e-323 of the dual "
+                           r"moments v020=1e-320, "):
+            optimize_alphas(md, corrected_pop)
+
+    @pytest.mark.parametrize("v020, message", [
+        (1e-320, r"^A_opt is nan: it overflows a float at theta_opt = "
+                 r"\(v110 \+ v011\) / v020 = \(0\.01 \+ 0\.0\) / 1e-320$"),
+        (1e-20, r"^A_opt rounds to the population x-mean "),
+    ], ids=["overflows", "rounds"])
+    def test_an_A_opt_that_is_no_transform_constant_is_an_error(
+            self, corrected_pop, v020, message):
+        m = MomentSet(v200=0.01, v020=v020, v002=1e-3, v110=0.01, v101=0.0,
+                      v011=0.0)
+        with pytest.raises(ValueError, match=message):
+            optimize_theta(corrected_pop, m)
+
 
 class TestEfficiencyConditions:
     def test_margins_equal_mse_gap(self, corrected_pop, corrected_m,

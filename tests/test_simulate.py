@@ -891,10 +891,9 @@ class TestBlockSampler:
                     np.testing.assert_array_equal(
                         means[v, :, h], column[units].mean(axis=1))
             assert rng.bit_generator.state == ref.bit_generator.state
-        # The keys strata gather a block at once, the redraw ones (n_h =
-        # 30 and 60) a piece of the run at a time.
-        assert scratch.buffer.size == max(BLOCK * 45,
-                                          simulate._GATHER_ROWS * 60)
+        # Both samplers gather a block at once, so the buffer ends at the
+        # largest block, BLOCK rows of the largest n_h.
+        assert scratch.buffer.size == BLOCK * 60
 
     @pytest.mark.parametrize("blocks", [1, 2, 3, 5])
     def test_a_run_draws_what_its_blocks_draw_alone(self, blocks):
@@ -1274,11 +1273,36 @@ class TestSubsets:
     ])
     def test_indices_are_intp(self, N, n):
         # Both samplers hand back native indices, which the means gather,
-        # for every piece of a run of three blocks, the last one cut.
+        # for every block of a run of three blocks, the last one cut.
         rngs = [np.random.default_rng(7 + j) for j in range(3)]
         pieces = list(simulate._subsets(rngs, N, n, BLOCK, 5))
         assert all(units.dtype == np.intp for units in pieces)
         assert sum(map(len, pieces)) == 2 * BLOCK + 5
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 4, 5])
+    def test_each_sampler_hands_back_one_array_per_block(self, blocks):
+        # On every stratum of the mixed shapes (both samplers), a run of
+        # blocks, the last one cut, hands back exactly one index array
+        # per block, the last with the kept rows only; each equals its
+        # block drawn alone, bit for bit, and each generator ends in the
+        # same state.
+        frames, design = mixed_shape_study()
+        keep = BLOCK - 57
+        for frame, n in zip(frames, design):
+            rngs = [np.random.default_rng(60 + j) for j in range(blocks)]
+            refs = [np.random.default_rng(60 + j) for j in range(blocks)]
+            pieces = list(simulate._subsets(rngs, frame.size, n, BLOCK, keep))
+            assert [p.shape for p in pieces] == (
+                [(BLOCK, n)] * (blocks - 1) + [(keep, n)])
+            for j, (piece, ref) in enumerate(zip(pieces, refs)):
+                alone = list(simulate._subsets(
+                    [ref], frame.size, n, BLOCK,
+                    keep if j == blocks - 1 else BLOCK))
+                assert len(alone) == 1
+                assert piece.dtype == alone[0].dtype == np.intp
+                np.testing.assert_array_equal(piece, alone[0])
+            assert ([rng.bit_generator.state for rng in rngs]
+                    == [ref.bit_generator.state for ref in refs])
 
     def test_large_stratum_study_memory_is_bounded(self, monkeypatch):
         """Sampling memory follows the index block, not the stratum size.
@@ -1286,14 +1310,14 @@ class TestSubsets:
         One stratum of N = 20,000 units at n = 200 takes the redraw
         sampler.  A run of four blocks holds its ``(4 BLOCK, n)`` draws
         as 400 KiB of int16 and their 200 KiB repeat mask, one block's
-        200 KiB of int32 draws at a time and one 200 KiB piece of
-        ``np.intp`` indices handed back.  Selecting by uniform keys
-        instead would hold a block's ``(BLOCK, N)`` keys and their
-        partitioned copy, 78 MiB, and then a one-byte mask of 4.9 MiB.
-        Each thread also keeps, for the whole study, one float64 gather
-        buffer of ``_GATHER_ROWS * n`` values, 200 KiB.  The traced peak
-        of an eight-block study, drawn as two runs of four blocks on two
-        threads, must stay under 4 MiB.
+        200 KiB of int32 draws at a time and then, mask freed, one
+        block's 400 KiB of ``np.intp`` indices handed back.  Selecting
+        by uniform keys instead would hold a block's ``(BLOCK, N)`` keys
+        and their partitioned copy, 78 MiB, and then a one-byte mask of
+        4.9 MiB.  Each thread also keeps, for the whole study, one
+        float64 gather buffer of ``BLOCK * n`` values, 400 KiB.  The
+        traced peak of an eight-block study, drawn as two runs of four
+        blocks on two threads, must stay under 4 MiB; it measured 2.5 MiB.
         """
         force_threads(monkeypatch, 2)
         assert _runs(8) == [range(0, 4), range(4, 8)]
@@ -1322,8 +1346,7 @@ def spy_buffers(monkeypatch):
     ``_draw_run`` after its run; ``None`` before the first gather.  After
     a run, ``gathered`` records whether the buffer's leading values are
     those whose means are the run's last z means of its last stratum:
-    on a redraw stratum, the last piece of at most ``_GATHER_ROWS`` rows,
-    the last gather.
+    the run's last block, cut to its kept rows, the last gather.
     """
     seen, gathered = [], []
     draws, subsets = simulate._draw_run, simulate._subsets
@@ -1334,7 +1357,7 @@ def spy_buffers(monkeypatch):
         means = draws(frames, design, rngs, rows, keep, scratch)
         seen.append(scratch.buffer)
         n = design[-1]
-        m = (means.shape[1] - 1) % simulate._GATHER_ROWS + 1
+        m = (means.shape[1] - 1) % BLOCK + 1
         last = scratch.buffer[:m * n].reshape(m, n)
         gathered.append(np.array_equal(last.mean(axis=1), means[2, -m:, -1]))
         return means
@@ -1378,8 +1401,7 @@ class TestGatherBuffer:
         changes = sum(b is not a for a, b in zip(buffers, buffers[1:]))
         assert changes == replaced
         assert gathered == [True] * 2
-        assert buffers[-1].size == (simulate._GATHER_ROWS
-                                    * max(n for _, n in strata))
+        assert buffers[-1].size == BLOCK * max(n for _, n in strata)
 
     def test_nothing_outlives_a_study_or_a_draw(self, monkeypatch):
         # Weak references to each thread's buffer holder and buffer, on
