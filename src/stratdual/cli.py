@@ -58,6 +58,7 @@ from .moments import (
 from .mse_theory import (
     A_of_theta,
     MseReport,
+    _NoOptimum,
     _form,
     _linearisation,
     bias_first_order_dual,
@@ -510,23 +511,47 @@ def _load_for_command(config: RunConfig):
     return pop, m, md
 
 
-def _optimum(what: str, optimizer, *args):
-    """``optimizer(*args)``; a ``ValueError`` it raises is raised again with
-    ``what``, the optimum's name, before its message."""
+def _optimum(kind: str, name: str, pop: PopulationSummary, m: MomentSet,
+             md: MomentSet | None, note: str = "skipping {name} ({reason})",
+             ) -> tuple[MseReport, tuple[float, float, float]] | None:
+    """The closed-form optimum of ``kind``, the one path of every command.
+
+    Returns ``(report, found)``: the :class:`MseReport` of the spec the
+    optimum resolves to, and the optimizer's ``(theta_opt, A_opt,
+    mse_min)`` or ``(alpha1, alpha2, mse_min)``.  Where the population
+    has no such optimum (no dual moment set, or the optimizer says so),
+    ``note`` goes to stderr with ``name`` and the reason, and the result
+    is ``None``.  Any other error of the optimum is raised again with
+    ``name`` before its message.
+    """
+    if kind not in ("tracy_product", "dual_family"):
+        raise ValueError(f"no closed-form optimum implemented for {kind!r}")
     try:
-        return optimizer(*args)
+        if kind == "tracy_product":
+            found = optimize_theta(pop, m)
+            spec = EstimatorSpec(kind=kind, A=found[1])
+        elif md is None:
+            raise _NoOptimum("no dual moments available")
+        else:
+            found = optimize_alphas(md, pop)
+            spec = EstimatorSpec(kind=kind, alpha1=found[0], alpha2=found[1])
+        return MseReport(spec, found[2], var_yst(pop, m)), found
+    except _NoOptimum as exc:
+        print(note.format(name=name, reason=exc), file=sys.stderr)
+        return None
     except ValueError as exc:
-        raise ValueError(f"{what}: {exc}") from None
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _resolve_estimators(
     texts, pop: PopulationSummary, m: MomentSet, md: MomentSet | None,
 ) -> tuple[list[str], list[EstimatorSpec]]:
-    """Parse estimator strings, resolving ``:opt`` via the optimizers.
+    """Parse estimator strings, resolving ``:opt`` by :func:`_optimum`.
 
     ``texts`` empty means :data:`DEFAULT_ESTIMATORS`.  Without a dual
-    moment set the dual kinds are skipped, with a note.  Returns the kept
-    texts, stripped, and their specs.
+    moment set the dual kinds are skipped, with one note, and so is an
+    ``:opt`` the population has no optimum for.  Returns the kept texts,
+    stripped, and their specs.
     """
     texts = [t.strip() for t in texts or DEFAULT_ESTIMATORS]
     if md is None:
@@ -535,21 +560,13 @@ def _resolve_estimators(
             print(f"skipping dual estimators (no dual moments): {dropped}",
                   file=sys.stderr)
         texts = [t for t in texts if t.split(":")[0] not in DUAL_KINDS]
-    resolved = []
+    kept = []
     for text in texts:
-        if text.endswith(":opt"):
-            kind = text[: -len(":opt")]
-            if kind == "tracy_product":
-                _, A_opt, _ = _optimum(text, optimize_theta, pop, m)
-                resolved.append(EstimatorSpec(kind=kind, A=A_opt))
-            elif kind == "dual_family":
-                a1, a2, _ = _optimum(text, optimize_alphas, md, pop)
-                resolved.append(EstimatorSpec(kind=kind, alpha1=a1, alpha2=a2))
-            else:
-                raise ValueError(f"no closed-form optimum implemented for {kind!r}")
-        else:
-            resolved.append(parse_estimator(text))
-    return texts, resolved
+        if not text.endswith(":opt"):
+            kept.append((text, parse_estimator(text)))
+        elif found := _optimum(text[: -len(":opt")], text, pop, m, md):
+            kept.append((text, found[0].estimator))
+    return [text for text, _ in kept], [spec for _, spec in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -655,15 +672,15 @@ def cmd_sweep(config: RunConfig) -> int:
     order = np.argsort(theta, kind="stable")
     theta, A, mse = theta[order], A[order], mse[order]
     notes = [""] * theta.size
-    try:
-        theta_opt, A_opt, mse_min = optimize_theta(pop, m)
+    if found := _optimum("tracy_product", "tracy_product optimum", pop, m,
+                         None, "no optimum row: {reason}"):
+        theta_opt, A_opt, mse_min = found[1]
         at = int(np.searchsorted(theta, theta_opt, side="right"))
         theta, A, mse = (np.insert(column, at, value) for column, value in
                          ((theta, theta_opt), (A, A_opt), (mse, mse_min)))
         notes.insert(at, "*")
-    except ValueError as exc:
-        print(f"no optimum row: {exc}", file=sys.stderr)
-    labels = np.where(mse < baseline, "better", "worse").tolist()
+    labels = np.where(mse < baseline, "better",
+                      np.where(mse > baseline, "worse", "equal")).tolist()
     _emit(config, "sweep", ("theta", "A", "mse", "vs_classical", "note"),
           (theta, A, mse, labels, notes))
     return 0
@@ -671,30 +688,17 @@ def cmd_sweep(config: RunConfig) -> int:
 
 def cmd_optimize(config: RunConfig) -> int:
     pop, m, md = _load_for_command(config)
-    baseline = var_yst(pop, m)
-    theta_opt, A_opt, mse_min = _optimum("tracy_product optimum",
-                                         optimize_theta, pop, m)
-    spec = EstimatorSpec(kind="tracy_product", A=A_opt)
-    values = {
-        "var_classical": baseline,
-        "theta_opt": theta_opt,
-        "A_opt": A_opt,
-        "mse_tracy_product_min": mse_min,
-        "pre_tracy_product_opt": MseReport(spec, mse_min, baseline).pre,
-    }
-    if md is not None:
-        a1, a2, dual_min = _optimum("dual_family optimum", optimize_alphas,
-                                    md, pop)
-        spec = EstimatorSpec(kind="dual_family", alpha1=a1, alpha2=a2)
-        values.update(
-            alpha1_opt=a1,
-            alpha2_opt=a2,
-            mse_dual_family_min=dual_min,
-            pre_dual_family_opt=MseReport(spec, dual_min, baseline).pre,
-            bias_dual_family_opt=bias_first_order_dual(md, pop, a1, a2),
-        )
-    else:
-        print("skipping dual optimum (no dual moments available)", file=sys.stderr)
+    values = {"var_classical": var_yst(pop, m)}
+    if found := _optimum("tracy_product", "tracy_product optimum", pop, m, md):
+        values.update(zip(("theta_opt", "A_opt", "mse_tracy_product_min"),
+                          found[1]), pre_tracy_product_opt=found[0].pre)
+    if found := _optimum("dual_family", "dual_family optimum", pop, m, md,
+                         "skipping dual optimum ({reason})"):
+        a1, a2, dual_min = found[1]
+        values.update(alpha1_opt=a1, alpha2_opt=a2,
+                      mse_dual_family_min=dual_min,
+                      pre_dual_family_opt=found[0].pre,
+                      bias_dual_family_opt=bias_first_order_dual(md, pop, a1, a2))
     _emit(config, "optimize", ("parameter", "value"),
           (list(values), list(values.values())))
     return 0

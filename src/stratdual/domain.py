@@ -13,11 +13,14 @@ pure function, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import collections
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -598,6 +601,55 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
+def _read_csv(path: str | Path, what: str, read, columns, optional=()):
+    """``read(rows)`` over the rows of the CSV file at ``path``.
+
+    ``rows`` iterates over each row's cells in the ``columns`` the header
+    must name, then in the ``optional`` ones, which are ``""`` where the
+    header or the row has none.  Columns are found by header name; as in
+    ``csv.DictReader``, the last of a repeated name wins and blank rows
+    are skipped.  An error that ``read`` raises on a row names the file
+    and line as a malformed row, and an empty result is an error naming
+    ``what``, such as ``no unit rows``.
+    """
+    path = Path(path)
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file or missing header")
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise ValueError(f"{path}: missing required columns {missing}")
+        width = len(header)
+        index = {name: i for i, name in enumerate(header)}
+        cells = operator.itemgetter(*[index.get(c, width)
+                                      for c in (*columns, *optional)])
+        if optional:
+            get, blank = cells, [""] * (width + 1)
+
+            def cells(row):  # every cell past a row's end or the header's is ""
+                return get(row[:width] + blank)
+        try:
+            # Rows are read one at a time, so the reader's line is the
+            # line of the row that failed.
+            made = read(map(cells, filter(None, reader)))
+        except (IndexError, ValueError) as exc:
+            raise ValueError(
+                f"{path}:{reader.line_num}: malformed row: {exc}") from exc
+    if not made:
+        raise ValueError(f"{path}: no {what} rows")
+    return made
+
+
+def _summary_row(*cells) -> StratumSummary:
+    """The summary of a row's cells in :data:`SUMMARY_COLUMNS` order, then
+    :data:`SUMMARY_RHO_COLUMNS` order; an empty rho cell is ``None``."""
+    stratum_id, N, n, *values = cells[:len(SUMMARY_COLUMNS)]
+    rho = [float(c) if c else None for c in cells[len(SUMMARY_COLUMNS):]]
+    return StratumSummary(stratum_id, int(N), int(n), *map(float, values), *rho)
+
+
 def read_summary_csv(path: str | Path) -> list[StratumSummary]:
     """Read stratum summaries from the summary-level CSV schema.
 
@@ -605,29 +657,9 @@ def read_summary_csv(path: str | Path) -> list[StratumSummary]:
     :data:`SUMMARY_RHO_COLUMNS` (empty cells allowed) carry
     cross-validation correlations.  Columns are found by header name.
     """
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty file or missing header")
-        missing = [c for c in SUMMARY_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise ValueError(f"{path}: missing required columns {missing}")
-        strata: list[StratumSummary] = []
-        for row in reader:
-            try:
-                values = [row["stratum_id"], int(row["N"]), int(row["n"])]
-                values += [float(row[col]) for col in SUMMARY_COLUMNS[3:]]
-                values += [float(cell) if cell else None
-                           for cell in map(row.get, SUMMARY_RHO_COLUMNS)]
-                strata.append(StratumSummary(*values))
-            except (TypeError, ValueError, KeyError) as exc:
-                raise ValueError(
-                    f"{path}:{reader.line_num}: malformed row: {exc}"
-                ) from exc
-    if not strata:
-        raise ValueError(f"{path}: no stratum rows")
-    return strata
+    return _read_csv(path, "stratum",
+                     lambda rows: list(itertools.starmap(_summary_row, rows)),
+                     SUMMARY_COLUMNS, SUMMARY_RHO_COLUMNS)
 
 
 def write_summary_csv(path: str | Path, strata: Sequence[StratumSummary]) -> None:
@@ -656,33 +688,14 @@ def read_units_csv(path: str | Path) -> list[UnitFrame]:
     Rows are grouped by ``stratum_id``; strata are returned in order of
     first appearance.
     """
-    path = Path(path)
-    groups: dict[str, list[tuple[float, float, float]]] = {}
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file or missing header")
-        missing = [c for c in UNITS_COLUMNS if c not in header]
-        if missing:
-            raise ValueError(f"{path}: missing required columns {missing}")
-        # A repeated column name refers to its last occurrence, and blank
-        # lines are skipped, as ``csv.DictReader`` does.
-        index = {name: i for i, name in enumerate(header)}
-        i_id, i_y, i_x, i_z = (index[c] for c in UNITS_COLUMNS)
-        for row in filter(None, reader):
-            try:
-                groups.setdefault(row[i_id], []).append(
-                    (float(row[i_y]), float(row[i_x]), float(row[i_z]))
-                )
-            except (IndexError, ValueError) as exc:
-                raise ValueError(
-                    f"{path}:{reader.line_num}: malformed row: {exc}"
-                ) from exc
-    if not groups:
-        raise ValueError(f"{path}: no unit rows")
+    def group(rows) -> dict[str, list[tuple[float, float, float]]]:
+        groups = collections.defaultdict(list)
+        for stratum_id, y, x, z in rows:
+            groups[stratum_id].append((float(y), float(x), float(z)))
+        return groups
+
     frames = []
-    for sid, rows in groups.items():
+    for sid, rows in _read_csv(path, "unit", group, UNITS_COLUMNS).items():
         arr = np.array(rows, dtype=float)
         frames.append(UnitFrame(stratum_id=sid, y=arr[:, 0], x=arr[:, 1], z=arr[:, 2]))
     return frames

@@ -22,7 +22,8 @@ dual-family estimators beat the classical combined mean.
 
 Negative first-order MSEs (possible when externally supplied inputs are
 internally inconsistent) are reported with a warning, never clamped:
-surfacing data defects is part of the contract.
+surfacing data defects is part of the contract.  An MSE of exactly 0
+(every stratum sampled whole) is exact, and its warning says so.
 """
 
 from __future__ import annotations
@@ -50,15 +51,21 @@ __all__ = [
 ]
 
 
+class _NoOptimum(ValueError):
+    """The population has no such optimum: the MSE has no unique finite
+    minimizer, as opposed to one that overflows a float."""
+
+
 @dataclass(frozen=True)
 class MseReport:
     """First-order MSE of one estimator, with its efficiency.
 
     ``pre`` is the percent relative efficiency versus the classical
     combined mean (``100 * var_yst / mse``); it is ``None`` when the
-    MSE is nonpositive, in which case ``warnings`` explains the
-    first-order breakdown.  Both are derived from ``mse`` and
-    ``var_yst``.  An ``mse`` or a ``pre`` that is not finite (a float
+    MSE is nonpositive, in which case ``warnings`` says why: an MSE of 0
+    is exact at first order (a census design), and a negative one is a
+    first-order breakdown of the moments.  Both are derived from ``mse``
+    and ``var_yst``.  An ``mse`` or a ``pre`` that is not finite (a float
     overflowed on the way) raises ``ValueError`` naming the estimator.
     """
 
@@ -81,6 +88,10 @@ class MseReport:
                 raise ValueError(f"PRE of {self.estimator.label} is {pre}: "
                                  f"var_yst = {self.var_yst} against a "
                                  f"first-order MSE of {self.mse}")
+        elif self.mse == 0:
+            warnings = (f"first-order MSE of {self.estimator.label} is 0: the "
+                        "estimator is exact at first order, and its PRE is "
+                        "undefined",)
         else:
             warnings = (
                 f"first-order MSE of {self.estimator.label} is nonpositive "
@@ -233,18 +244,19 @@ def optimize_theta(
     Raises
     ------
     ValueError
-        If ``v020`` is zero (no curvature) or ``theta_opt`` is zero
-        (``A_opt`` would sit at infinity: degenerate optimum), if
+        If ``v020`` is not positive (no curvature) or ``theta_opt`` is
+        zero (``A_opt`` would sit at infinity: degenerate optimum), both
+        as ``_NoOptimum``: the population has no such optimum; if
         ``A_opt`` overflows a float or rounds to the population x-mean
         (the message then gives the moments of ``theta_opt``), or if its
         MSE is not finite.
     """
     _require(m, False, "m")
     if m.v020 <= 0:
-        raise ValueError("v020 must be positive to optimize theta")
+        raise _NoOptimum("v020 must be positive to optimize theta")
     theta_opt = (m.v110 + m.v011) / m.v020
     if theta_opt == 0:
-        raise ValueError("degenerate optimum: theta_opt = 0 has no finite A")
+        raise _NoOptimum("degenerate optimum: theta_opt = 0 has no finite A")
     A_opt = A_of_theta(pop, theta_opt)
     if not math.isfinite(A_opt) or A_opt == pop.mean_x:
         what = (f"rounds to the population x-mean {pop.mean_x!r}"
@@ -274,7 +286,8 @@ def optimize_alphas(
     Raises
     ------
     ValueError
-        If the determinant is singular, if ``v011'**2`` overflows, or if
+        If the determinant is singular (as ``_NoOptimum``: the population
+        has no such optimum), if ``v011'**2`` overflows, or if
         an optimal alpha overflows a float (the message then gives the
         determinant and the dual moments it comes from).
     """
@@ -285,7 +298,8 @@ def optimize_alphas(
         raise ValueError(f"dual moment v011={md.v011} is too large to "
                          "optimize the alphas: its square overflows") from None
     if abs(det) <= 1e-12 * md.v020 * md.v002:
-        raise ValueError("collinear auxiliaries: dual moment determinant is singular")
+        raise _NoOptimum("collinear auxiliaries: dual moment determinant is "
+                         "singular")
     bx = (md.v101 * md.v011 - md.v110 * md.v002) / det
     bz = (md.v110 * md.v011 - md.v020 * md.v101) / det
     if not (math.isfinite(bx) and math.isfinite(bz)):

@@ -846,6 +846,95 @@ def _summary_table():
     return header, rows
 
 
+class TestCensusDesign:
+    """Every stratum sampled whole: each first-order MSE is exactly 0, and
+    the tracy-product optimum does not exist (``v020 = 0``)."""
+
+    _PLAIN = ["classical", "combined_ratio", "combined_product",
+              "ratio_cum_product"]
+    _DUAL_NOTE = ("skipping dual estimators (no dual moments): "
+                  "['plikusas_dual', 'dual_family:opt']\n")
+
+    def test_every_table_keeps_its_rows(self, capsys, tmp_path):
+        # 3 strata of 6 units, 18 sampled: mse and optimize once failed
+        # with "v020 must be positive to optimize theta", mse warned that
+        # the moments were "internally inconsistent", and sweep labelled
+        # each row "worse" than the classical variance it equals.
+        path = _write_csv(tmp_path / "units.csv", ["stratum_id", "y", "x", "z"],
+                          _SMALL_UNITS, [])
+        common = ("--input", path, "--schema", "units", "--allocate", "18",
+                  "--format", "json")
+        code, out, err = run(capsys, "mse", *common)
+        assert code == 0
+        assert [(r["estimator"], r["mse"], r["pre"])
+                for r in json_rows(out)] == [(k, 0.0, None) for k in self._PLAIN]
+        assert err == self._DUAL_NOTE + (
+            "skipping tracy_product:opt (v020 must be positive to optimize "
+            "theta)\n") + "".join(
+            f"warning: first-order MSE of {kind} is 0: the estimator is exact "
+            "at first order, and its PRE is undefined\n"
+            for kind in self._PLAIN)
+
+        code, out, err = run(capsys, "pre", *common)
+        assert code == 0
+        assert [(r["estimator"], r["pre"]) for r in json_rows(out)] == [
+            ("classical", None), ("combined_ratio", None),
+            ("ratio_cum_product", None)]
+        assert err == self._DUAL_NOTE
+
+        code, out, err = run(capsys, "optimize", *common)
+        assert code == 0
+        assert json_rows(out) == [{"parameter": "var_classical", "value": 0.0}]
+        assert err == ("skipping tracy_product optimum (v020 must be positive "
+                       "to optimize theta)\n"
+                       "skipping dual optimum (no dual moments available)\n")
+
+        code, out, err = run(capsys, "sweep", *common, "--grid", "1,2")
+        assert code == 0
+        assert [(r["theta"], r["mse"], r["vs_classical"], r["note"])
+                for r in json_rows(out)] == [(1.0, 0.0, "equal", ""),
+                                             (2.0, 0.0, "equal", "")]
+        assert err == "no optimum row: v020 must be positive to optimize theta\n"
+
+    def test_simulate_with_the_default_estimators(self, capsys, tmp_path):
+        # Failed with "tracy_product:opt: v020 must be positive to
+        # optimize theta".
+        path = tmp_path / "census.json"
+        path.write_text(json.dumps({**_SMALL_POPULATION, "strata": [
+            {**s, "n": s["N"]} for s in _SMALL_POPULATION["strata"]]}))
+        code, out, err = run(capsys, "simulate", "--population", str(path),
+                             "--replications", "16", "--format", "json")
+        assert code == 0
+        rows = json_rows(out)
+        assert [r["estimator"] for r in rows] == self._PLAIN
+        assert all(r["empirical_mse"] == r["theoretical_mse"] == 0.0
+                   and math.isnan(r["ratio"]) for r in rows)
+        assert err.startswith(self._DUAL_NOTE + (
+            "skipping tracy_product:opt (v020 must be positive to optimize "
+            "theta)\n"))
+
+    @pytest.mark.parametrize("command, rows, note", [
+        ("mse", [("classical", "", 1.0, 100.0),
+                 ("combined_ratio", "", 1.0, 100.0),
+                 ("combined_product", "", 2.0, 50.0),
+                 ("ratio_cum_product", "", 2.0, 50.0)],
+         "skipping tracy_product:opt (v020 must be positive to optimize "
+         "theta)\n"),
+        ("optimize", [("var_classical", 1.0)],
+         "skipping tracy_product optimum (v020 must be positive to optimize "
+         "theta)\nskipping dual optimum (no dual moments available)\n"),
+    ], ids=["mse", "optimize"])
+    def test_moments_without_an_optimum_keep_the_table(self, capsys, tmp_path,
+                                                       command, rows, note):
+        doc = moments_file(tmp_path, v200=1.0, v020=0.0, v002=1.0, v110=0.0,
+                           v101=0.0, v011=0.0)
+        code, out, err = run(capsys, command, "--moments", doc,
+                             "--format", "json")
+        assert code == 0
+        assert [tuple(r.values()) for r in json_rows(out)] == rows
+        assert err.endswith(note)
+
+
 class TestFiniteOrOneError:
     """Every input gives finite output or one ``error:`` line: a fuzz over
     moments documents, population specs, summary CSVs and unit-level
@@ -976,14 +1065,20 @@ class TestFiniteOrOneError:
          "a float at the determinant v020*v002 - v011**2 = 5e-324 of the "
          "dual moments v020=1e-320, v002=0.0004414008291305241, "
          "v110=-0.003200391479142935, v101=-0.0021277220549335077, v011=0.0"),
+        ("sweep", [(("moments", "v020"), 1e-320)],
+         "tracy_product optimum: A_opt is nan: it overflows a float at "
+         "theta_opt = (v110 + v011) / v020 = (0.01179801544300794 + "
+         "0.008169662408293638) / 1e-320"),
     ], ids=["mse-v020=1e-320", "optimize-v020=1e-320", "mse-v020=1e-20",
-            "mse-dual-v020=1e-320", "optimize-dual-v020=1e-320"])
+            "mse-dual-v020=1e-320", "optimize-dual-v020=1e-320",
+            "sweep-v020=1e-320"])
     def test_an_optimum_that_overflows(self, capsys, tmp_path, command,
                                        mutations, error):
         # Each printed only "error: A must be finite" or "error: alpha1
         # must be finite" (at v020 = 1e-20, "error: A equals the
         # population x-mean; theta undefined"), naming neither the
-        # optimum nor the moment.
+        # optimum nor the moment; sweep printed "no optimum row" and a
+        # table.
         doc = tmp_path / "moments.json"
         doc.write_text(json.dumps(_mutated(_moments_document(), mutations)))
         assert finite_or_one_error(capsys, command, "--moments",

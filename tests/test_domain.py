@@ -470,12 +470,6 @@ class TestCsvRoundTrip:
         assert "rho_xy" in header2
         assert read_summary_csv(path2)[0].rho_xy == 0.75
 
-    def test_missing_column_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("stratum_id,N,n\na,5,2\n")
-        with pytest.raises(ValueError):
-            read_summary_csv(path)
-
     def test_units_csv_groups_by_first_appearance(self, tmp_path):
         path = tmp_path / "units.csv"
         path.write_text(
@@ -506,38 +500,85 @@ class TestCsvRoundTrip:
         assert tuple(frame.x) == (10.0, 30.0)
         assert tuple(frame.z) == (100.0, 300.0)
 
-    @pytest.mark.parametrize("bad_row", ["a,2.0,20.0", "a,2.0,abc,200.0"])
-    def test_units_csv_malformed_row_names_its_line(self, tmp_path, bad_row):
-        path = tmp_path / "units.csv"
-        path.write_text("stratum_id,y,x,z\na,1.0,10.0,100.0\n"
-                        f"{bad_row}\n")
-        with pytest.raises(ValueError, match=r"units\.csv:3: malformed row"):
-            read_units_csv(path)
+    def test_summary_rho_cells_past_a_short_row_are_none(self, tmp_path):
+        header, row = _SCHEMAS["summary"][1:]
+        path = tmp_path / "summary.csv"
+        path.write_text(f"{header},rho_xy,rho_yz\n{row},0.5\n{row}\n")
+        assert [(s.rho_xy, s.rho_yz, s.rho_xz)
+                for s in read_summary_csv(path)] == [(0.5, None, None),
+                                                      (None, None, None)]
+
+
+#: Each CSV schema's reader, header and one well-formed row.
+_SCHEMAS = {
+    "summary": (read_summary_csv,
+                "stratum_id,N,n,mean_y,mean_x,mean_z,s_y,s_x,s_z,s_xy,s_yz,"
+                "s_xz",
+                "s,20,5,100.0,200.0,50.0,10.0,20.0,5.0,150.0,-30.0,-60.0"),
+    "units": (read_units_csv, "stratum_id,y,x,z", "a,1.0,10.0,100.0"),
+}
+
+
+@pytest.mark.parametrize("schema", sorted(_SCHEMAS))
+class TestCsvReaders:
+    """Both schemas are read by one row reader with the same checks."""
+
+    @pytest.mark.parametrize("bad", ["short", "not a number"])
+    def test_malformed_row_names_its_line(self, tmp_path, schema, bad):
+        read, header, row = _SCHEMAS[schema]
+        cells = row.split(",")
+        if bad == "short":
+            cells = cells[:3]
+            # A short summary row once read None into a required column.
+            detail = ("list index out of range" if schema == "units" else
+                      "could not convert string to float: ''")
+        else:
+            cells[3] = "abc"
+            detail = "could not convert string to float: 'abc'"
+        path = tmp_path / f"{schema}.csv"
+        path.write_text(f"{header}\n{row}\n{','.join(cells)}\n")
+        with pytest.raises(ValueError) as info:
+            read(path)
+        assert str(info.value) == f"{path}:3: malformed row: {detail}"
 
     def test_malformed_row_after_blank_lines_names_its_file_line(
-            self, tmp_path, corrected_pop):
-        units = tmp_path / "units.csv"
-        units.write_text("stratum_id,y,x,z\na,1.0,10.0,100.0\n\n\n"
-                         "a,2.0,abc,200.0\n")
-        with pytest.raises(ValueError, match=r"units\.csv:5: malformed row"):
-            read_units_csv(units)
-        summary = tmp_path / "summary.csv"
-        write_summary_csv(summary, corrected_pop.strata[:1])
-        header, row = summary.read_text().splitlines()
-        summary.write_text(f"{header}\n{row}\n\n\n{row.replace(',', ',x', 1)}\n")
-        with pytest.raises(ValueError, match=r"summary\.csv:5: malformed row"):
-            read_summary_csv(summary)
+            self, tmp_path, schema):
+        read, header, row = _SCHEMAS[schema]
+        path = tmp_path / f"{schema}.csv"
+        path.write_text(f"{header}\n{row}\n\n\n{row.replace(',', ',x', 1)}\n")
+        with pytest.raises(ValueError,
+                           match=rf"{schema}\.csv:5: malformed row"):
+            read(path)
 
-    @pytest.mark.parametrize("text, message", [
-        ("", "empty file or missing header"),
-        ("stratum_id,y,x\na,1,2\n", r"missing required columns \['z'\]"),
-        ("stratum_id,y,x,z\n", "no unit rows"),
-    ])
-    def test_units_csv_rejects_bad_files(self, tmp_path, text, message):
-        path = tmp_path / "units.csv"
+    @pytest.mark.parametrize("case", ["empty", "missing column", "no rows"])
+    def test_rejects_bad_files(self, tmp_path, schema, case):
+        read, header, _ = _SCHEMAS[schema]
+        head, _, last = header.rpartition(",")
+        text, message = {
+            "empty": ("", "empty file or missing header"),
+            "missing column": (f"{head}\n", f"missing required columns "
+                                            f"{[last]}"),
+            "no rows": (f"{header}\n\n", "no stratum rows"
+                        if schema == "summary" else "no unit rows"),
+        }[case]
+        path = tmp_path / f"{schema}.csv"
         path.write_text(text)
-        with pytest.raises(ValueError, match=message):
-            read_units_csv(path)
+        with pytest.raises(ValueError) as info:
+            read(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_reads_as_dict_reader_does(self, tmp_path, schema):
+        # The last of a repeated column name wins, and blank rows are
+        # skipped, however many.
+        read, header, row = _SCHEMAS[schema]
+        column = header.split(",")[1]
+        path = tmp_path / f"{schema}.csv"
+        path.write_text(f"{header},{column}\n\n{row},30\n\n\n{row},31\n")
+        first, *rest = read(path)
+        if schema == "units":
+            assert (rest, first.y.tolist()) == ([], [30.0, 31.0])
+        else:
+            assert [first.N, *(s.N for s in rest)] == [30, 31]
 
 
 class TestDatasets:

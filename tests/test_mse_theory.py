@@ -11,6 +11,7 @@ from oracles import (
     parabola_vertex_theta,
     stationary_alphas,
 )
+from stratdual import mse_theory
 from stratdual import (
     A_of_theta,
     DualMomentSet,
@@ -195,6 +196,31 @@ class TestOptimizeTheta:
         with pytest.raises(ValueError, match="degenerate"):
             optimize_theta(corrected_pop, balanced)
 
+    @pytest.mark.parametrize("optimize, moments, missing", [
+        (optimize_theta, MomentSet(v200=0.01, v020=0.0, v002=0.01, v110=0.0,
+                                   v101=0.0, v011=0.0), True),
+        (optimize_theta, MomentSet(v200=0.01, v020=0.02, v002=0.01, v110=0.01,
+                                   v101=0.0, v011=-0.01), True),
+        (optimize_alphas, DualMomentSet(v200=0.01, v020=1e-3, v002=1e-3,
+                                        v110=-2e-3, v101=-2e-3, v011=1e-3),
+         True),
+        (optimize_theta, MomentSet(v200=0.01, v020=1e-320, v002=0.01,
+                                   v110=0.01, v101=0.0, v011=0.0), False),
+        (optimize_alphas, DualMomentSet(v200=0.01, v020=1e-3, v002=1e-3,
+                                        v110=-2e-3, v101=-2e-3, v011=1e155),
+         False),
+    ], ids=["v020=0", "theta_opt=0", "collinear", "A_opt-overflows",
+            "v011-overflows"])
+    def test_a_missing_optimum_is_told_from_one_that_overflows(
+            self, corrected_pop, optimize, moments, missing):
+        # The CLI keeps its table, with a note, where the population has no
+        # optimum, and fails with one error where the optimum overflows.
+        args = ((corrected_pop, moments) if optimize is optimize_theta
+                else (moments, corrected_pop))
+        with pytest.raises(ValueError) as info:
+            optimize(*args)
+        assert isinstance(info.value, mse_theory._NoOptimum) == missing
+
 
 class TestOptimizeAlphas:
     def test_matches_black_box_solver_oracle(self, corrected_pop, corrected_m,
@@ -272,6 +298,16 @@ class TestBreakdownReporting:
         assert report.mse < 0
         assert any("dual moments" in w for w in report.warnings)
 
+    @pytest.mark.parametrize("mse", [0.0, -0.0])
+    def test_a_zero_mse_is_exact_not_inconsistent(self, mse):
+        # A census design makes every first-order MSE 0; that once read
+        # "nonpositive (0.0); the supplied moments are internally
+        # inconsistent at this order".
+        report = MseReport(EstimatorSpec(kind="combined_ratio"), mse, 0.0)
+        assert report.pre is None
+        assert report.warnings == (
+            "first-order MSE of combined_ratio is 0: the estimator is exact "
+            "at first order, and its PRE is undefined",)
 
     @pytest.mark.parametrize("mse, var, message", [
         (float("inf"), 1.0, "first-order MSE of dual_family:a1=2.0,a2=3.0 "
