@@ -808,12 +808,94 @@ PINNED_RESULTS = {
 }
 
 
-class TestPinnedStudies:
-    """One study per sampler, every float of its result pinned bit for bit.
+def grid_frames():
+    """Whole-number frames shaped like the benchmark's estimator grid.
 
-    The values were recorded before the sampler's cut rows, the one-thread
-    block loop and the compiled kernel constants were introduced; a
-    faster path must give the same draws and the same arithmetic.
+    Two strata of N = 60 and 40 whose z-means are moved to the whole
+    numbers 3 and 2, near zero against z's spread of about 12, so the
+    dual-transformed z-mean is sometimes negative and the fractional
+    dual exponents reject some draws.
+    """
+    frames = []
+    for frame, target in zip(whole_number_frames((60, 40), 34), (3, 2)):
+        shift = int(frame.z.sum()) // frame.size - target
+        frames.append(UnitFrame(frame.stratum_id, frame.y, frame.x,
+                                frame.z - shift))
+    return frames
+
+
+#: The benchmark grid's 18 specs on :func:`grid_frames` under the design
+#: (40, 30): its eight fixed kinds, with ``A`` at theta = 1, the
+#: tracy-product and dual-family optima of that population written out,
+#: then the ten fractional dual exponents.
+GRID_SPECS = (
+    EstimatorSpec(kind="classical"),
+    EstimatorSpec(kind="combined_ratio"),
+    EstimatorSpec(kind="combined_product"),
+    EstimatorSpec(kind="transformed_product", A=397.2),
+    EstimatorSpec(kind="ratio_cum_product"),
+    EstimatorSpec(kind="tracy_product", A=184.62547603131495),
+    EstimatorSpec(kind="plikusas_dual"),
+    EstimatorSpec(kind="dual_family", alpha1=0.38267093945326996,
+                  alpha2=0.0029289962600396098),
+) + tuple(EstimatorSpec(kind="dual_family", alpha1=a1, alpha2=a2)
+          for a1 in (0.25, 0.75) for a2 in (-0.75, -0.25, 0.25, 0.75, 1.25))
+
+#: As :data:`PINNED_RESULTS`, of a 200-draw study at seed 2102 of
+#: :data:`GRID_SPECS` on :func:`grid_frames`.  Fractional exponents go
+#: through the C library's ``pow``, so another platform may round these
+#: rows differently.
+PINNED_GRID = (
+    (98.80000000000001, 198.3078, 0.18163549505899607, 2.6615,
+     0.13177653061186767),
+    (200, 98.87020000000001, 0.07019999999999982, 1.0108404600000003,
+     1.0157684999999987, 0.8211791974503838, 1.2369632635042147),
+    (200, 98.80715723867348, 0.007157238673471511, 0.6643829293617078,
+     0.6644341554271368, 0.5340334494935189, 1.2441807831649698),
+    (200, 97.33938442841881, -1.4606155715812008, 923.4109764256062,
+     925.5443742735515, 950.5733066782565, 0.9736696452247668),
+    (200, 98.80432773302002, 0.004327733020005553, 0.6642533276124724,
+     0.6642720568855648, 0.5340334494935189, 1.243877246857037),
+    (200, 97.32535185888918, -1.4746481411108334, 930.9117618014758,
+     933.0863489415575, 957.3073436803598, 0.9746988311552224),
+    (200, 97.57780894595712, -1.222191054042895, 879.9392191408988,
+     881.4329701134815, 904.3489617188133, 0.974660233410588),
+    (199, -1.7412282714267988, -100.5412282714268, 1123238.4450198647,
+     1133346.983602192, 5203.187474497236, 217.8178259301916),
+    (181, 98.87676209578962, 0.07676209578960425, 0.6334824694049683,
+     0.6393748887549802, 0.5325374383468695, 1.2006196047732551),
+    (181, 107.37360987516004, 8.573609875160031, 1983.7062560497898,
+     2057.213042341232, 2957.253011083191, 0.6956499949890017),
+    (181, 99.40232233612886, 0.6023223361288501, 245.47755967251882,
+     245.84035186911862, 335.07608677207236, 0.7336851586080082),
+    (181, 101.34832898212548, 2.5483289821254687, 402.2497691881212,
+     408.7437497892617, 317.24258879733134, 1.288426473062182),
+    (181, 121.93757150312716, 23.13757150312715, 18210.930765884987,
+     18746.27798094731, 2903.7525171589673, 6.455880062150984),
+    (181, 208.16279031933692, 109.36279031933691, 686984.3822790645,
+     698944.6021854959, 8094.60587185698, 86.34695910465018),
+    (181, 107.18001981280491, 8.380019812804903, 1965.9937400690908,
+     2036.2184721320937, 2942.787139993036, 0.6919353576272976),
+    (181, 99.25756043242755, 0.45756043242754174, 241.24109902208315,
+     241.4504605714065, 330.3232458080546, 0.7309520708442947),
+    (181, 101.2463344416525, 2.446334441652482, 407.9534034981596,
+     413.93795569857485, 322.20277795945077, 1.284712559960203),
+    (181, 121.8978161436027, 23.097816143602685, 18325.77933865699,
+     18859.288449260664, 2918.425736447224, 6.4621443724722685),
+    (181, 208.3399826802618, 109.5399826802618, 691760.2388549993,
+     703759.2466605912, 8118.992121271374, 86.68061702101858),
+)
+
+
+class TestPinnedStudies:
+    """One study per sampler, and one shaped like the estimator grid, every
+    float of its result pinned bit for bit.
+
+    The sampler studies' values were recorded before the sampler's cut
+    rows, the one-thread block loop and the compiled kernel constants
+    were introduced, the grid study's before its aggregates took the dual
+    means as two more rows; a faster path must give the same draws and
+    the same arithmetic.
     """
 
     @pytest.mark.parametrize("sampler, sizes, design", [
@@ -842,6 +924,23 @@ class TestPinnedStudies:
                     for r in result.results] == rows
             assert all(r.spec is s for r, s in zip(result.results,
                                                     PINNED_SPECS))
+
+    def test_grid_study_equals_its_recorded_values(self, monkeypatch):
+        # Both strata take the keys sampler; the fractional dual
+        # exponents reject some draws, so the sums over the accepted
+        # draws of a partly rejected row are pinned too.
+        frames, design = grid_frames(), (40, 30)
+        stars, *rows = PINNED_GRID
+        assert any(0 < accepted < 200 for accepted, *_ in rows)
+        for threads in (1, 2):
+            force_threads(monkeypatch, threads)
+            result = monte_carlo(frames, design, GRID_SPECS, R=200, seed=2102)
+            assert (result.true_mean_y, result.xstar_mean, result.xstar_se,
+                    result.zstar_mean, result.zstar_se) == stars
+            assert [(r.accepted, r.empirical_mean, r.empirical_bias,
+                     r.empirical_variance, r.empirical_mse,
+                     r.theoretical_mse, r.ratio)
+                    for r in result.results] == rows
 
 
 class TestBlockSampler:
