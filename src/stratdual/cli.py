@@ -604,6 +604,15 @@ def cmd_moments(config: RunConfig) -> int:
     return 0
 
 
+def _warned(report: MseReport) -> MseReport:
+    """``report``, each of its warnings printed to stderr as a ``warning:``
+    line: the one place where ``mse``, ``pre`` and ``optimize`` say why a
+    PRE cell is empty."""
+    for warning in report.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return report
+
+
 def _params_cell(spec: EstimatorSpec, full: bool) -> str:
     return ",".join(f"{_LABEL_KEYS[name]}={_fmt(getattr(spec, name), full)}"
                     for name in spec._row.params)
@@ -612,12 +621,7 @@ def _params_cell(spec: EstimatorSpec, full: bool) -> str:
 def cmd_mse(config: RunConfig) -> int:
     pop, m, md = _load_for_command(config)
     _, specs = _resolve_estimators(config.estimators, pop, m, md)
-    reports = []
-    for spec in specs:
-        report = mse_first_order(spec, pop, m, md)
-        for warning in report.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
-        reports.append(report)
+    reports = [_warned(mse_first_order(spec, pop, m, md)) for spec in specs]
     _emit(config, "mse", ("estimator", "params", "mse", "pre"), (
         [spec.kind for spec in specs],
         [_params_cell(spec, config.full_precision) for spec in specs],
@@ -641,7 +645,7 @@ def cmd_pre(config: RunConfig) -> int:
             e_x, e_z = int(e_x), int(e_z)
         alpha1.append(e_x)
         alpha2.append(e_z)
-        pre.append(mse_first_order(spec, pop, m, md).pre)
+        pre.append(_warned(mse_first_order(spec, pop, m, md)).pre)
     _emit(config, "pre", ("estimator", "alpha1", "alpha2", "pre"),
           (texts, alpha1, alpha2, pre))
     return 0
@@ -691,13 +695,14 @@ def cmd_optimize(config: RunConfig) -> int:
     values = {"var_classical": var_yst(pop, m)}
     if found := _optimum("tracy_product", "tracy_product optimum", pop, m, md):
         values.update(zip(("theta_opt", "A_opt", "mse_tracy_product_min"),
-                          found[1]), pre_tracy_product_opt=found[0].pre)
+                          found[1]),
+                      pre_tracy_product_opt=_warned(found[0]).pre)
     if found := _optimum("dual_family", "dual_family optimum", pop, m, md,
                          "skipping dual optimum ({reason})"):
         a1, a2, dual_min = found[1]
         values.update(alpha1_opt=a1, alpha2_opt=a2,
                       mse_dual_family_min=dual_min,
-                      pre_dual_family_opt=found[0].pre,
+                      pre_dual_family_opt=_warned(found[0]).pre,
                       bias_dual_family_opt=bias_first_order_dual(md, pop, a1, a2))
     _emit(config, "optimize", ("parameter", "value"),
           (list(values), list(values.values())))

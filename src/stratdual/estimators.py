@@ -265,6 +265,19 @@ def _check_alignment(sample: SampleMeans, pop: PopulationSummary) -> None:
         )
 
 
+def _dual_transform(pop: PopulationSummary, xz: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Per-stratum dual-transformed x and z means of a block of draws.
+
+    ``xz`` holds the draws' per-stratum x and z sample means, shape
+    ``(2, rows, L)``; the result, of the same shape and written into
+    ``out`` when given, holds ``(1 + g_h) * Xbar_h - g_h * xbar_h`` and
+    likewise in z.
+    """
+    g = pop.g
+    return np.subtract((1.0 + g) * pop.means[1:, None], g * xz, out=out)
+
+
 def _dual_means(pop: PopulationSummary, xz: np.ndarray) -> np.ndarray:
     """Combined dual-transformed x and z means of a block of draws.
 
@@ -272,8 +285,7 @@ def _dual_means(pop: PopulationSummary, xz: np.ndarray) -> np.ndarray:
     ``(2, rows, L)``; the result, shape ``(2, rows)``, holds their
     combined ``xstar`` and ``zstar`` means.
     """
-    g = pop.g
-    return _weighted_sum(pop.w, (1.0 + g) * pop.means[1:, None] - g * xz)
+    return _weighted_sum(pop.w, _dual_transform(pop, xz))
 
 
 def dual_transform_means(

@@ -45,7 +45,11 @@ another rule or order gives other draws.
 Every sample is shared across estimators (common random numbers), which
 sharpens efficiency comparisons at equal cost.  The estimators' kernel
 constants are compiled once per set-up, with the population summary and
-the theory, and every run reads them.
+the theory, and every run reads them.  A run's means carry the draws'
+per-stratum dual transforms beside their y, x and z means, so one
+weighted sum combines all five, and the study aggregates its ``xstar``
+and ``zstar`` means as two more rows of its estimates, by the same
+in-place sums.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ from .estimators import (
     EstimatorSpec,
     SampleMeans,
     _check_estimator,
-    _dual_means,
+    _dual_transform,
     _estimate_block,
     _kernel,
     _Kernel,
@@ -369,7 +373,7 @@ def _subsets(rngs: Sequence[np.random.Generator], N: int, n: int, rows: int,
 
     Memory is bounded per block for the keys sampler and per run for the
     redraw sampler.  The keys sampler holds at once a block's
-    ``(rows, N)`` keys, the partitioned copy of its kept rows (the
+    ``(rows, N)`` keys, the sorted copy of its kept rows (the
     thresholds are a view of it) and their one-byte ``(keep, N)`` mask;
     the shape rule bounds them by 272 KiB or by 6.4 times the block's
     index array.  The redraw sampler holds the run's ``(len(rngs) * rows,
@@ -401,22 +405,27 @@ def _key_subsets(rng: np.random.Generator, N: int, n: int, rows: int,
     by uniform keys, as a sorted ``np.intp`` array of shape ``(keep, n)``.
 
     Each unit of a row gets an iid uniform key, and the row keeps the
-    units whose key is at most its ``n``-th smallest, a threshold found
-    by partitioning a copy of the keys; read off the mask in order, the
-    units come out ascending.  All ``rows`` rows of keys are drawn, but
-    only the kept rows are partitioned, compared and read off.  Should
-    another key tie the ``n``-th smallest (about ``N * 2**-53`` a row),
-    the lowest indices among the tied keys are kept.
+    units whose key is at most its ``n``-th smallest, a threshold read
+    off a row-sorted copy of the keys (the value ``np.partition`` gives,
+    found in less time on rows of up to a few hundred keys and in more
+    on longer ones); read off the mask in order, the units come out
+    ascending.  All ``rows`` rows of keys are drawn, but only the kept
+    rows are sorted, compared and read off.  Should another key tie the
+    ``n``-th smallest (about ``N * 2**-53`` a row), the lowest indices
+    among the tied keys are kept.
     """
     keys = rng.random((rows, N))[:keep]
-    kth = np.partition(keys, n - 1, axis=1)[:, n - 1:n]
+    # Array methods, not numpy's Python wrappers: fewer lock retakes.
+    ordered = keys.copy()
+    ordered.sort(axis=1)
+    kth = ordered[:, n - 1:n]
     chosen = keys <= kth
-    units = np.flatnonzero(chosen)
+    units = chosen.reshape(-1).nonzero()[0]
     if units.size != keep * n:  # a key ties some row's n-th smallest
-        for r in np.flatnonzero(np.count_nonzero(chosen, axis=1) > n):
-            tied = np.flatnonzero(keys[r] == kth[r])
+        for r in (np.count_nonzero(chosen, axis=1) > n).nonzero()[0]:
+            tied = (keys[r] == kth[r]).nonzero()[0]
             chosen[r, tied[n - np.count_nonzero(keys[r] < kth[r]):]] = False
-        units = np.flatnonzero(chosen)
+        units = chosen.reshape(-1).nonzero()[0]
     units = units.reshape(keep, n)
     units -= np.arange(0, keep * N, N)[:, None]  # flat to column index
     return units
@@ -493,6 +502,8 @@ def _draw_run(
     rows: int,
     keep: int,
     scratch: threading.local,
+    *,
+    dual: PopulationSummary | None = None,
 ) -> np.ndarray:
     """Per-stratum sample means of a run's kept draws.
 
@@ -502,7 +513,10 @@ def _draw_run(
     The means of the ``(len(rngs) - 1) * rows + keep`` kept draws are
     returned as an array of shape ``(3, kept, L)``: the y, x and z means
     of each draw and stratum, with the units of a sample added in index
-    order.
+    order.  Given the population summary ``dual``, the array has two
+    more rows, ``(5, kept, L)``: the dual-transformed x and z means of
+    each draw and stratum (:func:`~stratdual.estimators._dual_transform`),
+    so that one :func:`~stratdual.domain._weighted_sum` combines all five.
 
     Each variable's sample values are gathered, one block's index array
     of :func:`_subsets` at a time, into a view of one float64 buffer,
@@ -514,12 +528,14 @@ def _draw_run(
     the system and faulted in again each time.  A thread thus holds a
     ``(rows, n_h)`` ``np.intp`` array and ``rows * n_h`` float64 values
     while it gathers, 400 + 400 KiB at ``(256, 200)``.  Each row's sum
-    is written straight into the means array, and the whole run is then
-    divided by the design once: the steps of ``ndarray.mean``, without
-    its Python wrapper, so the means are those of ``mean(axis=1)`` on
-    the gathered array, bit for bit.
+    is written straight into the means array, and the y, x and z rows of
+    the whole run are then divided by the design once: the steps of
+    ``ndarray.mean``, without its Python wrapper, so the means are those
+    of ``mean(axis=1)`` on the gathered array, bit for bit.  The dual
+    rows are then transformed from the x and z rows in place.
     """
-    means = np.empty((3, (len(rngs) - 1) * rows + keep, len(frames)))
+    means = np.empty((3 if dual is None else 5, (len(rngs) - 1) * rows + keep,
+                      len(frames)))
     for h, (frame, n) in enumerate(zip(frames, design)):
         start = 0
         for units in _subsets(rngs, frame.size, n, rows, keep):
@@ -536,7 +552,9 @@ def _draw_run(
                               axis=1, out=means[v, start:stop, h])
             start = stop
             del units  # freed before the next index array is made
-    means /= design
+    means[:3] /= design
+    if dual is not None:
+        _dual_transform(dual, means[1:3], out=means[3:])
     return means
 
 
@@ -793,14 +811,20 @@ def monte_carlo(
     :func:`~stratdual.mse_theory.mse_first_order` on the realized
     population summary under the same design.
 
-    Every draw's estimates fill one ``(S, R)`` array.  The aggregates of
-    all estimators are then computed in place in it and in one workspace
+    Each run draws its per-stratum y, x and z means and, unless under a
+    census design, their dual transforms as one ``(5, kept, L)`` array
+    (:func:`_draw_run`), and one weighted sum over the strata gives the
+    five combined means of each draw.  Every draw's estimates fill one
+    ``(S + 2, R)`` array, whose last two rows hold the draws' ``xstar``
+    and ``zstar`` means (``(S, R)`` under a census).  The aggregates of
+    all its rows are then computed in place in it and in one workspace
     of its shape, by plain ufunc calls: the rejected draws are zeroed,
     each row summed and divided by its accepted draws, for the means, the
-    variances and the MSEs alike.  The dual means' averages and standard
-    errors take the steps of ``mean`` and ``std(ddof=1)`` one by one.
-    Either way the sums are numpy's, so the result is that of the plain
-    numpy formulas bit for bit.
+    variances and the MSEs alike.  The ``xstar`` and ``zstar`` rows reject
+    no draw, so they are summed whole; their squared deviations are
+    divided by ``R - 1``, for the standard errors, as ``std(ddof=1)``
+    does, and they take no MSE.  The sums are numpy's, so the result is
+    that of the plain numpy formulas bit for bit.
 
     A study's set-up (the population summary, its moment sets, the
     estimator checks, the estimator kernel's compiled constants and the
@@ -832,52 +856,59 @@ def monte_carlo(
     design = _check_design(frames, design)
     specs = tuple(specs)
     pop, md, kernel, theory = _prepare(frames, design, specs)
-    estimates = np.empty((len(specs), R))
-    stars = np.empty((2, R)) if md is not None else None  # xstar, zstar
+    S = len(specs)
+    dual = None if md is None else pop  # no dual means under a census
+    # A row per spec and, unless a census, the x* and z* rows.
+    estimates = np.empty((S if dual is None else S + 2, R))
     children = np.random.SeedSequence(seed).spawn(-(-R // BLOCK))
     runs = _runs(len(children))
     scratch = threading.local()  # each thread's gather buffer, this study only
 
     def evaluate(i):
         # Draws run i, its last block cut to the study's R, and fills its
-        # own columns of estimates and stars.
+        # own columns of estimates.
         run = runs[i]
         means = _draw_run(frames, design,
                           [np.random.default_rng(children[b]) for b in run],
-                          BLOCK, min(BLOCK, R - run[-1] * BLOCK), scratch)
+                          BLOCK, min(BLOCK, R - run[-1] * BLOCK), scratch,
+                          dual=dual)
         rows = slice(run[0] * BLOCK, run[0] * BLOCK + means.shape[1])
-        combined = _weighted_sum(pop.w, means)  # y, x and z, (3, kept)
-        dual = None
-        if stars is not None:
-            dual = stars[:, rows] = _dual_means(pop, means[1:])
-        estimates[:, rows] = _estimate_block(kernel, combined[0],
-                                             combined[1:], dual)[0]
+        # The y, x, z and, unless a census, x* and z* means: (3 or 5, kept).
+        combined = _weighted_sum(pop.w, means)
+        estimates[S:, rows] = combined[3:]
+        estimates[:S, rows] = _estimate_block(
+            kernel, combined[0], combined[1:3],
+            None if dual is None else combined[3:])[0]
 
     _run_blocks(evaluate, len(runs))
 
-    # Every aggregate of every estimator at once, in place in estimates
-    # and one workspace of its shape; rejected draws add 0.
+    # Every aggregate of every row at once, in place in estimates and one
+    # workspace of its shape; rejected draws add 0, and the x* and z*
+    # rows, which reject none, are summed whole.
     rejected = np.isnan(estimates)
-    accepted = R - np.count_nonzero(rejected, axis=1)
+    rejected[S:] = False
+    accepted = R - np.add.reduce(rejected, axis=1, dtype=np.intp)
     if not accepted.all():
         raise AllDrawsRejectedError(f"all {R} draws were degenerate for "
                                     f"{specs[int(np.argmin(accepted))].label}")
 
-    def accepted_mean(values):
+    def accepted_mean(values, divisor):
         # Overwrites values.
-        np.copyto(values, 0.0, where=rejected)
+        np.copyto(values, 0.0, where=rejected[:len(values)])
         total = np.add.reduce(values, axis=1)
-        total /= accepted
+        total /= divisor
         return total
 
+    spread = accepted.copy()
+    spread[S:] -= 1  # x* and z* spread about their mean as std(ddof=1)
     mean_y = pop.mean_y
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        means = accepted_mean(estimates)
+        means = accepted_mean(estimates, accepted)
         work = np.subtract(estimates, means[:, None])
-        variances = accepted_mean(np.square(work, out=work))
-        np.subtract(estimates, mean_y, out=work)
-        mses = accepted_mean(np.square(work, out=work))
-    overflowed = ~(np.isfinite(variances) & np.isfinite(mses))
+        variances = accepted_mean(np.square(work, out=work), spread)
+        work = np.subtract(estimates[:S], mean_y, out=work[:S])
+        mses = accepted_mean(np.square(work, out=work), accepted[:S])
+    overflowed = ~(np.isfinite(variances[:S]) & np.isfinite(mses))
     if overflowed.any():
         raise ValueError(f"the estimates of "
                          f"{specs[int(np.argmax(overflowed))].label} "
@@ -894,19 +925,10 @@ def monte_carlo(
             mses.tolist(), theory)])
 
     star_mean = star_se = (None, None)
-    if stars is not None:
-        # The steps of stars.mean(axis=1) and stars.std(axis=1, ddof=1),
-        # bit for bit, overwriting stars.
-        total = np.add.reduce(stars, axis=1, keepdims=True)
-        total /= R
-        star_mean = total[:, 0].tolist()
-        if R == 1:
-            star_se = (0.0, 0.0)
-        else:
-            np.subtract(stars, total, out=stars)
-            variance = np.add.reduce(np.square(stars, out=stars), axis=1)
-            variance /= R - 1
-            star_se = (np.sqrt(variance, out=variance) / np.sqrt(R)).tolist()
+    if dual is not None:
+        star_mean = means[S:].tolist()
+        star_se = ((0.0, 0.0) if R == 1
+                   else (np.sqrt(variances[S:]) / np.sqrt(R)).tolist())
     return SimResult(population=pop, true_mean_y=mean_y, R=R,
                      seed=seed, design=design, results=results,
                      xstar_mean=star_mean[0], xstar_se=star_se[0],

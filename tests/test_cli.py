@@ -880,7 +880,10 @@ class TestCensusDesign:
         assert [(r["estimator"], r["pre"]) for r in json_rows(out)] == [
             ("classical", None), ("combined_ratio", None),
             ("ratio_cum_product", None)]
-        assert err == self._DUAL_NOTE
+        assert err == self._DUAL_NOTE + "".join(
+            f"warning: first-order MSE of {kind} is 0: the estimator is exact "
+            "at first order, and its PRE is undefined\n"
+            for kind in ("classical", "combined_ratio", "ratio_cum_product"))
 
         code, out, err = run(capsys, "optimize", *common)
         assert code == 0
@@ -933,6 +936,62 @@ class TestCensusDesign:
         assert code == 0
         assert [tuple(r.values()) for r in json_rows(out)] == rows
         assert err.endswith(note)
+
+
+class TestEmptyPreCellsAreExplained:
+    """``pre`` and ``optimize`` print a ``warning:`` line for each empty PRE
+    cell, as ``mse`` does: on the census units table (3 strata of 6 units,
+    18 sampled) and on moments whose first-order MSEs are negative."""
+
+    _EXACT = ("warning: first-order MSE of {} is 0: the estimator is exact "
+              "at first order, and its PRE is undefined\n")
+    _NEGATIVE = ("warning: first-order MSE of {} is nonpositive ({}); the "
+                 "supplied moments are internally inconsistent at this "
+                 "order\n")
+    _DUAL_NOTE = ("skipping dual estimators (no dual moments): "
+                  "['plikusas_dual', 'dual_family:opt']\n")
+
+    @staticmethod
+    def inputs(tmp_path):
+        census = _write_csv(tmp_path / "units.csv",
+                            ["stratum_id", "y", "x", "z"], _SMALL_UNITS, [])
+        # |v110| > sqrt(v200 v020): no population has these moments.
+        doc = moments_file(tmp_path, v200=1.0, v020=1.0, v002=1.0, v110=2.0,
+                           v101=0.0, v011=0.0)
+        return (("--input", census, "--schema", "units", "--allocate", "18"),
+                ("--moments", doc))
+
+    def test_pre_prints_each_warning(self, capsys, tmp_path):
+        census, moments = self.inputs(tmp_path)
+        code, out, err = run(capsys, "pre", *census, "--format", "csv")
+        assert (code, out) == (0, "estimator,alpha1,alpha2,pre\n"
+                                  "classical,0,0,\ncombined_ratio,1,0,\n"
+                                  "ratio_cum_product,1,1,\n")
+        assert err == self._DUAL_NOTE + "".join(
+            self._EXACT.format(kind)
+            for kind in ("classical", "combined_ratio", "ratio_cum_product"))
+        code, out, err = run(capsys, "pre", *moments, "--format", "csv")
+        assert (code, out) == (0, "estimator,alpha1,alpha2,pre\n"
+                                  "classical,0,0,100\ncombined_ratio,1,0,\n"
+                                  "ratio_cum_product,1,1,\n")
+        assert err == (self._DUAL_NOTE
+                       + self._NEGATIVE.format("combined_ratio", -2.0)
+                       + self._NEGATIVE.format("ratio_cum_product", -1.0))
+
+    def test_optimize_prints_each_warning(self, capsys, tmp_path):
+        # The census has no optimum, so no PRE cell and only the notes.
+        census, moments = self.inputs(tmp_path)
+        code, out, err = run(capsys, "optimize", *census, "--format", "csv")
+        assert (code, out) == (0, "parameter,value\nvar_classical,0\n")
+        assert err == ("skipping tracy_product optimum (v020 must be positive "
+                       "to optimize theta)\n"
+                       "skipping dual optimum (no dual moments available)\n")
+        code, out, err = run(capsys, "optimize", *moments, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[-2:] == ["mse_tracy_product_min,-2",
+                                         "pre_tracy_product_opt,"]
+        assert err == (self._NEGATIVE.format("tracy_product:A=1.5", -2.0)
+                       + "skipping dual optimum (no dual moments available)\n")
 
 
 class TestFiniteOrOneError:

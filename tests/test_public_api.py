@@ -139,12 +139,12 @@ def test_benchmark_traced_functions_run_on_the_calling_thread(monkeypatch):
     both = threading.Event()
     draw_run = simulate._draw_run
 
-    def held_draw_run(*args):
+    def held_draw_run(*args, **kwargs):
         workers.add(threading.get_ident())
         if len(workers) == 2:
             both.set()
         both.wait(timeout=30)
-        return draw_run(*args)
+        return draw_run(*args, **kwargs)
 
     monkeypatch.setattr(simulate, "_thread_count", lambda blocks: 2)
     monkeypatch.setattr(simulate, "_draw_run", held_draw_run)

@@ -1451,9 +1451,9 @@ def spy_buffers(monkeypatch):
     draws, subsets = simulate._draw_run, simulate._subsets
     held = threading.local()
 
-    def draw_run(frames, design, rngs, rows, keep, scratch):
+    def draw_run(frames, design, rngs, rows, keep, scratch, **kwargs):
         held.scratch = scratch
-        means = draws(frames, design, rngs, rows, keep, scratch)
+        means = draws(frames, design, rngs, rows, keep, scratch, **kwargs)
         seen.append(scratch.buffer)
         n = design[-1]
         m = (means.shape[1] - 1) % BLOCK + 1
@@ -1510,8 +1510,8 @@ class TestGatherBuffer:
         refs = []
         draw = simulate._draw_run
 
-        def record(*args):
-            means = draw(*args)
+        def record(*args, **kwargs):
+            means = draw(*args, **kwargs)
             refs.extend((weakref.ref(args[-1]), weakref.ref(args[-1].buffer)))
             return means
 
@@ -1684,14 +1684,14 @@ class TestThreadedBlocks:
         failed = threading.Event()
         draw = simulate._draw_run
 
-        def failing_draw(*args):
+        def failing_draw(*args, **kwargs):
             if (threading.get_ident() == caller) == (where == "caller"):
                 failed.set()
                 if error is MemoryError:
                     raise MemoryError("block failed")
                 np.float64(1e308) * 10.0  # overflows
             failed.wait(timeout=30)
-            return draw(*args)
+            return draw(*args, **kwargs)
 
         monkeypatch.setattr(simulate, "_draw_run", failing_draw)
         before = threading.active_count()
